@@ -267,29 +267,22 @@ def variance_floor(values: np.ndarray) -> float:
 
 
 def ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve gram @ x = rhs, adding a small ridge when near-singular."""
-    gram = np.asarray(gram, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    try:
-        cond = np.linalg.cond(gram)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if np.isfinite(cond) and cond <= MAX_CONDITION:
-        try:
-            return np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            pass
-    dim = gram.shape[0]
-    lam = 1e-10 * abs(np.trace(gram)) / dim
-    if lam == 0.0:
-        lam = 1e-10
-    eye = np.eye(dim)
-    for _ in range(8):
-        try:
-            return np.linalg.solve(gram + lam * eye, rhs)
-        except np.linalg.LinAlgError:
-            lam *= 100.0
-    raise np.linalg.LinAlgError("ridge fallback failed to stabilize the solve")
+    """Solve gram @ x = rhs for a symmetric positive semi-definite gram.
+
+    One eigendecomposition gives both the condition number and the
+    solution. Above ``MAX_CONDITION``, a singular gram included, it solves
+    (gram + lam I) x = rhs instead, with the ridge lam = 1e-10 * trace / dim
+    (1e-10 for a zero trace). ``rhs`` is a vector. Raises
+    ``numpy.linalg.LinAlgError`` when the solution is not finite, as for a
+    non-finite system.
+    """
+    eigvals, eigvecs = np.linalg.eigh(np.asarray(gram, dtype=float))  # ascending
+    if not (eigvals[0] > 0 and eigvals[-1] <= MAX_CONDITION * eigvals[0]):
+        eigvals = eigvals + (1e-10 * abs(eigvals.sum()) / eigvals.size or 1e-10)
+    x = eigvecs @ ((np.asarray(rhs, dtype=float) @ eigvecs) / eigvals)
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("ridge_solve: the solution is not finite")
+    return x
 
 
 # ---------------------------------------------------------------------------

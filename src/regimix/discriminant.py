@@ -221,8 +221,18 @@ def class_logliks(model: ClassifierModel, values: np.ndarray) -> np.ndarray:
 def classify_set(
     model: ClassifierModel, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """MAP labels (1-based) and posterior probabilities for (n, m) curves."""
+    """MAP labels (1-based) and posterior probabilities for (n, m) curves.
+
+    Raises ``DataError`` for curves whose log-density is not finite under
+    any class, such as curves so far from every class that it underflows.
+    """
     logliks = class_logliks(model, values)
+    lost = np.flatnonzero(~np.isfinite(logliks).any(axis=1))
+    if lost.size:
+        raise DataError(
+            f"{lost.size} curve(s) have no finite log-density under any class "
+            f"(indices {lost[:10].tolist()}{' ...' if lost.size > 10 else ''})"
+        )
     log_post = np.log(model.priors)[None, :] + logliks
     norm = logsumexp(log_post, axis=1)
     posteriors = np.exp(log_post - norm[:, None])

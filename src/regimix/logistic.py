@@ -9,9 +9,12 @@ Fitting maximizes the soft-count weighted log-probability
 
     Q(w) = sum_{i,j,r} c[i,j,r] * log pi_r(t_j; w)
 
-with Newton-Raphson steps (iteratively reweighted least squares) plus
-step-halving, which makes every accepted iterate at least as good as the
-previous one.
+with Newton-Raphson steps (iteratively reweighted least squares). One
+symmetric solve, ``core.ridge_solve``, gives each Newton direction, with a
+ridge when the Hessian is near-singular. Fitting stops once the Newton
+decrement shows that no step can gain more than the tolerance, before any
+line search; otherwise step-halving makes every accepted iterate at least
+as good as the previous one.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeGrid, logsumexp
+from .core import TimeGrid, logsumexp, ridge_solve
 
-#: Hessian condition number beyond which a ridge is added before solving.
-_MAX_CONDITION = 1e12
 _MAX_HALVINGS = 30
 
 
@@ -121,15 +122,13 @@ def qw_gradient_hessian(
     resid = counts[:, :-1] - totals[:, None] * pi[:, :-1]  # (m, R-1)
     grad = np.einsum("jr,jc->rc", resid, phi).reshape(n_free)
 
-    hess = np.zeros((n_free, n_free))
-    phi_outer = np.einsum("jc,jd->jcd", phi, phi)  # (m, 2, 2)
-    for r in range(R - 1):
-        for s in range(R - 1):
-            delta = 1.0 if r == s else 0.0
-            scale = -totals * pi[:, r] * (delta - pi[:, s])  # (m,)
-            hess[2 * r : 2 * r + 2, 2 * s : 2 * s + 2] = np.einsum(
-                "j,jcd->cd", scale, phi_outer
-            )
+    # cov[j, r, s] = totals_j * pi_jr * (delta_rs - pi_js) over the free
+    # regimes; one product with the (m, 4) outer products of phi gives
+    # every 2x2 block
+    cov = (totals[:, None] * pi[:, :-1])[:, :, None] * (np.eye(R - 1) - pi[:, None, :-1])
+    outer = (phi[:, :, None] * phi[:, None, :]).reshape(-1, 4)
+    blocks = (cov.reshape(len(grid), -1).T @ outer).reshape(R - 1, R - 1, 2, 2)
+    hess = -blocks.transpose(0, 2, 1, 3).reshape(n_free, n_free)
     return grad, hess
 
 
@@ -137,33 +136,6 @@ def _with_free(weights: LogisticWeights, free: np.ndarray) -> LogisticWeights:
     coef = np.zeros((weights.n_regimes, 2))
     coef[:-1] = free.reshape(-1, 2)
     return LogisticWeights(coef)
-
-
-def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray | None:
-    """Solve hess @ d = -grad, adding a ridge for a flat objective."""
-
-    def _try(h):
-        try:
-            if not np.all(np.isfinite(h)) or np.linalg.cond(h) > _MAX_CONDITION:
-                return None
-            return np.linalg.solve(h, -grad)
-        except np.linalg.LinAlgError:
-            return None
-
-    direction = _try(hess)
-    if direction is not None:
-        return direction
-    dim = hess.shape[0]
-    lam = 1e-8 * np.trace(hess) / dim  # trace <= 0, so this pushes away from 0
-    if lam == 0.0:
-        lam = -1e-8
-    eye = np.eye(dim)
-    for _ in range(6):
-        direction = _try(hess + lam * eye)
-        if direction is not None:
-            return direction
-        lam *= 100.0
-    return None
 
 
 def irls_fit(
@@ -175,10 +147,14 @@ def irls_fit(
 ) -> LogisticWeights:
     """Maximize Q(w) from ``weights_init`` by damped Newton (IRLS) steps.
 
-    Step-halving guarantees the returned weights score at least as well
-    as the initial ones; the gauge row stays pinned. Stops when the
-    objective increment falls below ``tol * (1 + |Q|)`` or after
-    ``max_iter`` iterations.
+    Each iteration solves for the Newton direction d with
+    ``core.ridge_solve(-hess, grad)`` and stops, before any line search,
+    once the Newton decrement g.d / 2 (the gain the quadratic model
+    predicts) is at most ``tol * (1 + |Q|)``; a direction that does not
+    ascend, or a system that cannot be solved, stops it too. Otherwise
+    step-halving finds a step that does not lower Q, so the returned
+    weights score at least as well as the initial ones. At most
+    ``max_iter`` Newton steps; the gauge row stays pinned.
     """
     counts = _aggregate_counts(soft_counts, len(grid))
     weights = weights_init
@@ -186,27 +162,24 @@ def irls_fit(
         return weights
 
     q = qw_value(weights, grid, counts)
-    free = weights.coef[:-1].reshape(-1).copy()
+    free = weights.coef[:-1].reshape(-1)
     for _ in range(max_iter):
         grad, hess = qw_gradient_hessian(weights, grid, counts)
-        direction = _newton_direction(grad, hess)
-        if direction is None:
+        try:
+            direction = ridge_solve(-hess, grad)
+        except np.linalg.LinAlgError:
+            break
+        if 0.5 * (grad @ direction) <= tol * (1.0 + abs(q)):
             break
         step = 1.0
-        accepted = None
         for _ in range(_MAX_HALVINGS + 1):
             cand_free = free + step * direction
             cand = _with_free(weights, cand_free)
             q_cand = qw_value(cand, grid, counts)
             if q_cand >= q:
-                accepted = (cand, cand_free, q_cand)
                 break
             step *= 0.5
-        if accepted is None:
+        else:
             break
-        weights, free, q_new = accepted
-        if q_new - q < tol * (1.0 + abs(q_new)):
-            q = q_new
-            break
-        q = q_new
+        weights, free, q = cand, cand_free, q_cand
     return weights

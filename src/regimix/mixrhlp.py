@@ -45,6 +45,8 @@ _WEIGHT_FLOOR = 1e-12
 #: Initial logistic slope gap between adjacent regimes, per unit of
 #: (n_regimes / span); controls how sharp the initial segmentation is.
 _INIT_SLOPE_SCALE = 10.0
+#: Round-off allowance below which a drop in log-likelihood counts as none.
+_LOGLIK_SLACK = 1e-9
 
 MODEL_FORMAT_VERSION = 1
 
@@ -510,13 +512,17 @@ def _em_once(
             post, values, design, params, floor, config.irls_max_iter, True, per_curve
         )
         cand_post, cand_ll, cand_pc = _e_step_full(cand, values, design)
-        if rescued and cand_ll < ll - 1e-9:
+        if rescued and cand_ll < ll - _LOGLIK_SLACK:
             # The rescue hurt the likelihood; fall back to the plain update,
             # which is monotone by construction.
             cand, _ = _m_step_impl(
                 post, values, design, params, floor, config.irls_max_iter, False, None
             )
             cand_post, cand_ll, cand_pc = _e_step_full(cand, values, design)
+        if cand_ll < ll - _LOGLIK_SLACK:
+            # A degraded M-step (a ridge-regularized solve) lowered the
+            # likelihood: keep the previous iterate and stop unconverged.
+            break
         params, post, per_curve = cand, cand_post, cand_pc
         increment = cand_ll - ll
         ll = cand_ll

@@ -198,6 +198,22 @@ class TestClassify:
         err = capsys.readouterr().err
         assert "data" in err and "model" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_curve_outside_every_class_is_data_error(self, tmp_path, dataset_dir):
+        model_path = tmp_path / "model.json"
+        run("fit", "--data", dataset_dir, "--variant", "flda-pr",
+            "--out", str(model_path))
+        far = tmp_path / "far"
+        far.mkdir()
+        grid_text = (tmp_path / "data" / "grid.csv").read_text()
+        (far / "grid.csv").write_text(grid_text)
+        m = len(grid_text.strip().split(","))
+        (far / "curves.csv").write_text("1," + ",".join(["1e200"] * m) + "\n")
+        code = run("classify", "--model", str(model_path), "--data", str(far),
+                   "--out", str(tmp_path / "p.csv"))
+        assert code == 3
+        assert not (tmp_path / "p.csv").exists()
+
 
 class TestEvaluate:
     def test_separable_data_zero_error(self, tmp_path, dataset_dir):

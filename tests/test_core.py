@@ -208,6 +208,31 @@ class TestRidgeSolve:
         assert np.all(np.isfinite(x))
         np.testing.assert_allclose(a @ x, [2.0, 2.0], atol=1e-4)
 
+    def test_matches_direct_solve_when_well_conditioned(self):
+        rng = np.random.default_rng(12)
+        for dim in (1, 4, 12):
+            a = rng.normal(size=(dim, dim))
+            gram = a @ a.T + dim * np.eye(dim)
+            rhs = rng.normal(size=dim)
+            expected = np.linalg.solve(gram, rhs)
+            err = np.linalg.norm(ridge_solve(gram, rhs) - expected)
+            assert err <= 1e-12 * np.linalg.norm(expected)
+
+    def test_rank_deficient_and_zero_grams_stay_finite(self):
+        t = np.linspace(0.0, 1.0, 9)
+        design = np.column_stack([np.ones_like(t), t, t])  # repeated column
+        y = 1.0 + 2.0 * t
+        x = ridge_solve(design.T @ design, design.T @ y)
+        assert np.all(np.isfinite(x))
+        np.testing.assert_allclose(design @ x, y, atol=1e-6)
+        assert np.all(np.isfinite(ridge_solve(np.zeros((3, 3)), np.ones(3))))
+
+    def test_non_finite_gram_raises(self):
+        for bad in (np.nan, np.inf):
+            gram = np.array([[bad, 0.0], [0.0, 1.0]])
+            with pytest.raises(np.linalg.LinAlgError):
+                ridge_solve(gram, np.array([1.0, 1.0]))
+
 
 class TestVarianceFloor:
     def test_scales_with_spread(self):

@@ -159,6 +159,17 @@ class TestClassify:
         np.testing.assert_array_equal(l1, l2)
         np.testing.assert_array_equal(p1, p2)
 
+    def test_curve_outside_every_class_rejected(self):
+        # (x - mean)^2 overflows for such a curve, so every class log-density
+        # is -inf and the posteriors would be nan
+        rng = np.random.default_rng(60)
+        data = toy_dataset(rng)
+        model = train(data, TrainConfig(variant="fmda-mixrhlp", degree=0, n_clusters=2,
+                                        n_regimes=2, n_restarts=1, max_iter=5))
+        values = np.vstack([data.values[:2], np.full(len(data.grid), 1e200)])
+        with np.errstate(over="ignore"), pytest.raises(DataError, match=r"\[2\]"):
+            classify_set(model, values)
+
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(59)
         data = toy_dataset(rng)

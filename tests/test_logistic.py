@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regimix import logistic
 from regimix.core import TimeGrid
 from regimix.logistic import (
     LogisticWeights,
@@ -188,6 +189,29 @@ class TestIrlsFit:
             q_next = qw_value(w_next, g, counts)
             assert q_next >= q_prev - 1e-10
             w, q_prev = w_next, q_next
+
+    def test_stationary_start_stops_before_line_search(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        g = TimeGrid(np.linspace(0, 1, 8))
+        counts = rand_counts(rng, 3, 8, 3)
+        fitted = irls_fit(LogisticWeights.zeros(3), g, counts, max_iter=300, tol=1e-13)
+
+        calls = {"q": 0, "newton": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(logistic, "qw_value", counted("q", qw_value))
+        monkeypatch.setattr(
+            logistic, "qw_gradient_hessian", counted("newton", qw_gradient_hessian)
+        )
+        refitted = irls_fit(fitted, g, counts)
+        assert calls == {"q": 1, "newton": 1}
+        np.testing.assert_array_equal(refitted.coef, fitted.coef)
 
     def test_degenerate_all_mass_one_regime(self):
         # objective is maximized by pushing probabilities to 1; must not

@@ -13,6 +13,7 @@ from oracles import (
     mp_rhlp_density,
 )
 from regimix.core import Curve, TimeGrid, vandermonde
+from regimix.datagen import WaveformSpec, gen_waveform
 from regimix.logistic import LogisticWeights
 from regimix.mixrhlp import (
     EmConfig,
@@ -370,6 +371,18 @@ class TestEmFit:
             _, report = em_fit(values, g, cfg)
             diffs = np.diff(report.loglik_trace)
             assert np.all(diffs >= -1e-8)
+
+    def test_likelihood_drop_is_not_convergence(self):
+        # On a grid far from 0 the cubic Vandermonde Gram is so ill-conditioned
+        # that every regime solve takes the ridge, and that M-step lowers the
+        # likelihood; EM must keep the previous iterate and report no convergence.
+        data = gen_waveform(WaveformSpec(50), 0)
+        g = TimeGrid(data.grid.points + 1e4)
+        cfg = EmConfig(n_clusters=2, n_regimes=2, degree=3, n_restarts=1)
+        _, report = em_fit(data.values[:100], g, cfg)
+        assert np.all(np.diff(report.loglik_trace) >= 0.0)
+        assert report.iterations == len(report.loglik_trace) - 1
+        assert report.converged is False
 
     def test_workers_do_not_change_result(self):
         rng = np.random.default_rng(19)
