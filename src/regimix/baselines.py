@@ -22,7 +22,7 @@ from .core import (
     variance_floor,
 )
 from .errors import NumericalError
-from .mixrhlp import EmConfig, FitReport
+from .mixrhlp import _LOGLIK_SLACK, EmConfig, FitReport
 from .parallel import map_ordered
 from .rng import child_rng
 
@@ -219,10 +219,14 @@ def _mixture_em_once(
     for _ in range(config.max_iter):
         cand, rescued = _mixture_m_step(resp, values, design, params, floor, per_curve)
         cand_resp, cand_ll, cand_pc = _posterior(cand)
-        if rescued and cand_ll < ll - 1e-9:
+        if rescued and cand_ll < ll - _LOGLIK_SLACK:
             cand, _ = _mixture_m_step(resp, values, design, params, floor, None,
                                       rescue=False)
             cand_resp, cand_ll, cand_pc = _posterior(cand)
+        if cand_ll < ll - _LOGLIK_SLACK:
+            # A degraded M-step lowered the likelihood: keep the previous
+            # iterate and stop unconverged.
+            break
         params, resp, per_curve = cand, cand_resp, cand_pc
         increment = cand_ll - ll
         ll = cand_ll

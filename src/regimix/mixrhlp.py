@@ -16,6 +16,14 @@ mixing proportions, solves weighted least squares per regime, refreshes
 noise variances, and re-fits each cluster's logistic process by IRLS.
 Every accepted iteration is guaranteed not to decrease the observed-data
 log-likelihood.
+
+One private kernel evaluates the per-point density for fitting and for
+scoring alike. It works on an (R, n, m) array, regime first, so regime r
+of every (curve, point) pair is the contiguous slab ``[r]`` and every
+reduction over regimes (the max, the sum, the normalisation) runs across
+R slabs instead of along a short trailing axis. The same layout carries
+the regime responsibilities into the M-step; ``Posteriors.regime_resp``
+shows them as (n, m, R) views, as before.
 """
 
 from __future__ import annotations
@@ -122,6 +130,9 @@ class Posteriors:
 
     ``cluster_resp`` is (n, K); ``regime_resp[k]`` is (n, m, R_k). Rows of
     ``cluster_resp`` and every (i, j) slice of ``regime_resp[k]`` sum to 1.
+    The E-step stores each table regime first, as an (R_k, n, m) array, and
+    ``regime_resp[k]`` is its read-only ``np.moveaxis`` view; tables built
+    by hand in the (n, m, R_k) shape work the same.
     """
 
     cluster_resp: np.ndarray
@@ -209,16 +220,39 @@ def _check_design(design: DesignMatrix, params: MixRhlpParams | RhlpParams) -> N
             )
 
 
-def _cluster_point_logdens(
-    rhlp: RhlpParams, values: np.ndarray, design: DesignMatrix
-) -> np.ndarray:
-    """(n, m, R) log of pi_r(t_j) * N(x_ij; mean_jr, var_r)."""
-    log_pi = log_regime_probabilities(rhlp.logistic, design.grid)  # (m, R)
-    means = design.matrix @ rhlp.coeffs.T  # (m, R)
-    var = rhlp.variances  # (R,)
-    sq = (values[:, :, None] - means[None, :, :]) ** 2
-    log_norm = -0.5 * (LOG_2PI + np.log(var))[None, None, :] - sq / (2.0 * var)
-    return log_pi[None, :, :] + log_norm
+def _regime_kernel(
+    rhlp: RhlpParams, values: np.ndarray, design: DesignMatrix, want_resp: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-curve log-likelihood under one cluster; with ``want_resp``, also
+    its (R, n, m) regime responsibilities.
+
+    One (R, n, m) buffer takes log pi_r(t_j) + log N(x_ij; mean_jr, var_r)
+    and is reduced across its R slabs; the responsibilities overwrite it.
+    """
+    log_pi = log_regime_probabilities(rhlp.logistic, design.grid).T  # (R, m)
+    means = (design.matrix @ rhlp.coeffs.T).T  # (R, m)
+    var = rhlp.variances[:, None, None]
+    buf = np.empty((means.shape[0],) + values.shape)  # C order: one slab per regime
+    np.subtract(values[None, :, :], means[:, None, :], out=buf)
+    np.square(buf, out=buf)
+    buf /= 2.0 * var
+    np.subtract(-0.5 * (LOG_2PI + np.log(var)), buf, out=buf)
+    buf += log_pi[:, None, :]
+
+    shift = np.maximum.reduce(buf, axis=0)  # (n, m)
+    shift[~np.isfinite(shift)] = 0.0
+    buf -= shift
+    np.exp(buf, out=buf)
+    # explicit normalisation: exp(lp - lse) alone drifts from a unit sum by
+    # eps * |lse| when log-densities are huge
+    totals = np.add.reduce(buf, axis=0)
+    with np.errstate(divide="ignore"):
+        point = np.log(totals)
+    point += shift
+    if not want_resp:
+        return point.sum(axis=1), None
+    buf /= totals
+    return point.sum(axis=1), buf
 
 
 def rhlp_loglik_set(
@@ -227,8 +261,7 @@ def rhlp_loglik_set(
     """Per-curve log-likelihood under one cluster's density; values is (n, m)."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     _check_design(design, rhlp)
-    lp = _cluster_point_logdens(rhlp, values, design)
-    return logsumexp(lp, axis=2).sum(axis=1)
+    return _regime_kernel(rhlp, values, design, False)[0]
 
 
 def rhlp_curve_loglik(rhlp: RhlpParams, curve, design: DesignMatrix) -> float:
@@ -270,17 +303,8 @@ def _e_step_full(
     per_cluster = np.empty((n, K))
     taus = []
     for k, cluster in enumerate(params.clusters):
-        lp = _cluster_point_logdens(cluster, values, design)  # (n, m, R)
-        # explicit softmax normalization: exp(lp - lse) alone drifts from a
-        # unit sum by eps * |lse| when log-densities are huge
-        shift = lp.max(axis=2, keepdims=True)
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        expd = np.exp(lp - shift)
-        totals = expd.sum(axis=2)
-        with np.errstate(divide="ignore"):
-            point = np.log(totals) + shift[:, :, 0]  # (n, m)
-        taus.append(expd / totals[:, :, None])
-        per_cluster[:, k] = point.sum(axis=1)
+        per_cluster[:, k], tau = _regime_kernel(cluster, values, design, True)
+        taus.append(np.moveaxis(tau, 0, -1))  # (n, m, R) view of (R, n, m)
 
     log_mix = np.log(params.weights)[None, :] + per_cluster
     per_curve = logsumexp(log_mix, axis=1)
@@ -299,6 +323,19 @@ def e_step(
     return post
 
 
+def _regime_stats(
+    resp: np.ndarray, tau: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, m) weighted point masses, sums of x and sums of x^2 per regime:
+    products of the (R, n, m) responsibilities with resp, resp * x and
+    resp * x^2 over the curves."""
+    rx = resp[:, None] * values
+    point_w = resp @ tau
+    xw = np.einsum("rij,ij->rj", tau, rx)
+    x2w = np.einsum("rij,ij->rj", tau, rx * values)
+    return point_w, xw, x2w
+
+
 def _fit_cluster(
     resp: np.ndarray,
     tau: np.ndarray,
@@ -308,27 +345,26 @@ def _fit_cluster(
     floor: float,
     irls_max_iter: int,
 ) -> RhlpParams:
-    """Weighted updates for one cluster given its responsibilities."""
+    """Weighted updates for one cluster given its responsibilities; ``tau``
+    is (R, n, m)."""
     T = design.matrix
-    point_w = np.einsum("i,ijr->jr", resp, tau)  # (m, R)
-    xw = np.einsum("i,ij,ijr->jr", resp, values, tau)
-    x2w = np.einsum("i,ij,ijr->jr", resp, values**2, tau)
+    point_w, xw, x2w = _regime_stats(resp, tau, values)
 
     R = prev.n_regimes
     coeffs = np.array(prev.coeffs)
     variances = np.array(prev.variances)
-    regime_mass = point_w.sum(axis=0)
+    regime_mass = point_w.sum(axis=1)
     cluster_mass = float(resp.sum())
     for r in range(R):
         if regime_mass[r] <= 1e-12 * max(cluster_mass, 1.0):
             continue  # keep previous regime parameters; zero weight, zero influence
-        gram = T.T @ (point_w[:, r : r + 1] * T)
-        coeffs[r] = ridge_solve(gram, T.T @ xw[:, r])
+        gram = T.T @ (point_w[r][:, None] * T)
+        coeffs[r] = ridge_solve(gram, T.T @ xw[r])
         mean = T @ coeffs[r]
-        sse = float(np.sum(x2w[:, r] - 2.0 * mean * xw[:, r] + mean**2 * point_w[:, r]))
+        sse = float(np.sum(x2w[r] - 2.0 * mean * xw[r] + mean**2 * point_w[r]))
         variances[r] = max(sse / regime_mass[r], floor)
 
-    logistic = irls_fit(prev.logistic, design.grid, point_w, max_iter=irls_max_iter)
+    logistic = irls_fit(prev.logistic, design.grid, point_w.T, max_iter=irls_max_iter)
     return RhlpParams(logistic, coeffs, variances)
 
 
@@ -358,7 +394,7 @@ def _m_step_impl(
         clusters.append(
             _fit_cluster(
                 gamma[:, k],
-                posteriors.regime_resp[k],
+                np.moveaxis(posteriors.regime_resp[k], -1, 0),
                 values,
                 design,
                 prev_cluster,
@@ -547,12 +583,24 @@ def em_fit(
     segment-based initializations (or a single run when ``init`` is
     given) and returns the parameters of the restart with the highest
     final log-likelihood, ties broken toward the smaller restart index.
+    Raises ``ValueError`` for shapes the data cannot identify: fewer curves
+    than clusters, more regimes than grid points, or a degree + 1 above
+    the number of grid points.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    n = values.shape[0]
+    n, m = values.shape
     if n < config.n_clusters:
         raise ValueError(
             f"infeasible clustering: {n} curves for {config.n_clusters} clusters"
+        )
+    if max(config.regimes()) > m:
+        raise ValueError(
+            f"unidentifiable model: {max(config.regimes())} regimes on {m} grid points"
+        )
+    if config.degree + 1 > m:
+        raise ValueError(
+            f"unidentifiable model: degree {config.degree} needs at least "
+            f"{config.degree + 1} grid points, got {m}"
         )
     design = vandermonde(grid, config.degree)
     floor = variance_floor(values)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import explicit_wls_beta, mp_gauss
+from regimix import baselines
 from regimix.baselines import (
     RegressionMixtureParams,
     SingleRegressionParams,
@@ -242,3 +243,35 @@ class TestFitRegressionMixture:
         pm, rm = fit_regression_mixture(values, design, cfg)
         ph, rh = em_fit(values, g, cfg)
         np.testing.assert_allclose(rm.loglik_trace, rh.loglik_trace, atol=1e-8)
+
+    def test_likelihood_drop_is_not_convergence(self, monkeypatch):
+        # an M-step that lowers the likelihood (every mean moved far off from
+        # the second M-step on) must not count as convergence: EM keeps the
+        # previous iterate and trace and reports no convergence
+        rng = np.random.default_rng(41)
+        g = TimeGrid(np.linspace(0, 1, 10))
+        design = vandermonde(g, 0)
+        values = np.vstack([rng.normal(size=(5, 10)), 4.0 + rng.normal(size=(5, 10))])
+        real_m_step = baselines._mixture_m_step
+        calls = []
+
+        def worse_m_step(*args, **kwargs):
+            cand, rescued = real_m_step(*args, **kwargs)
+            calls.append(cand)
+            if len(calls) == 1:
+                return cand, rescued
+            far = tuple(
+                SingleRegressionParams(c.coeffs + 50.0, c.variance) for c in cand.components
+            )
+            return RegressionMixtureParams(cand.weights, far), rescued
+
+        monkeypatch.setattr(baselines, "_mixture_m_step", worse_m_step)
+        cfg = EmConfig(n_clusters=2, max_iter=20, n_restarts=1, seed=0)
+        params, report = fit_regression_mixture(values, design, cfg)
+        assert len(calls) >= 2
+        assert np.all(np.diff(report.loglik_trace) >= 0.0)
+        assert report.iterations == 1
+        assert report.converged is False
+        np.testing.assert_array_equal(
+            [c.coeffs for c in params.components], [c.coeffs for c in calls[0].components]
+        )

@@ -137,6 +137,16 @@ class TestFit:
         )
         assert code == 2
 
+    def test_unidentifiable_shape_is_config_error(self, tmp_path, dataset_dir):
+        # the dataset has 30 grid points
+        for flags in (("--R", "31", "--p", "0"), ("--R", "2", "--p", "30")):
+            code = run(
+                "fit", "--data", dataset_dir, "--variant", "fmda-mixrhlp",
+                "--K", "1", *flags, "--out", str(tmp_path / "m.json"),
+            )
+            assert code == 2
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         code = run(
             "fit", "--data", str(tmp_path / "void"), "--variant", "flda-pr",

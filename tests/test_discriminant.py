@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -169,6 +170,20 @@ class TestClassify:
         values = np.vstack([data.values[:2], np.full(len(data.grid), 1e200)])
         with np.errstate(over="ignore"), pytest.raises(DataError, match=r"\[2\]"):
             classify_set(model, values)
+
+    def test_overflowing_curve_scored_without_invalid_value(self):
+        # scoring only reduces the log-densities: a curve whose squares
+        # overflow gives -inf, never a 0/0 or inf - inf
+        rng = np.random.default_rng(61)
+        data = toy_dataset(rng)
+        model = train(data, TrainConfig(variant="fmda-mixrhlp", degree=0, n_clusters=2,
+                                        n_regimes=2, n_restarts=1, max_iter=5))
+        values = np.vstack([data.values[:1], np.full(len(data.grid), 1e200)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match=r"\[1\]"):
+                classify_set(model, values)
+        assert not [w for w in caught if "invalid value" in str(w.message)]
 
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(59)

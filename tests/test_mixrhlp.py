@@ -20,6 +20,8 @@ from regimix.mixrhlp import (
     MixRhlpParams,
     Posteriors,
     RhlpParams,
+    _e_step_full,
+    _regime_stats,
     bic,
     e_step,
     em_fit,
@@ -196,6 +198,51 @@ class TestEStep:
                     post.regime_resp[k], taus_ref[k], rtol=1e-9, atol=1e-12
                 )
 
+    def test_curve_logliks_match_scoring_and_oracle(self):
+        # the E-step and scoring share one density kernel: the same per-curve
+        # log-likelihoods, bit for bit, and both match the extended-precision
+        # density
+        rng = np.random.default_rng(91)
+        for _ in range(6):
+            n = int(rng.integers(1, 4))
+            m = int(rng.integers(2, 5))
+            K = int(rng.integers(1, 3))
+            R = int(rng.integers(1, 4))
+            g = TimeGrid(np.sort(rng.uniform(0, 2, size=m)))
+            design = vandermonde(g, 1)
+            params = rand_params(rng, K, R, 1)
+            values = rng.normal(size=(n, m))
+            _, total, per_curve = _e_step_full(params, values, design)
+            np.testing.assert_array_equal(
+                per_curve, mixrhlp_loglik_set(params, values, design)
+            )
+            assert total == per_curve.sum()
+            for i in range(n):
+                expected = float(
+                    mp.log(
+                        mp_mixrhlp_density(
+                            params, values[i].tolist(), design.matrix.tolist(),
+                            g.points.tolist(),
+                        )
+                    )
+                )
+                assert per_curve[i] == pytest.approx(expected, rel=1e-9)
+
+    def test_regime_resp_is_read_only_n_m_r_view(self):
+        rng = np.random.default_rng(92)
+        g = TimeGrid(np.linspace(0, 1, 7))
+        design = vandermonde(g, 1)
+        params = MixRhlpParams(
+            np.array([0.5, 0.5]),
+            (rand_params(rng, 1, 2, 1).clusters[0], rand_params(rng, 1, 3, 1).clusters[0]),
+        )
+        post = e_step(params, rng.normal(size=(4, 7)), design)
+        assert [tau.shape for tau in post.regime_resp] == [(4, 7, 2), (4, 7, 3)]
+        for tau in post.regime_resp:
+            assert not tau.flags.writeable
+            with pytest.raises(ValueError):
+                tau[0, 0, 0] = 0.5
+
     def test_normalization_invariants(self):
         rng = np.random.default_rng(9)
         g = TimeGrid(np.linspace(0, 1, 6))
@@ -243,6 +290,22 @@ class TestMStep:
         taus = tuple(np.ones((n, 3, 1)) for _ in range(K))
         new = m_step(Posteriors(gamma, taus), rng.normal(size=(n, 3)), design, prev)
         np.testing.assert_allclose(new.weights, 1.0 / K, atol=1e-12)
+
+    def test_regime_stats_match_einsum_formulas(self):
+        rng = np.random.default_rng(93)
+        n, m, R = 9, 11, 3
+        resp = rng.uniform(size=n)
+        values = rng.normal(size=(n, m))
+        tau = rng.dirichlet(np.ones(R), size=(n, m))  # (n, m, R)
+        point_w, xw, x2w = _regime_stats(resp, np.moveaxis(tau, -1, 0), values)
+        expected = (
+            np.einsum("i,ijr->jr", resp, tau),
+            np.einsum("i,ij,ijr->jr", resp, values, tau),
+            np.einsum("i,ij,ijr->jr", resp, values**2, tau),
+        )
+        for got, ref in zip((point_w, xw, x2w), expected):
+            assert got.shape == (R, m)
+            np.testing.assert_allclose(got.T, ref, rtol=1e-12, atol=1e-12)
 
     def test_ols_collapse(self):
         rng = np.random.default_rng(11)
@@ -371,6 +434,21 @@ class TestEmFit:
             _, report = em_fit(values, g, cfg)
             diffs = np.diff(report.loglik_trace)
             assert np.all(diffs >= -1e-8)
+
+    def test_unidentifiable_shapes_rejected(self):
+        rng = np.random.default_rng(94)
+        values = rng.normal(size=(5, 4))
+        g = TimeGrid(np.linspace(0, 1, 4))
+        with pytest.raises(ValueError, match="5 regimes on 4 grid points"):
+            em_fit(values, g, EmConfig(n_regimes=5, n_restarts=1))
+        with pytest.raises(ValueError, match="regimes on 4 grid points"):
+            em_fit(values, g, EmConfig(n_clusters=2, n_regimes=(2, 5), n_restarts=1))
+        with pytest.raises(ValueError, match="degree 4 needs at least 5 grid points"):
+            em_fit(values, g, EmConfig(degree=4, n_restarts=1))
+        # as many regimes, or coefficients, as grid points is still allowed
+        _, report = em_fit(values, g, EmConfig(n_regimes=4, degree=3, n_restarts=1,
+                                               max_iter=3))
+        assert np.all(np.diff(report.loglik_trace) >= -1e-8)
 
     def test_likelihood_drop_is_not_convergence(self):
         # On a grid far from 0 the cubic Vandermonde Gram is so ill-conditioned
