@@ -272,14 +272,27 @@ def ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     One eigendecomposition gives both the condition number and the
     solution. Above ``MAX_CONDITION``, a singular gram included, it solves
     (gram + lam I) x = rhs instead, with the ridge lam = 1e-10 * trace / dim
-    (1e-10 for a zero trace). ``rhs`` is a vector. Raises
-    ``numpy.linalg.LinAlgError`` when the solution is not finite, as for a
+    (1e-10 for a zero trace). ``gram`` is one (d, d) matrix with a (d,)
+    ``rhs``, or a stack (..., d, d) with a (..., d) ``rhs``; each member of
+    a stack is tested and, if need be, shifted on its own. Raises
+    ``numpy.linalg.LinAlgError`` when a solution is not finite, as for a
     non-finite system.
     """
     eigvals, eigvecs = np.linalg.eigh(np.asarray(gram, dtype=float))  # ascending
-    if not (eigvals[0] > 0 and eigvals[-1] <= MAX_CONDITION * eigvals[0]):
-        eigvals = eigvals + (1e-10 * abs(eigvals.sum()) / eigvals.size or 1e-10)
-    x = eigvecs @ ((np.asarray(rhs, dtype=float) @ eigvecs) / eigvals)
+    rhs = np.asarray(rhs, dtype=float)
+    if eigvals.ndim == 1:  # one system: scalar tests, vector products
+        if not (eigvals[0] > 0 and eigvals[-1] <= MAX_CONDITION * eigvals[0]):
+            eigvals = eigvals + (1e-10 * abs(eigvals.sum()) / eigvals.size or 1e-10)
+        x = eigvecs @ ((rhs @ eigvecs) / eigvals)
+    else:
+        lo, hi = eigvals[..., :1], eigvals[..., -1:]
+        ill = ~((lo > 0) & (hi <= MAX_CONDITION * lo))
+        if ill.any():
+            ridge = 1e-10 * np.abs(eigvals.sum(axis=-1, keepdims=True)) / eigvals.shape[-1]
+            ridge[ridge == 0] = 1e-10
+            eigvals = eigvals + np.where(ill, ridge, 0.0)
+        coef = (rhs[..., None, :] @ eigvecs) / eigvals[..., None, :]
+        x = (eigvecs @ coef.swapaxes(-1, -2))[..., 0]
     if not np.isfinite(x).all():
         raise np.linalg.LinAlgError("ridge_solve: the solution is not finite")
     return x

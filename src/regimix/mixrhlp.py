@@ -18,12 +18,19 @@ Every accepted iteration is guaranteed not to decrease the observed-data
 log-likelihood.
 
 One private kernel evaluates the per-point density for fitting and for
-scoring alike. It works on an (R, n, m) array, regime first, so regime r
-of every (curve, point) pair is the contiguous slab ``[r]`` and every
+scoring alike. It takes a group of G clusters that share one regime count
+R and works on a (G, R, n, m) array, regime before curve and point, so
+regime r of cluster g is the contiguous slab ``[g, r]`` and every
 reduction over regimes (the max, the sum, the normalisation) runs across
-R slabs instead of along a short trailing axis. The same layout carries
-the regime responsibilities into the M-step; ``Posteriors.regime_resp``
-shows them as (n, m, R) views, as before.
+R slabs instead of along a short trailing axis. The E-step calls it once
+per group (one group unless the regime counts are ragged); scoring calls
+it one cluster at a time, which keeps the buffer of a large scoring set
+to one cluster's size and gives the same per-curve log-likelihoods, bit
+for bit. The same layout carries the regime responsibilities into the
+M-step; ``Posteriors.regime_resp`` shows them as (n, m, R) views, as
+before. The M-step fits each group as one stack too: (G, R, m) weighted
+statistics, one ``ridge_solve`` over the Grams of every regime with mass,
+and one stacked IRLS for the G logistic processes.
 """
 
 from __future__ import annotations
@@ -131,7 +138,7 @@ class Posteriors:
     ``cluster_resp`` is (n, K); ``regime_resp[k]`` is (n, m, R_k). Rows of
     ``cluster_resp`` and every (i, j) slice of ``regime_resp[k]`` sum to 1.
     The E-step stores each table regime first, as an (R_k, n, m) array, and
-    ``regime_resp[k]`` is its read-only ``np.moveaxis`` view; tables built
+    ``regime_resp[k]`` is its read-only transposed view; tables built
     by hand in the (n, m, R_k) shape work the same.
     """
 
@@ -144,12 +151,13 @@ class Posteriors:
         if gamma.ndim != 2 or gamma.shape[1] != len(taus):
             raise ValueError("cluster_resp must be (n, K) with K regime tables")
         n = gamma.shape[0]
-        if np.any(gamma < -1e-12) or np.max(np.abs(gamma.sum(axis=1) - 1.0)) > 1e-10:
+        # written so that a NaN fails every test
+        if not (np.all(gamma >= -1e-12) and np.max(np.abs(gamma.sum(axis=1) - 1.0)) <= 1e-10):
             raise ValueError("cluster responsibilities must be normalized")
         for tau in taus:
             if tau.ndim != 3 or tau.shape[0] != n:
                 raise ValueError("regime tables must be (n, m, R)")
-            if np.max(np.abs(tau.sum(axis=2) - 1.0)) > 1e-10:
+            if not np.max(np.abs(tau.sum(axis=2) - 1.0)) <= 1e-10:
                 raise ValueError("regime responsibilities must be normalized")
             tau.flags.writeable = False
         gamma.flags.writeable = False
@@ -220,39 +228,56 @@ def _check_design(design: DesignMatrix, params: MixRhlpParams | RhlpParams) -> N
             )
 
 
-def _regime_kernel(
-    rhlp: RhlpParams, values: np.ndarray, design: DesignMatrix, want_resp: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-curve log-likelihood under one cluster; with ``want_resp``, also
-    its (R, n, m) regime responsibilities.
+def _regime_groups(clusters, indices) -> list[list[int]]:
+    """The given cluster indices grouped by regime count, each group in
+    index order; one group unless the regime counts are ragged."""
+    groups: dict[int, list[int]] = {}
+    for k in indices:
+        groups.setdefault(clusters[k].n_regimes, []).append(k)
+    return list(groups.values())
 
-    One (R, n, m) buffer takes log pi_r(t_j) + log N(x_ij; mean_jr, var_r)
+
+def _regime_kernel(
+    clusters, values: np.ndarray, design: DesignMatrix, want_resp: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(G, n) per-curve log-likelihoods under G clusters that share one
+    regime count R; with ``want_resp``, also their (G, R, n, m) regime
+    responsibilities.
+
+    One (G, R, n, m) buffer takes log pi_r(t_j) + log N(x_ij; mean_jr, var_r)
     and is reduced across its R slabs; the responsibilities overwrite it.
+    A point at which every regime density underflows to 0 (a curve that
+    lies far outside the cluster) gets uniform responsibilities; its
+    log-likelihood is -inf, so the cluster's responsibility for the curve
+    is 0 and they carry no weight.
     """
-    log_pi = log_regime_probabilities(rhlp.logistic, design.grid).T  # (R, m)
-    means = (design.matrix @ rhlp.coeffs.T).T  # (R, m)
-    var = rhlp.variances[:, None, None]
-    buf = np.empty((means.shape[0],) + values.shape)  # C order: one slab per regime
-    np.subtract(values[None, :, :], means[:, None, :], out=buf)
+    log_pi = log_regime_probabilities(tuple(c.logistic for c in clusters), design.grid)
+    means = np.stack([c.coeffs for c in clusters]) @ design.matrix.T  # (G, R, m)
+    var = np.stack([c.variances for c in clusters])[:, :, None, None]
+    buf = np.empty(means.shape[:2] + values.shape)  # C order: one slab per regime
+    np.subtract(values, means[:, :, None, :], out=buf)
     np.square(buf, out=buf)
     buf /= 2.0 * var
     np.subtract(-0.5 * (LOG_2PI + np.log(var)), buf, out=buf)
-    buf += log_pi[:, None, :]
+    buf += log_pi.transpose(0, 2, 1)[:, :, None, :]
 
-    shift = np.maximum.reduce(buf, axis=0)  # (n, m)
+    shift = np.maximum.reduce(buf, axis=1)  # (G, n, m)
     shift[~np.isfinite(shift)] = 0.0
-    buf -= shift
+    buf -= shift[:, None]
     np.exp(buf, out=buf)
     # explicit normalisation: exp(lp - lse) alone drifts from a unit sum by
     # eps * |lse| when log-densities are huge
-    totals = np.add.reduce(buf, axis=0)
+    totals = np.add.reduce(buf, axis=1)
+    if want_resp:
+        empty = totals == 0.0
+        with np.errstate(invalid="ignore"):
+            buf /= totals[:, None]
+        if empty.any():
+            np.copyto(buf, 1.0 / buf.shape[1], where=empty[:, None])
     with np.errstate(divide="ignore"):
-        point = np.log(totals)
+        point = np.log(totals, out=totals)
     point += shift
-    if not want_resp:
-        return point.sum(axis=1), None
-    buf /= totals
-    return point.sum(axis=1), buf
+    return point.sum(axis=2), (buf if want_resp else None)
 
 
 def rhlp_loglik_set(
@@ -261,7 +286,7 @@ def rhlp_loglik_set(
     """Per-curve log-likelihood under one cluster's density; values is (n, m)."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     _check_design(design, rhlp)
-    return _regime_kernel(rhlp, values, design, False)[0]
+    return _regime_kernel((rhlp,), values, design, False)[0][0]
 
 
 def rhlp_curve_loglik(rhlp: RhlpParams, curve, design: DesignMatrix) -> float:
@@ -301,10 +326,14 @@ def _e_step_full(
     K = params.n_clusters
 
     per_cluster = np.empty((n, K))
-    taus = []
-    for k, cluster in enumerate(params.clusters):
-        per_cluster[:, k], tau = _regime_kernel(cluster, values, design, True)
-        taus.append(np.moveaxis(tau, 0, -1))  # (n, m, R) view of (R, n, m)
+    taus = [None] * K
+    for group in _regime_groups(params.clusters, range(K)):
+        logliks, resp = _regime_kernel(
+            [params.clusters[k] for k in group], values, design, True
+        )
+        for g, k in enumerate(group):
+            per_cluster[:, k] = logliks[g]
+            taus[k] = resp[g].transpose(1, 2, 0)  # (n, m, R) view of (R, n, m)
 
     log_mix = np.log(params.weights)[None, :] + per_cluster
     per_curve = logsumexp(log_mix, axis=1)
@@ -336,36 +365,44 @@ def _regime_stats(
     return point_w, xw, x2w
 
 
-def _fit_cluster(
-    resp: np.ndarray,
-    tau: np.ndarray,
+def _fit_clusters(
+    resp: list[np.ndarray],
+    taus: list[np.ndarray],
     values: np.ndarray,
     design: DesignMatrix,
-    prev: RhlpParams,
+    prev: list[RhlpParams],
     floor: float,
     irls_max_iter: int,
-) -> RhlpParams:
-    """Weighted updates for one cluster given its responsibilities; ``tau``
-    is (R, n, m)."""
+) -> list[RhlpParams]:
+    """Weighted updates for a stack of G clusters that share one regime
+    count, given their (n,) responsibilities ``resp`` and (R, n, m) regime
+    responsibilities ``taus``: one regime solve over every regime with
+    mass, and one IRLS over the stack."""
     T = design.matrix
-    point_w, xw, x2w = _regime_stats(resp, tau, values)
+    stats = [_regime_stats(r, tau, values) for r, tau in zip(resp, taus)]
+    point_w, xw, x2w = (np.stack(s) for s in zip(*stats))  # (G, R, m) each
 
-    R = prev.n_regimes
-    coeffs = np.array(prev.coeffs)
-    variances = np.array(prev.variances)
-    regime_mass = point_w.sum(axis=1)
-    cluster_mass = float(resp.sum())
-    for r in range(R):
-        if regime_mass[r] <= 1e-12 * max(cluster_mass, 1.0):
-            continue  # keep previous regime parameters; zero weight, zero influence
-        gram = T.T @ (point_w[r][:, None] * T)
-        coeffs[r] = ridge_solve(gram, T.T @ xw[r])
-        mean = T @ coeffs[r]
-        sse = float(np.sum(x2w[r] - 2.0 * mean * xw[r] + mean**2 * point_w[r]))
-        variances[r] = max(sse / regime_mass[r], floor)
+    coeffs = np.stack([c.coeffs for c in prev])
+    variances = np.stack([c.variances for c in prev])
+    regime_mass = point_w.sum(axis=2)
+    # a regime without mass keeps its previous parameters; zero weight,
+    # zero influence
+    fit = regime_mass > 1e-12 * np.maximum([r.sum() for r in resp], 1.0)[:, None]
+    if fit.any():
+        w = point_w[fit]  # (A, m)
+        beta = ridge_solve(T.T @ (w[:, :, None] * T), xw[fit] @ T)
+        mean = beta @ T.T
+        sse = np.sum(x2w[fit] - 2.0 * mean * xw[fit] + mean**2 * w, axis=1)
+        coeffs[fit] = beta
+        variances[fit] = np.maximum(sse / regime_mass[fit], floor)
 
-    logistic = irls_fit(prev.logistic, design.grid, point_w.T, max_iter=irls_max_iter)
-    return RhlpParams(logistic, coeffs, variances)
+    logistic = irls_fit(
+        tuple(c.logistic for c in prev),
+        design.grid,
+        point_w.transpose(0, 2, 1),  # (G, m, R) view of regime-first memory
+        max_iter=irls_max_iter,
+    )
+    return [RhlpParams(*args) for args in zip(logistic, coeffs, variances)]
 
 
 def _m_step_impl(
@@ -384,24 +421,21 @@ def _m_step_impl(
     totals = gamma.sum(axis=0)
     weights = totals / n
 
-    clusters = []
-    starved = []
-    for k, prev_cluster in enumerate(prev.clusters):
-        if totals[k] < _STARVED_FRACTION * n:
-            starved.append(k)
-            clusters.append(prev_cluster)
-            continue
-        clusters.append(
-            _fit_cluster(
-                gamma[:, k],
-                np.moveaxis(posteriors.regime_resp[k], -1, 0),
-                values,
-                design,
-                prev_cluster,
-                floor,
-                irls_max_iter,
-            )
+    clusters = list(prev.clusters)
+    starved = [k for k in range(prev.n_clusters) if totals[k] < _STARVED_FRACTION * n]
+    fitted = [k for k in range(prev.n_clusters) if k not in starved]
+    for group in _regime_groups(prev.clusters, fitted):
+        updated = _fit_clusters(
+            [gamma[:, k] for k in group],
+            [posteriors.regime_resp[k].transpose(2, 0, 1) for k in group],
+            values,
+            design,
+            [prev.clusters[k] for k in group],
+            floor,
+            irls_max_iter,
         )
+        for k, cluster in zip(group, updated):
+            clusters[k] = cluster
 
     rescued = False
     if rescue and starved:

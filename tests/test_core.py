@@ -233,6 +233,33 @@ class TestRidgeSolve:
             with pytest.raises(np.linalg.LinAlgError):
                 ridge_solve(gram, np.array([1.0, 1.0]))
 
+    def test_stack_matches_per_matrix_solves(self):
+        rng = np.random.default_rng(21)
+        for dim in (1, 3):
+            a = rng.normal(size=(5, dim, dim))
+            grams = a @ a.transpose(0, 2, 1) + dim * np.eye(dim)
+            grams[2] = 0.0  # one singular member
+            grams[2, 0, 0] = 1.0
+            rhs = rng.normal(size=(5, dim))
+            x = ridge_solve(grams, rhs)
+            assert x.shape == (5, dim)
+            for g in range(5):
+                solo = ridge_solve(grams[g], rhs[g])
+                np.testing.assert_allclose(x[g], solo, rtol=1e-12, atol=1e-12)
+                if g != 2:  # the others take no ridge
+                    expected = np.linalg.solve(grams[g], rhs[g])
+                    np.testing.assert_allclose(x[g], expected, rtol=1e-12, atol=1e-12)
+            if dim > 1:
+                # the singular member alone is shifted: its null directions
+                # get rhs / ridge, not the unregularised (infinite) solution
+                ridge = 1e-10 * 1.0 / dim
+                np.testing.assert_allclose(x[2, 1:], rhs[2, 1:] / ridge, rtol=1e-9)
+
+    def test_stack_with_non_finite_member_raises(self):
+        grams = np.stack([np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])])
+        with pytest.raises(np.linalg.LinAlgError):
+            ridge_solve(grams, np.ones((2, 2)))
+
 
 class TestVarianceFloor:
     def test_scales_with_spread(self):

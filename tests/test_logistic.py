@@ -112,6 +112,31 @@ class TestGradientHessian:
             eig = np.linalg.eigvalsh(hess)
             assert np.all(eig <= 1e-10)
 
+    def test_stack_matches_single_processes(self):
+        rng = np.random.default_rng(41)
+        g = TimeGrid(np.linspace(-1, 2, 9))
+        weights = tuple(rand_weights(rng, 3, scale=2.0) for _ in range(4))
+        counts = rng.uniform(size=(4, 9, 3))
+        q = qw_value(weights, g, counts)
+        grad, hess = qw_gradient_hessian(weights, g, counts)
+        assert q.shape == (4,) and grad.shape == (4, 4) and hess.shape == (4, 4, 4)
+        for k, w in enumerate(weights):
+            assert q[k] == pytest.approx(qw_value(w, g, counts[k]), rel=1e-14)
+            g1, h1 = qw_gradient_hessian(w, g, counts[k])
+            np.testing.assert_allclose(grad[k], g1, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(hess[k], h1, rtol=1e-13, atol=1e-13)
+        probs = regime_probabilities(weights, g)
+        assert probs.shape == (4, 9, 3)
+        np.testing.assert_array_equal(probs[1], regime_probabilities(weights[1], g))
+
+    def test_stack_needs_one_regime_count(self):
+        g = grid(0.0, 1.0)
+        with pytest.raises(ValueError):
+            qw_value((LogisticWeights.zeros(2), LogisticWeights.zeros(3)), g,
+                     np.ones((2, 2, 2)))
+        with pytest.raises(ValueError):
+            qw_value((LogisticWeights.zeros(2),), g, np.ones((2, 2)))
+
     def test_single_regime_is_empty(self):
         grad, hess = qw_gradient_hessian(
             LogisticWeights.zeros(1), grid(0.0, 1.0), np.ones((1, 2, 1))
@@ -212,6 +237,43 @@ class TestIrlsFit:
         refitted = irls_fit(fitted, g, counts)
         assert calls == {"q": 1, "newton": 1}
         np.testing.assert_array_equal(refitted.coef, fitted.coef)
+
+    def test_stacked_fit_equals_solo_fits(self, monkeypatch):
+        # G problems with different starts, counts and stopping points: the
+        # stack gives each one the result of its own solo fit, with one
+        # gradient/Hessian call per Newton step of the stack
+        rng = np.random.default_rng(43)
+        g = TimeGrid(np.linspace(0, 1, 12))
+        counts = rng.uniform(size=(5, 12, 3)) * rng.uniform(0.1, 10, size=(5, 1, 1))
+        counts[3, :, 0] = 0.0  # a regime with no mass pushes its weights out
+        starts = [rand_weights(rng, 3, scale=s) for s in (0.5, 3.0, 1.0, 2.0, 0.1)]
+        starts[4] = irls_fit(starts[4], g, counts[4], max_iter=300, tol=1e-13)
+
+        steps = {"n": 0}
+
+        def counted(*args, **kwargs):
+            steps["n"] += 1
+            return qw_gradient_hessian(*args, **kwargs)
+
+        monkeypatch.setattr(logistic, "qw_gradient_hessian", counted)
+        for max_iter in (1, 4, 50):
+            solo, solo_steps = [], []
+            for k in range(5):
+                steps["n"] = 0
+                solo.append(irls_fit(starts[k], g, counts[k], max_iter=max_iter))
+                solo_steps.append(steps["n"])
+            steps["n"] = 0
+            stacked = irls_fit(tuple(starts), g, counts, max_iter=max_iter)
+            assert isinstance(stacked, tuple) and len(stacked) == 5
+            assert steps["n"] == max(solo_steps)
+            for k in range(5):
+                np.testing.assert_allclose(
+                    stacked[k].coef, solo[k].coef, rtol=1e-12, atol=1e-12
+                )
+                assert qw_value(stacked[k], g, counts[k]) == pytest.approx(
+                    qw_value(solo[k], g, counts[k]), rel=1e-12
+                )
+        assert len(set(solo_steps)) > 1  # the problems stop at different steps
 
     def test_degenerate_all_mass_one_regime(self):
         # objective is maximized by pushing probabilities to 1; must not

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -12,15 +13,16 @@ from oracles import (
     mp_posteriors,
     mp_rhlp_density,
 )
-from regimix.core import Curve, TimeGrid, vandermonde
+from regimix.core import Curve, TimeGrid, ridge_solve, vandermonde, variance_floor
 from regimix.datagen import WaveformSpec, gen_waveform
-from regimix.logistic import LogisticWeights
+from regimix.logistic import LogisticWeights, irls_fit
 from regimix.mixrhlp import (
     EmConfig,
     MixRhlpParams,
     Posteriors,
     RhlpParams,
     _e_step_full,
+    _m_step_impl,
     _regime_stats,
     bic,
     e_step,
@@ -228,6 +230,22 @@ class TestEStep:
                 )
                 assert per_curve[i] == pytest.approx(expected, rel=1e-9)
 
+    def test_ragged_regime_counts_match_scoring(self):
+        # clusters with R = 2, 3, 2 form two stacks in the E-step; the
+        # per-curve log-likelihoods still equal scoring one cluster at a time
+        rng = np.random.default_rng(95)
+        g = TimeGrid(np.linspace(0, 1, 9))
+        design = vandermonde(g, 1)
+        clusters = tuple(rand_params(rng, 1, R, 1).clusters[0] for R in (2, 3, 2))
+        params = MixRhlpParams(np.array([0.2, 0.5, 0.3]), clusters)
+        values = rng.normal(size=(6, 9))
+        post, total, per_curve = _e_step_full(params, values, design)
+        np.testing.assert_array_equal(per_curve, mixrhlp_loglik_set(params, values, design))
+        assert [tau.shape for tau in post.regime_resp] == [(6, 9, 2), (6, 9, 3), (6, 9, 2)]
+        for k, cluster in enumerate(clusters):
+            solo = e_step(MixRhlpParams(np.array([1.0]), (cluster,)), values, design)
+            np.testing.assert_array_equal(post.regime_resp[k], solo.regime_resp[0])
+
     def test_regime_resp_is_read_only_n_m_r_view(self):
         rng = np.random.default_rng(92)
         g = TimeGrid(np.linspace(0, 1, 7))
@@ -269,6 +287,23 @@ class TestEStepExtremes:
         post = e_step(params, values, vandermonde(g, 0))  # must not raise
         np.testing.assert_array_equal(post.regime_resp[0].sum(axis=2), 1.0)
 
+    def test_curve_outside_one_cluster_gets_defined_responsibilities(self):
+        # the curve's squared residuals overflow under the level-0 cluster, so
+        # every regime density there underflows to 0: its regime
+        # responsibilities are uniform (and carry no weight, gamma being 0)
+        # instead of 0/0
+        g = TimeGrid(np.linspace(0, 1, 3))
+        far = RhlpParams(LogisticWeights.zeros(2), np.full((2, 1), 1e160), np.ones(2))
+        near = RhlpParams(LogisticWeights.zeros(2), np.zeros((2, 1)), np.ones(2))
+        params = MixRhlpParams(np.array([0.5, 0.5]), (far, near))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            post = e_step(params, np.full((1, 3), 1e160), vandermonde(g, 0))
+        assert not [w for w in caught if "invalid value" in str(w.message)]
+        np.testing.assert_array_equal(post.cluster_resp, [[1.0, 0.0]])
+        np.testing.assert_array_equal(post.regime_resp[1], 0.5)
+        np.testing.assert_array_equal(post.regime_resp[0].sum(axis=2), 1.0)
+
     def test_tiny_segment_em_stays_monotone(self):
         rng = np.random.default_rng(90)
         g = TimeGrid(np.linspace(0, 1, 3))
@@ -306,6 +341,53 @@ class TestMStep:
         for got, ref in zip((point_w, xw, x2w), expected):
             assert got.shape == (R, m)
             np.testing.assert_allclose(got.T, ref, rtol=1e-12, atol=1e-12)
+
+    def test_stacked_update_matches_per_cluster_fits(self):
+        # R = (2, 3, 2) gives a stack of two clusters and one of one; cluster
+        # 3 is starved and one regime of cluster 0 has no mass. Every fitted
+        # cluster must equal its own update: per-regime solves, variances
+        # and a solo IRLS.
+        rng = np.random.default_rng(96)
+        n, m = 7, 10
+        g = TimeGrid(np.linspace(0, 1, m))
+        design = vandermonde(g, 1)
+        T = design.matrix
+        values = rng.normal(size=(n, m)) + np.sin(3 * g.points)
+        regimes = (2, 3, 2, 3)
+        prev = MixRhlpParams(
+            np.full(4, 0.25),
+            tuple(rand_params(rng, 1, R, 1).clusters[0] for R in regimes),
+        )
+        gamma = rng.dirichlet(np.ones(3), size=n)
+        gamma = np.column_stack([gamma, np.zeros(n)])  # cluster 3 starved
+        taus = [rng.dirichlet(np.ones(R), size=(n, m)) for R in regimes]
+        taus[0][:, :, 1] = 0.0  # a regime with no mass
+        taus[0][:, :, 0] = 1.0
+        floor = variance_floor(values)
+        new, rescued = _m_step_impl(
+            Posteriors(gamma, tuple(taus)), values, design, prev, floor, 50, False, None
+        )
+        assert not rescued
+        assert new.clusters[3] is prev.clusters[3]
+        for k in range(3):
+            old = prev.clusters[k]
+            w = gamma[:, k][:, None, None] * taus[k]  # (n, m, R)
+            coeffs, variances = np.array(old.coeffs), np.array(old.variances)
+            for r in range(regimes[k]):
+                mass = w[:, :, r].sum()
+                if mass <= 1e-12 * max(gamma[:, k].sum(), 1.0):
+                    continue
+                pw = w[:, :, r].sum(axis=0)
+                coeffs[r] = ridge_solve(T.T @ (pw[:, None] * T), T.T @ (w[:, :, r] * values).sum(axis=0))
+                resid = values - T @ coeffs[r]
+                variances[r] = max((w[:, :, r] * resid**2).sum() / mass, floor)
+            logistic = irls_fit(old.logistic, g, w, max_iter=50)
+            got = new.clusters[k]
+            np.testing.assert_allclose(got.coeffs, coeffs, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got.variances, variances, rtol=1e-12)
+            np.testing.assert_allclose(got.logistic.coef, logistic.coef, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(new.clusters[0].coeffs[1], prev.clusters[0].coeffs[1])
+        np.testing.assert_array_equal(new.clusters[0].variances[1], prev.clusters[0].variances[1])
 
     def test_ols_collapse(self):
         rng = np.random.default_rng(11)
@@ -474,6 +556,43 @@ class TestEmFit:
         assert r1 == r2
 
 
+class TestDegenerateInputs:
+    """Inputs the model barely identifies fit without error, to a finite
+    model with a monotone trace; README states each case."""
+
+    def _check(self, params, report):
+        assert np.all(np.diff(report.loglik_trace) >= -1e-8)
+        assert np.isfinite(report.loglik_trace[-1])
+        for c in params.clusters:
+            for arr in (c.coeffs, c.variances, c.logistic.coef):
+                assert np.all(np.isfinite(arr))
+
+    def test_constant_curves_fit_at_variance_floor(self):
+        g = TimeGrid(np.linspace(0, 1, 6))
+        values = np.full((5, 6), 3.0)
+        cfg = EmConfig(n_clusters=2, n_regimes=2, degree=1, n_restarts=2, max_iter=50, seed=1)
+        params, report = em_fit(values, g, cfg)
+        self._check(params, report)
+        assert report.converged and report.iterations == 1
+        for c in params.clusters:
+            np.testing.assert_array_equal(c.variances, variance_floor(values))
+            np.testing.assert_allclose(c.coeffs @ [1.0, 0.5], 3.0, rtol=1e-9)
+
+    def test_as_many_clusters_as_curves(self):
+        rng = np.random.default_rng(97)
+        g = TimeGrid(np.linspace(0, 1, 6))
+        cfg = EmConfig(n_clusters=3, n_regimes=2, degree=1, n_restarts=2, max_iter=50, seed=1)
+        params, report = em_fit(rng.normal(size=(3, 6)), g, cfg)
+        self._check(params, report)
+
+    def test_two_point_grid_with_two_regimes(self):
+        rng = np.random.default_rng(98)
+        g = TimeGrid(np.array([0.0, 1.0]))
+        cfg = EmConfig(n_clusters=2, n_regimes=2, degree=0, n_restarts=2, max_iter=50, seed=1)
+        params, report = em_fit(rng.normal(size=(8, 2)), g, cfg)
+        self._check(params, report)
+
+
 class TestMeanCurves:
     def test_single_regime_is_polynomial(self):
         g = TimeGrid(np.linspace(0, 2, 9))
@@ -633,3 +752,9 @@ class TestPosteriorsValidation:
     def test_rejects_unnormalized_tau(self):
         with pytest.raises(ValueError):
             Posteriors(np.array([[1.0]]), (np.full((1, 2, 2), 0.6),))
+
+    def test_rejects_nan_tables(self):
+        with pytest.raises(ValueError):
+            Posteriors(np.array([[1.0]]), (np.full((1, 2, 2), np.nan),))
+        with pytest.raises(ValueError):
+            Posteriors(np.array([[np.nan, 1.0]]), (np.ones((1, 2, 1)), np.ones((1, 2, 1))))
