@@ -16,8 +16,8 @@ decrement shows that no step can gain more than the tolerance, before any
 line search; otherwise step-halving makes every accepted iterate at least
 as good as the previous one.
 
-``irls_fit``, ``qw_value`` and ``qw_gradient_hessian`` (and the
-probability functions) also take a tuple of G processes with the same R,
+``irls_fit``, ``qw_value``, ``qw_gradient_hessian`` and
+``log_regime_probabilities`` also take a tuple of G processes with the same R,
 with one (m, R) count table each as a (G, m, R) array, and then work on
 all G problems at once: the EM's M-step fits the logistic processes of
 every cluster of a class as one stack. The single process is the G = 1
@@ -107,12 +107,9 @@ def log_regime_probabilities(weights, grid: TimeGrid) -> np.ndarray:
     return out[0] if single else out
 
 
-def regime_probabilities(weights, grid: TimeGrid) -> np.ndarray:
-    """(m, R) probabilities of each regime at each grid point; rows sum to 1.
-    (G, m, R) for a tuple of G processes with the same R."""
-    coef, single = _coef_stack(weights)
-    out = _probs(coef, grid).transpose(0, 2, 1)
-    return out[0] if single else out
+def regime_probabilities(weights: LogisticWeights, grid: TimeGrid) -> np.ndarray:
+    """(m, R) probabilities of each regime at each grid point; rows sum to 1."""
+    return _probs(weights.coef[None], grid)[0].T
 
 
 def _aggregate_counts(soft_counts: np.ndarray, m: int, stack: int | None) -> np.ndarray:

@@ -6,6 +6,7 @@ from regimix.core import TimeGrid
 from regimix.logistic import (
     LogisticWeights,
     irls_fit,
+    log_regime_probabilities,
     qw_gradient_hessian,
     qw_value,
     regime_probabilities,
@@ -125,9 +126,9 @@ class TestGradientHessian:
             g1, h1 = qw_gradient_hessian(w, g, counts[k])
             np.testing.assert_allclose(grad[k], g1, rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(hess[k], h1, rtol=1e-13, atol=1e-13)
-        probs = regime_probabilities(weights, g)
-        assert probs.shape == (4, 9, 3)
-        np.testing.assert_array_equal(probs[1], regime_probabilities(weights[1], g))
+        log_pi = log_regime_probabilities(weights, g)
+        assert log_pi.shape == (4, 9, 3)
+        np.testing.assert_array_equal(log_pi[1], log_regime_probabilities(weights[1], g))
 
     def test_stack_needs_one_regime_count(self):
         g = grid(0.0, 1.0)
@@ -274,6 +275,24 @@ class TestIrlsFit:
                     qw_value(solo[k], g, counts[k]), rel=1e-12
                 )
         assert len(set(solo_steps)) > 1  # the problems stop at different steps
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_unsolvable_member_stops_alone(self):
+        # an infinite count makes one problem's Newton system non-finite: that
+        # problem stops at its start, as a solo fit does, and the others
+        # still get their own fits
+        rng = np.random.default_rng(47)
+        g = TimeGrid(np.linspace(0, 1, 6))
+        counts = rng.uniform(size=(3, 6, 2))
+        counts[1, 2, 0] = np.inf
+        starts = tuple(rand_weights(rng, 2) for _ in range(3))
+        stacked = irls_fit(starts, g, counts)
+        np.testing.assert_array_equal(stacked[1].coef, starts[1].coef)
+        np.testing.assert_array_equal(stacked[1].coef, irls_fit(starts[1], g, counts[1]).coef)
+        for k in (0, 2):
+            solo = irls_fit(starts[k], g, counts[k])
+            np.testing.assert_allclose(stacked[k].coef, solo.coef, rtol=1e-12, atol=1e-12)
+            assert not np.array_equal(solo.coef, starts[k].coef)
 
     def test_degenerate_all_mass_one_regime(self):
         # objective is maximized by pushing probabilities to 1; must not
