@@ -280,7 +280,7 @@ def ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     eigvals, eigvecs = np.linalg.eigh(np.asarray(gram, dtype=float))  # ascending
     rhs = np.asarray(rhs, dtype=float)
-    if eigvals.ndim == 1:  # one system: scalar tests, vector products
+    if eigvals.ndim == 1:  # one system: scalar tests keep its cost at that of one solve
         if not (eigvals[0] > 0 and eigvals[-1] <= MAX_CONDITION * eigvals[0]):
             eigvals = eigvals + (1e-10 * abs(eigvals.sum()) / eigvals.size or 1e-10)
         x = eigvecs @ ((rhs @ eigvecs) / eigvals)

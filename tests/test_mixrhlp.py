@@ -378,7 +378,8 @@ class TestMStep:
                 if mass <= 1e-12 * max(gamma[:, k].sum(), 1.0):
                     continue
                 pw = w[:, :, r].sum(axis=0)
-                coeffs[r] = ridge_solve(T.T @ (pw[:, None] * T), T.T @ (w[:, :, r] * values).sum(axis=0))
+                xw = (w[:, :, r] * values).sum(axis=0)
+                coeffs[r] = ridge_solve(T.T @ (pw[:, None] * T), T.T @ xw)
                 resid = values - T @ coeffs[r]
                 variances[r] = max((w[:, :, r] * resid**2).sum() / mass, floor)
             logistic = irls_fit(old.logistic, g, w, max_iter=50)
