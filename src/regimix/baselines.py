@@ -6,6 +6,10 @@ points of all curves). A regression mixture models a class as K such
 components with curve-level responsibilities, fitted by EM. Both work on
 polynomial and B-spline designs; the density grammar matches the
 hidden-process models so the classifier layer treats all variants alike.
+
+A regression mixture is the hidden-process mixture with one regime per
+cluster: the one ascent loop and restart selection of ``mixrhlp`` fit it,
+from this module's initialization, E-step and M-step.
 """
 
 from __future__ import annotations
@@ -21,13 +25,17 @@ from .core import (
     ridge_solve,
     variance_floor,
 )
-from .errors import NumericalError
-from .mixrhlp import _LOGLIK_SLACK, EmConfig, FitReport
-from .parallel import map_ordered
-from .rng import child_rng
-
-_STARVED_FRACTION = 1e-10
-_WEIGHT_FLOOR = 1e-12
+from .mixrhlp import (
+    _STARVED_FRACTION,
+    _WEIGHT_FLOOR,
+    EmConfig,
+    FitReport,
+    _ascend,
+    _cluster_posteriors,
+    _fit_restarts,
+    _mixing_proportions,
+    _random_partition,
+)
 
 
 @dataclass(frozen=True)
@@ -56,14 +64,8 @@ class RegressionMixtureParams:
     components: tuple[SingleRegressionParams, ...]
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
         components = tuple(self.components)
-        if weights.ndim != 1 or weights.size != len(components) or not components:
-            raise ValueError("one mixing proportion per component is required")
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("mixing proportions must be positive and sum to 1")
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", _mixing_proportions(self.weights, len(components)))
         object.__setattr__(self, "components", components)
 
     @property
@@ -109,7 +111,6 @@ def _component_logliks(
 def single_regression_loglik_set(
     params: SingleRegressionParams, values: np.ndarray, design: DesignMatrix
 ) -> np.ndarray:
-    values = np.atleast_2d(np.asarray(values, dtype=float))
     mixture = RegressionMixtureParams(np.array([1.0]), (params,))
     return _component_logliks(mixture, values, design)[:, 0]
 
@@ -139,13 +140,16 @@ def mixture_responsibilities(
     params: RegressionMixtureParams, values: np.ndarray, design: DesignMatrix
 ) -> np.ndarray:
     """(n, K) posterior component probabilities per curve."""
+    return _posterior(params, values, design)[0]
+
+
+def _posterior(
+    params: RegressionMixtureParams, values: np.ndarray, design: DesignMatrix
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """E-step: responsibilities, total and per-curve log-likelihoods."""
     logliks = _component_logliks(params, values, design)
-    log_mix = np.log(params.weights)[None, :] + logliks
-    per_curve = logsumexp(log_mix, axis=1)
-    if not np.all(np.isfinite(per_curve)):
-        raise NumericalError("curve log-likelihood is not finite")
-    shifted = np.exp(log_mix - log_mix.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    resp, per_curve = _cluster_posteriors(np.log(params.weights)[None, :] + logliks)
+    return resp, float(per_curve.sum()), per_curve
 
 
 def regression_mixture_n_params(params: RegressionMixtureParams) -> int:
@@ -170,24 +174,6 @@ def _fit_component(
     return SingleRegressionParams(coeffs, max(sse / (m * total), floor))
 
 
-def _initial_mixture(
-    values: np.ndarray,
-    design: DesignMatrix,
-    n_components: int,
-    rng: np.random.Generator,
-    floor: float,
-) -> RegressionMixtureParams:
-    n = values.shape[0]
-    perm = rng.permutation(n)
-    chunks = np.array_split(perm, n_components)
-    components = tuple(
-        fit_single_regression(values[np.sort(chunk)], design, floor=floor)
-        for chunk in chunks
-    )
-    weights = np.array([chunk.size / n for chunk in chunks])
-    return RegressionMixtureParams(weights, components)
-
-
 def _mixture_em_once(
     values: np.ndarray,
     design: DesignMatrix,
@@ -196,45 +182,18 @@ def _mixture_em_once(
     init: RegressionMixtureParams | None,
     rng: np.random.Generator | None,
 ) -> tuple[RegressionMixtureParams, list[float], bool]:
-    n = values.shape[0]
-    params = (
-        init
-        if init is not None
-        else _initial_mixture(values, design, config.n_clusters, rng, floor)
+    if init is None:
+        parts, weights = _random_partition(values.shape[0], config.n_clusters, rng)
+        components = [fit_single_regression(values[p], design, floor=floor) for p in parts]
+        init = RegressionMixtureParams(weights, tuple(components))
+    return _ascend(
+        lambda params: _posterior(params, values, design),
+        lambda resp, params, rescue, per_curve: _mixture_m_step(
+            resp, values, design, params, floor, per_curve, rescue
+        ),
+        init,
+        config,
     )
-
-    def _posterior(p):
-        logliks = _component_logliks(p, values, design)
-        log_mix = np.log(p.weights)[None, :] + logliks
-        per_curve = logsumexp(log_mix, axis=1)
-        if not np.all(np.isfinite(per_curve)):
-            raise NumericalError("curve log-likelihood is not finite")
-        shifted = np.exp(log_mix - log_mix.max(axis=1, keepdims=True))
-        resp = shifted / shifted.sum(axis=1, keepdims=True)
-        return resp, float(per_curve.sum()), per_curve
-
-    resp, ll, per_curve = _posterior(params)
-    trace = [ll]
-    converged = False
-    for _ in range(config.max_iter):
-        cand, rescued = _mixture_m_step(resp, values, design, params, floor, per_curve)
-        cand_resp, cand_ll, cand_pc = _posterior(cand)
-        if rescued and cand_ll < ll - _LOGLIK_SLACK:
-            cand, _ = _mixture_m_step(resp, values, design, params, floor, None,
-                                      rescue=False)
-            cand_resp, cand_ll, cand_pc = _posterior(cand)
-        if cand_ll < ll - _LOGLIK_SLACK:
-            # A degraded M-step lowered the likelihood: keep the previous
-            # iterate and stop unconverged.
-            break
-        params, resp, per_curve = cand, cand_resp, cand_pc
-        increment = cand_ll - ll
-        ll = cand_ll
-        trace.append(ll)
-        if increment < config.tol:
-            converged = True
-            break
-    return params, trace, converged
 
 
 def _mixture_m_step(
@@ -249,27 +208,19 @@ def _mixture_m_step(
     n = values.shape[0]
     totals = resp.sum(axis=0)
     weights = totals / n
-    components = []
-    starved = []
-    for k, prev_comp in enumerate(prev.components):
-        if totals[k] < _STARVED_FRACTION * n:
-            starved.append(k)
-            components.append(prev_comp)
-            continue
-        components.append(_fit_component(resp[:, k], values, design, floor))
+    starved = [k for k in range(prev.n_components) if totals[k] < _STARVED_FRACTION * n]
+    components = [
+        comp if k in starved else _fit_component(resp[:, k], values, design, floor)
+        for k, comp in enumerate(prev.components)
+    ]
 
-    rescued = False
-    if rescue and starved:
+    rescued = rescue and bool(starved)
+    if rescued:
         if prev_curve_loglik is None:
             prev_curve_loglik = regression_mixture_loglik_set(prev, values, design)
-        order = np.argsort(prev_curve_loglik)
-        for slot, k in enumerate(starved):
-            if slot >= n:
-                break
-            worst = values[order[slot] : order[slot] + 1]
-            components[k] = fit_single_regression(worst, design, floor=floor)
+        for k, i in zip(starved, np.argsort(prev_curve_loglik)):  # worst fits first
+            components[k] = fit_single_regression(values[i : i + 1], design, floor=floor)
             weights[k] = 1.0 / n
-            rescued = True
 
     weights = np.maximum(weights, _WEIGHT_FLOOR)
     weights = weights / weights.sum()
@@ -290,34 +241,12 @@ def fit_regression_mixture(
     degree fields of the config are ignored (the design fixes the basis).
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    n = values.shape[0]
-    if n < config.n_clusters:
-        raise ValueError(
-            f"infeasible clustering: {n} curves for {config.n_clusters} components"
-        )
     floor = variance_floor(values)
-
-    if init is not None:
-        runs = [_mixture_em_once(values, design, config, floor, init, None)]
-    else:
-        def _run(restart: int):
-            rng = child_rng(config.seed, restart)
-            return _mixture_em_once(values, design, config, floor, None, rng)
-
-        runs = map_ordered(_run, range(config.n_restarts), workers=workers)
-
-    best_idx = 0
-    for idx in range(1, len(runs)):
-        if runs[idx][1][-1] > runs[best_idx][1][-1]:
-            best_idx = idx
-    params, trace, converged = runs[best_idx]
-    nu = regression_mixture_n_params(params)
-    report = FitReport(
-        loglik_trace=tuple(trace),
-        iterations=len(trace) - 1,
-        converged=converged,
-        bic=trace[-1] - 0.5 * nu * float(np.log(n)),
-        restarts_tried=len(runs),
-        best_restart=best_idx,
+    return _fit_restarts(
+        lambda start, rng: _mixture_em_once(values, design, config, floor, start, rng),
+        init,
+        config,
+        workers,
+        values.shape[0],
+        regression_mixture_n_params,
     )
-    return params, report

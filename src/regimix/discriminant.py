@@ -26,7 +26,7 @@ from .core import (
     logsumexp,
 )
 from .errors import DataError
-from .mixrhlp import EmConfig, FitReport
+from .mixrhlp import EmConfig, FitReport, _mixing_proportions
 from .rng import subseed
 
 FLDA_PR = "flda-pr"
@@ -117,12 +117,7 @@ class ClassifierModel:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        priors = np.array(self.priors, dtype=float)
-        if priors.ndim != 1 or priors.size != len(self.class_models):
-            raise ValueError("one prior per class model is required")
-        if np.any(priors <= 0) or abs(priors.sum() - 1.0) > 1e-12:
-            raise ValueError("priors must be positive and sum to 1")
-        priors.flags.writeable = False
+        priors = _mixing_proportions(self.priors, len(self.class_models))
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "class_models", tuple(self.class_models))
         object.__setattr__(self, "_design", design_matrix(self.grid, self.basis))
@@ -147,14 +142,10 @@ def _fit_class(
     if variant in (FLDA_PR, FLDA_SR):
         return baselines.fit_single_regression(values, design), None
     if variant in (FMDA_PRM, FMDA_SRM):
-        params, report = baselines.fit_regression_mixture(
+        return baselines.fit_regression_mixture(
             values, design, config.em_config(seed), workers=workers
         )
-        return params, report
-    params, report = mixrhlp.em_fit(
-        values, design.grid, config.em_config(seed), workers=workers
-    )
-    return params, report
+    return mixrhlp.em_fit(values, design.grid, config.em_config(seed), workers=workers)
 
 
 def train_detailed(

@@ -125,8 +125,8 @@ def _aggregate_counts(soft_counts: np.ndarray, m: int, stack: int | None) -> np.
         counts = counts[None]
     elif counts.ndim != 3 or counts.shape[:2] != (stack, m):
         raise ValueError("stacked soft counts must be (G, m, R) matching the grid")
-    if (counts < 0).any():
-        raise ValueError("soft counts must be non-negative")
+    if not np.all(counts >= 0):  # NaN fails this test too
+        raise ValueError("soft counts must be non-negative and not NaN")
     return counts.transpose(0, 2, 1)
 
 

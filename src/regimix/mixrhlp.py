@@ -31,6 +31,10 @@ M-step; ``Posteriors.regime_resp`` shows them as (n, m, R) views, as
 before. The M-step fits each group as one stack too: (G, R, m) weighted
 statistics, one ``ridge_solve`` over the Grams of every regime with mass,
 and one stacked IRLS for the G logistic processes.
+
+The regression mixtures of ``baselines`` (one regime per cluster) share
+the EM driver: one ascent loop, ``_ascend``, and one restart selection,
+``_fit_restarts``, serve both families, each with its own E- and M-step.
 """
 
 from __future__ import annotations
@@ -100,6 +104,17 @@ class RhlpParams:
         return int(self.coeffs.shape[1] - 1)
 
 
+def _mixing_proportions(weights, n_parts: int) -> np.ndarray:
+    """Read-only copy of the mixing proportions (or class priors) of n_parts."""
+    weights = np.array(weights, dtype=float)
+    if weights.ndim != 1 or weights.size != n_parts or not n_parts:
+        raise ValueError("one mixing proportion per part is required")
+    if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
+        raise ValueError("mixing proportions must be positive and sum to 1")
+    weights.flags.writeable = False
+    return weights
+
+
 @dataclass(frozen=True)
 class MixRhlpParams:
     """Full parameter set of one class: mixing proportions + K clusters."""
@@ -108,14 +123,8 @@ class MixRhlpParams:
     clusters: tuple[RhlpParams, ...]
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
         clusters = tuple(self.clusters)
-        if weights.ndim != 1 or weights.size != len(clusters) or not clusters:
-            raise ValueError("one mixing proportion per cluster is required")
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("mixing proportions must be positive and sum to 1")
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", _mixing_proportions(self.weights, len(clusters)))
         object.__setattr__(self, "clusters", clusters)
 
     @property
@@ -335,13 +344,18 @@ def _e_step_full(
             per_cluster[:, k] = logliks[g]
             taus[k] = resp[g].transpose(1, 2, 0)  # (n, m, R) view of (R, n, m)
 
-    log_mix = np.log(params.weights)[None, :] + per_cluster
+    gamma, per_curve = _cluster_posteriors(np.log(params.weights)[None, :] + per_cluster)
+    return Posteriors(gamma, tuple(taus)), float(per_curve.sum()), per_curve
+
+
+def _cluster_posteriors(log_mix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, K) cluster responsibilities and (n,) per-curve log-likelihoods
+    from the (n, K) table of log weight plus log density; both families."""
     per_curve = logsumexp(log_mix, axis=1)
     if not np.all(np.isfinite(per_curve)):
         raise NumericalError("curve log-likelihood is not finite; parameters are corrupted")
     shifted = np.exp(log_mix - log_mix.max(axis=1, keepdims=True))
-    gamma = shifted / shifted.sum(axis=1, keepdims=True)
-    return Posteriors(gamma, tuple(taus)), float(per_curve.sum()), per_curve
+    return shifted / shifted.sum(axis=1, keepdims=True), per_curve
 
 
 def e_step(
@@ -415,7 +429,6 @@ def _m_step_impl(
     rescue: bool,
     prev_curve_loglik: np.ndarray | None,
 ) -> tuple[MixRhlpParams, bool]:
-    values = np.atleast_2d(np.asarray(values, dtype=float))
     n = values.shape[0]
     gamma = posteriors.cluster_resp
     totals = gamma.sum(axis=0)
@@ -437,18 +450,14 @@ def _m_step_impl(
         for k, cluster in zip(group, updated):
             clusters[k] = cluster
 
-    rescued = False
-    if rescue and starved:
+    rescued = rescue and bool(starved)
+    if rescued:
         if prev_curve_loglik is None:
             prev_curve_loglik = mixrhlp_loglik_set(prev, values, design)
-        order = np.argsort(prev_curve_loglik)  # worst fits first
-        for slot, k in enumerate(starved):
-            if slot >= n:
-                break
-            worst = values[order[slot] : order[slot] + 1]
-            clusters[k] = _init_cluster(worst, design, prev.clusters[k].n_regimes, floor)
+        for k, i in zip(starved, np.argsort(prev_curve_loglik)):  # worst fits first
+            regimes = prev.clusters[k].n_regimes
+            clusters[k] = _init_cluster(values[i : i + 1], design, regimes, floor)
             weights[k] = 1.0 / n
-            rescued = True
 
     weights = np.maximum(weights, _WEIGHT_FLOOR)
     weights = weights / weights.sum()
@@ -545,14 +554,20 @@ def initial_params(
     n = values.shape[0]
     if n < n_clusters:
         raise ValueError(f"cannot split {n} curves into {n_clusters} clusters")
-    perm = rng.permutation(n)
-    chunks = np.array_split(perm, n_clusters)
+    parts, weights = _random_partition(n, n_clusters, rng)
     clusters = tuple(
-        _init_cluster(values[np.sort(chunk)], design, regimes[k], floor)
-        for k, chunk in enumerate(chunks)
+        _init_cluster(values[part], design, r, floor) for part, r in zip(parts, regimes)
     )
-    weights = np.array([chunk.size / n for chunk in chunks])
     return MixRhlpParams(weights, clusters)
+
+
+def _random_partition(
+    n: int, n_parts: int, rng: np.random.Generator
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Random split of n curves into n_parts near-equal parts: the sorted
+    curve indices of each part and each part's share of n."""
+    chunks = np.array_split(rng.permutation(n), n_parts)
+    return [np.sort(c) for c in chunks], np.array([c.size / n for c in chunks])
 
 
 # ---------------------------------------------------------------------------
@@ -560,35 +575,22 @@ def initial_params(
 # ---------------------------------------------------------------------------
 
 
-def _em_once(
-    values: np.ndarray,
-    design: DesignMatrix,
-    config: EmConfig,
-    floor: float,
-    init: MixRhlpParams | None,
-    rng: np.random.Generator | None,
-) -> tuple[MixRhlpParams, list[float], bool]:
-    if init is None:
-        params = initial_params(
-            values, design, config.n_clusters, config.regimes(), rng, floor
-        )
-    else:
-        params = init
-    post, ll, per_curve = _e_step_full(params, values, design)
+def _ascend(e_step, m_step, params, config: EmConfig) -> tuple[object, list[float], bool]:
+    """EM from ``params`` for either family: ``e_step(params)`` gives
+    (posteriors, loglik, per-curve logliks), ``m_step(posteriors, params,
+    rescue, per_curve)`` gives (candidate, whether a starved cluster was
+    re-seeded). Returns (last accepted params, loglik trace, converged)."""
+    post, ll, per_curve = e_step(params)
     trace = [ll]
     converged = False
     for _ in range(config.max_iter):
-        cand, rescued = _m_step_impl(
-            post, values, design, params, floor, config.irls_max_iter, True, per_curve
-        )
-        cand_post, cand_ll, cand_pc = _e_step_full(cand, values, design)
+        cand, rescued = m_step(post, params, True, per_curve)
+        cand_post, cand_ll, cand_pc = e_step(cand)
         if rescued and cand_ll < ll - _LOGLIK_SLACK:
             # The rescue hurt the likelihood; fall back to the plain update,
             # which is monotone by construction.
-            cand, _ = _m_step_impl(
-                post, values, design, params, floor, config.irls_max_iter, False, None
-            )
-            cand_post, cand_ll, cand_pc = _e_step_full(cand, values, design)
+            cand, _ = m_step(post, params, False, per_curve)
+            cand_post, cand_ll, cand_pc = e_step(cand)
         if cand_ll < ll - _LOGLIK_SLACK:
             # A degraded M-step (a ridge-regularized solve) lowered the
             # likelihood: keep the previous iterate and stop unconverged.
@@ -601,6 +603,57 @@ def _em_once(
             converged = True
             break
     return params, trace, converged
+
+
+def _fit_restarts(
+    run, init, config: EmConfig, workers: int, n: int, n_params
+) -> tuple[object, FitReport]:
+    """Best of the EM runs ``run(init, rng) -> (params, trace, converged)``
+    of either family on n curves: the run from ``init`` if given, else one
+    per stream ``child_rng(config.seed, r)``. The highest final loglik wins,
+    ties to the smaller index; ``n_params(params)`` counts for the BIC."""
+    if n < config.n_clusters:
+        raise ValueError(
+            f"infeasible clustering: {n} curves for {config.n_clusters} clusters"
+        )
+    if init is not None:
+        starts = [(init, None)]
+    else:
+        starts = [(None, child_rng(config.seed, r)) for r in range(config.n_restarts)]
+    runs = map_ordered(lambda start: run(*start), starts, workers=workers)
+    best_idx = max(range(len(runs)), key=lambda idx: runs[idx][1][-1])
+    params, trace, converged = runs[best_idx]
+    report = FitReport(
+        loglik_trace=tuple(trace),
+        iterations=len(trace) - 1,
+        converged=converged,
+        bic=trace[-1] - 0.5 * n_params(params) * float(np.log(n)),
+        restarts_tried=len(runs),
+        best_restart=best_idx,
+    )
+    return params, report
+
+
+def _em_once(
+    values: np.ndarray,
+    design: DesignMatrix,
+    config: EmConfig,
+    floor: float,
+    init: MixRhlpParams | None,
+    rng: np.random.Generator | None,
+) -> tuple[MixRhlpParams, list[float], bool]:
+    if init is None:
+        init = initial_params(
+            values, design, config.n_clusters, config.regimes(), rng, floor
+        )
+    return _ascend(
+        lambda params: _e_step_full(params, values, design),
+        lambda post, params, rescue, per_curve: _m_step_impl(
+            post, values, design, params, floor, config.irls_max_iter, rescue, per_curve
+        ),
+        init,
+        config,
+    )
 
 
 def em_fit(
@@ -623,10 +676,6 @@ def em_fit(
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     n, m = values.shape
-    if n < config.n_clusters:
-        raise ValueError(
-            f"infeasible clustering: {n} curves for {config.n_clusters} clusters"
-        )
     if max(config.regimes()) > m:
         raise ValueError(
             f"unidentifiable model: {max(config.regimes())} regimes on {m} grid points"
@@ -638,30 +687,14 @@ def em_fit(
         )
     design = vandermonde(grid, config.degree)
     floor = variance_floor(values)
-
-    if init is not None:
-        runs = [_em_once(values, design, config, floor, init, None)]
-    else:
-        def _run(restart: int):
-            rng = child_rng(config.seed, restart)
-            return _em_once(values, design, config, floor, None, rng)
-
-        runs = map_ordered(_run, range(config.n_restarts), workers=workers)
-
-    best_idx = 0
-    for idx in range(1, len(runs)):
-        if runs[idx][1][-1] > runs[best_idx][1][-1]:
-            best_idx = idx
-    params, trace, converged = runs[best_idx]
-    report = FitReport(
-        loglik_trace=tuple(trace),
-        iterations=len(trace) - 1,
-        converged=converged,
-        bic=bic(params, trace[-1], n, config.degree),
-        restarts_tried=len(runs),
-        best_restart=best_idx,
+    return _fit_restarts(
+        lambda start, rng: _em_once(values, design, config, floor, start, rng),
+        init,
+        config,
+        workers,
+        n,
+        lambda params: n_free_parameters(params, config.degree),
     )
-    return params, report
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,35 @@ class TestFitRegressionMixture:
         ph, rh = em_fit(values, g, cfg)
         np.testing.assert_allclose(rm.loglik_trace, rh.loglik_trace, atol=1e-8)
 
+    def test_rescue_that_lowers_likelihood_falls_back(self, monkeypatch):
+        # component 1 starts at the pooled fit of every curve, component 2
+        # far off with no responsibility. Re-seeding component 2 from the
+        # worst-fit curve explains that curve little better and costs every
+        # curve weight, so EM must drop the rescue and take the plain update.
+        values = np.array([[1.0, -1.0, 1.0, -1.0]] * 9 + [[1.5, -1.5, 1.5, -1.5]])
+        var = float(np.mean(values**2))
+        design = vandermonde(TimeGrid(np.linspace(0, 1, 4)), 0)
+        far = SingleRegressionParams(np.array([1e3]), var)
+        init = RegressionMixtureParams(
+            np.array([1.0 - 1e-9, 1e-9]), (SingleRegressionParams(np.array([0.0]), var), far)
+        )
+        real_m_step = baselines._mixture_m_step
+        calls = []
+
+        def spy(*args, **kwargs):
+            cand, rescued = real_m_step(*args, **kwargs)
+            calls.append((args[6] if len(args) > 6 else kwargs.get("rescue", True), rescued))
+            return cand, rescued
+
+        monkeypatch.setattr(baselines, "_mixture_m_step", spy)
+        cfg = EmConfig(n_clusters=2, max_iter=20, n_restarts=1)
+        params, report = fit_regression_mixture(values, design, cfg, init=init)
+        assert calls[:2] == [(True, True), (False, False)]
+        assert np.all(np.diff(report.loglik_trace) >= 0.0)
+        # the plain update keeps the starved component as it was
+        np.testing.assert_array_equal(params.components[1].coeffs, far.coeffs)
+        assert params.weights[1] < 1e-11
+
     def test_likelihood_drop_is_not_convergence(self, monkeypatch):
         # an M-step that lowers the likelihood (every mean moved far off from
         # the second M-step on) must not count as convergence: EM keeps the

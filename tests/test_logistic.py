@@ -153,6 +153,17 @@ class TestIrlsFit:
         fitted = irls_fit(LogisticWeights.zeros(3), g, counts)
         np.testing.assert_allclose(fitted.coef, 0.0, atol=1e-9)
 
+    def test_nan_counts_rejected(self):
+        # a NaN count passes a ``counts < 0`` test; it must not be scored as 0
+        g = TimeGrid(np.linspace(0.0, 1.0, 5))
+        w = LogisticWeights(np.array([[1.0, -2.0], [0.0, 0.0]]))
+        counts = np.ones((5, 2))
+        counts[2, 1] = np.nan
+        with pytest.raises(ValueError):
+            qw_value(w, g, counts)
+        with pytest.raises(ValueError):
+            irls_fit(w, g, counts)
+
     def test_max_iter_zero_is_noop(self):
         rng = np.random.default_rng(5)
         w = rand_weights(rng, 3)

@@ -13,6 +13,7 @@ from oracles import (
     mp_posteriors,
     mp_rhlp_density,
 )
+from regimix import mixrhlp
 from regimix.core import Curve, TimeGrid, ridge_solve, vandermonde, variance_floor
 from regimix.datagen import WaveformSpec, gen_waveform
 from regimix.logistic import LogisticWeights, irls_fit
@@ -544,6 +545,68 @@ class TestEmFit:
         assert np.all(np.diff(report.loglik_trace) >= 0.0)
         assert report.iterations == len(report.loglik_trace) - 1
         assert report.converged is False
+
+    def test_worse_m_step_is_not_convergence(self, monkeypatch):
+        # an M-step that lowers the likelihood (every mean moved far off from
+        # the second M-step on) must not count as convergence, whatever the
+        # grid: EM keeps the previous iterate and trace and reports no
+        # convergence
+        rng = np.random.default_rng(42)
+        g = TimeGrid(np.linspace(0, 1, 10))
+        values = np.vstack([rng.normal(size=(5, 10)), 4.0 + rng.normal(size=(5, 10))])
+        real_m_step = mixrhlp._m_step_impl
+        calls = []
+
+        def worse_m_step(*args, **kwargs):
+            cand, rescued = real_m_step(*args, **kwargs)
+            calls.append(cand)
+            if len(calls) == 1:
+                return cand, rescued
+            far = tuple(
+                RhlpParams(c.logistic, c.coeffs + 50.0, c.variances) for c in cand.clusters
+            )
+            return MixRhlpParams(cand.weights, far), rescued
+
+        monkeypatch.setattr(mixrhlp, "_m_step_impl", worse_m_step)
+        cfg = EmConfig(n_clusters=2, n_regimes=2, degree=0, max_iter=20, n_restarts=1)
+        params, report = em_fit(values, g, cfg)
+        assert len(calls) >= 2
+        assert np.all(np.diff(report.loglik_trace) >= 0.0)
+        assert report.iterations == 1
+        assert report.converged is False
+        np.testing.assert_array_equal(
+            [c.coeffs for c in params.clusters], [c.coeffs for c in calls[0].clusters]
+        )
+
+    def test_rescue_that_lowers_likelihood_falls_back(self, monkeypatch):
+        # cluster 1 starts at the pooled fit of every curve, cluster 2 far
+        # off with no responsibility. Re-seeding cluster 2 from the worst-fit
+        # curve explains that curve little better and costs every curve
+        # weight, so EM must drop the rescue and take the plain update.
+        values = np.array([[1.0, -1.0, 1.0, -1.0]] * 9 + [[1.5, -1.5, 1.5, -1.5]])
+        var = float(np.mean(values**2))
+        g = TimeGrid(np.linspace(0, 1, 4))
+        far = RhlpParams(LogisticWeights.zeros(2), np.full((2, 1), 1e3), np.full(2, var))
+        init = MixRhlpParams(
+            np.array([1.0 - 1e-9, 1e-9]),
+            (RhlpParams(LogisticWeights.zeros(2), np.zeros((2, 1)), np.full(2, var)), far),
+        )
+        real_m_step = mixrhlp._m_step_impl
+        calls = []
+
+        def spy(*args, **kwargs):
+            cand, rescued = real_m_step(*args, **kwargs)
+            calls.append((args[6], rescued))
+            return cand, rescued
+
+        monkeypatch.setattr(mixrhlp, "_m_step_impl", spy)
+        cfg = EmConfig(n_clusters=2, n_regimes=2, degree=0, max_iter=20, n_restarts=1)
+        params, report = em_fit(values, g, cfg, init=init)
+        assert calls[:2] == [(True, True), (False, False)]
+        assert np.all(np.diff(report.loglik_trace) >= 0.0)
+        # the plain update keeps the starved cluster as it was
+        np.testing.assert_array_equal(params.clusters[1].coeffs, far.coeffs)
+        assert params.weights[1] < 1e-11
 
     def test_workers_do_not_change_result(self):
         rng = np.random.default_rng(19)
