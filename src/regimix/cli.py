@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import datagen, mixrhlp
-from .core import Basis, atomic_write_text, read_curveset, write_curveset
+from .core import Basis, TimeGrid, atomic_write_text, read_curveset, write_curveset
 from .discriminant import (
     FMDA_MIXRHLP,
     VARIANTS,
@@ -82,6 +82,17 @@ def _read_dataset(directory: str):
     return read_curveset(
         os.path.join(directory, "grid.csv"), os.path.join(directory, "curves.csv")
     )
+
+
+def _read_dataset_on_grid(directory: str, grid: TimeGrid):
+    """Read a dataset that must be sampled on ``grid`` (a model's grid)."""
+    data = _read_dataset(directory)
+    if not np.array_equal(data.grid.points, grid.points):
+        raise DataError(
+            "dataset grid does not match the model grid "
+            f"(data {data.grid.fingerprint()}, model {grid.fingerprint()})"
+        )
+    return data
 
 
 _MODEL_KEYS = {
@@ -234,12 +245,7 @@ def _cmd_fit(args: argparse.Namespace, workers: int) -> int:
 def _cmd_classify(args: argparse.Namespace, workers: int) -> int:
     with open(args.model, encoding="utf-8") as fh:
         model = model_from_json(fh.read())
-    data = _read_dataset(args.data)
-    if not np.array_equal(data.grid.points, model.grid.points):
-        raise DataError(
-            "dataset grid does not match the model grid "
-            f"(data {data.grid.fingerprint()}, model {model.grid.fingerprint()})"
-        )
+    data = _read_dataset_on_grid(args.data, model.grid)
     labels, posteriors = classify_set(model, data.values)
     header = "index,label," + ",".join(f"p{g}" for g in range(1, model.n_classes + 1))
     rows = [header]
@@ -369,12 +375,7 @@ def _cmd_select(args: argparse.Namespace, workers: int) -> int:
 def _cmd_export_plots(args: argparse.Namespace, workers: int) -> int:
     with open(args.model, encoding="utf-8") as fh:
         model = model_from_json(fh.read())
-    data = _read_dataset(args.data)
-    if not np.array_equal(data.grid.points, model.grid.points):
-        raise DataError(
-            "dataset grid does not match the model grid "
-            f"(data {data.grid.fingerprint()}, model {model.grid.fingerprint()})"
-        )
+    data = _read_dataset_on_grid(args.data, model.grid)
     out = args.out
     if not os.path.isdir(out):
         raise DataError(f"output directory does not exist: {out}")

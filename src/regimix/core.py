@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import DataError
 
@@ -210,6 +209,18 @@ def bspline_basis(grid: TimeGrid, order: int, interior_knots: int) -> DesignMatr
     knots are repeated ``order`` times, which makes the rows a partition
     of unity over the whole grid. The basis has ``interior_knots + order``
     columns and must not exceed the number of grid points.
+
+    The values come from de Boor's triangular recurrence (de Boor, *A
+    Practical Guide to Splines*, 1978). For the knot span l with
+    t_l <= x < t_{l+1} (the last span closed on the right), the j + 1
+    B-splines of degree j that are non-zero at x, b_0..b_j, follow from
+    the j of degree j - 1, one degree at a time:
+
+        b_i = w_{i-1} (x - t_{l+i-j}) + w_i (t_{l+i+1} - x),
+        w_i = b'_i / (t_{l+i+1} - t_{l+i+1-j}),   w_{-1} = w_j = 0.
+
+    Each value is rounded exactly as in the de Boor loop behind scipy's
+    ``BSpline.design_matrix``, so the matrix equals scipy's bit for bit.
     """
     basis = Basis.bspline(order, interior_knots)
     m = len(grid)
@@ -218,10 +229,23 @@ def bspline_basis(grid: TimeGrid, order: int, interior_knots: int) -> DesignMatr
         raise ValueError(
             f"over-parameterized spline basis: {n_basis} functions for {m} points"
         )
-    t0, t1 = float(grid.points[0]), float(grid.points[-1])
+    x = grid.points
+    t0, t1 = float(x[0]), float(x[-1])
     interior = np.linspace(t0, t1, interior_knots + 2)[1:-1]
     knots = np.concatenate([np.full(order, t0), interior, np.full(order, t1)])
-    mat = BSpline.design_matrix(grid.points, knots, order - 1).toarray()
+    degree = order - 1
+    span = np.clip(np.searchsorted(knots, x, "right") - 1, degree, n_basis - 1)
+    values = np.ones((m, 1))
+    for j in range(1, order):
+        # every denominator spans [t_l, t_{l+1}], which is never empty
+        right = knots[span[:, None] + np.arange(1, j + 1)]
+        left = knots[span[:, None] + np.arange(1 - j, 1)]
+        w = values / (right - left)
+        values = np.zeros((m, j + 1))
+        values[:, :j] = w * (right - x[:, None])
+        values[:, 1:] += w * (x[:, None] - left)
+    mat = np.zeros((m, n_basis))
+    np.put_along_axis(mat, span[:, None] - degree + np.arange(order), values, axis=1)
     return DesignMatrix(mat, basis, grid)
 
 

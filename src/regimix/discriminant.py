@@ -39,7 +39,6 @@ FMDA_MIXRHLP = "fmda-mixrhlp"
 VARIANTS = (FLDA_PR, FLDA_SR, FLDA_RHLP, FMDA_PRM, FMDA_SRM, FMDA_MIXRHLP)
 
 _SPLINE_VARIANTS = (FLDA_SR, FMDA_SRM)
-_MIXTURE_VARIANTS = (FMDA_PRM, FMDA_SRM, FMDA_MIXRHLP)
 _RHLP_VARIANTS = (FLDA_RHLP, FMDA_MIXRHLP)
 
 CLASSIFIER_FORMAT_VERSION = 1

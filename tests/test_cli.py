@@ -202,11 +202,15 @@ class TestClassify:
         other.mkdir()
         run("generate", "--benchmark", "waveform", "--per-class", "2",
             "--out", str(other))
-        code = run("classify", "--model", str(model_path), "--data", str(other),
-                   "--out", str(tmp_path / "p.csv"))
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "data" in err and "model" in err
+        errs = []
+        for command, out in (("classify", tmp_path / "p.csv"), ("export-plots", tmp_path)):
+            code = run(command, "--model", str(model_path), "--data", str(other),
+                       "--out", str(out))
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "data" in err and "model" in err
+            errs.append(err)
+        assert errs[0] == errs[1]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_curve_outside_every_class_is_data_error(self, tmp_path, dataset_dir):
@@ -393,3 +397,24 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         assert (out / "curves.csv").exists()
         assert (out / "grid.csv").exists()
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        """Importing the package and its CLI in a fresh process loads numpy
+        but no scipy module, so no command pays scipy's start-up."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+        probe = ("import regimix, regimix.cli, sys; "
+                 "print(regimix.__file__); "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              cwd=tmp_path, env=env, text=True)
+        assert proc.returncode == 0, proc.stderr
+        package_file, loaded = proc.stdout.splitlines()
+        assert Path(package_file).resolve().is_relative_to(repo / "src")
+        assert loaded == "[]"

@@ -123,6 +123,34 @@ class TestBsplineBasis:
         expected[-1, -1] = 1.0
         np.testing.assert_allclose(mat, expected, atol=1e-12)
 
+    def test_bit_identical_to_scipy(self):
+        """scipy's design matrix is the reference: same knots, same bits."""
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(12)
+        cases = [
+            (np.linspace(0.0, 1.0, 200), 4, 10),  # piecewise benchmark grid
+            (np.arange(21.0), 4, 8),  # waveform benchmark grid
+            (np.arange(21.0) + 1e4, 4, 8),
+            (np.linspace(-1.0, 2.0, 7), 3, 4),  # exactly order + knots points
+        ]
+        cases += [(np.linspace(-3.0, 5.0, 25), order, 0) for order in range(1, 6)]
+        cases += [(np.linspace(0.0, 1.0, 30), order, 5) for order in range(1, 6)]
+        for _ in range(20):
+            m = int(rng.integers(6, 60))
+            points = np.unique(rng.uniform(-1e3, 1e3, m))
+            order = int(rng.integers(1, 6))
+            cases.append((points, order, int(rng.integers(0, points.size - order + 1))))
+        for points, order, interior in cases:
+            t0, t1 = points[0], points[-1]
+            knots = np.concatenate([
+                np.full(order, t0),
+                np.linspace(t0, t1, interior + 2)[1:-1],
+                np.full(order, t1),
+            ])
+            expected = interpolate.BSpline.design_matrix(points, knots, order - 1).toarray()
+            mat = bspline_basis(TimeGrid(points), order, interior).matrix
+            np.testing.assert_array_equal(mat, expected, err_msg=f"{order=} {interior=}")
+
     def test_over_parameterized_rejected(self):
         with pytest.raises(ValueError):
             bspline_basis(grid(0.0, 1.0, 2.0), order=4, interior_knots=3)
