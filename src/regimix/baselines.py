@@ -187,7 +187,7 @@ def _mixture_em_once(
         components = [fit_single_regression(values[p], design, floor=floor) for p in parts]
         init = RegressionMixtureParams(weights, tuple(components))
     return _ascend(
-        lambda params: _posterior(params, values, design),
+        lambda params, slot: _posterior(params, values, design),  # no workspace
         lambda resp, params, rescue, per_curve: _mixture_m_step(
             resp, values, design, params, floor, per_curve, rescue
         ),

@@ -32,6 +32,7 @@ from .discriminant import (
     ClassifierModel,
     TrainConfig,
     class_cluster_responsibilities,
+    class_priors,
     class_mean_curves,
     classify_set,
     model_from_json,
@@ -352,13 +353,9 @@ def _cmd_select(args: argparse.Namespace, workers: int) -> int:
     atomic_write_text(args.out_table, "\n".join(rows) + "\n")
 
     if args.out_model is not None:
-        n = data.n_curves
-        priors = np.array(
-            [data.class_indices(g).size / n for g in range(1, data.n_classes + 1)]
-        )
         model = ClassifierModel(
             variant=FMDA_MIXRHLP,
-            priors=priors,
+            priors=class_priors(data),
             class_models=tuple(class_models),
             basis=Basis.polynomial(degree),
             grid=data.grid,

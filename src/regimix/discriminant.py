@@ -147,6 +147,12 @@ def _fit_class(
     return mixrhlp.em_fit(values, design.grid, config.em_config(seed), workers=workers)
 
 
+def class_priors(data: LabeledCurveSet) -> np.ndarray:
+    """(G,) class priors: each class's share of the curves."""
+    n = data.n_curves
+    return np.array([data.class_indices(g).size / n for g in range(1, data.n_classes + 1)])
+
+
 def train_detailed(
     data: LabeledCurveSet, config: TrainConfig, *, workers: int = 1
 ) -> tuple[ClassifierModel, list[FitReport | None]]:
@@ -156,10 +162,7 @@ def train_detailed(
     master seed and the class index, so adding a class never perturbs
     another class's fit.
     """
-    n = data.n_curves
-    priors = np.array(
-        [data.class_indices(g).size / n for g in range(1, data.n_classes + 1)]
-    )
+    priors = class_priors(data)
     design = design_matrix(data.grid, config.basis())
     class_models = []
     reports: list[FitReport | None] = []

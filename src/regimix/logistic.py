@@ -27,6 +27,7 @@ so that reductions over regimes run across slabs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +70,13 @@ class LogisticWeights:
 
 
 def _coef_stack(weights) -> tuple[np.ndarray, bool]:
-    """(G, R, 2) coefficients of one process or of a stack of G processes,
-    and whether a single process was given."""
+    """(G, R, 2) coefficients of one process, of a stack of G processes or
+    of a (G, R, 2) coefficient array, and whether a single process was
+    given."""
     if isinstance(weights, LogisticWeights):
         return weights.coef[None], True
+    if isinstance(weights, np.ndarray):
+        return weights, False
     coefs = [w.coef for w in weights]
     if not coefs or len({c.shape for c in coefs}) != 1:
         raise ValueError("a stack of logistic processes needs one regime count")
@@ -149,6 +153,20 @@ def qw_value(weights, grid: TimeGrid, soft_counts: np.ndarray):
     return float(q[0]) if single else q
 
 
+@functools.lru_cache(maxsize=32)
+def _hessian_constants(points: bytes, n_free_regimes: int):
+    """For the grid with these float64 points: phi = (1, t_j) as (m, 2),
+    its (m, 4) outer products, and the (R-1, R-1, 1) identity; computed
+    once per grid and regime count, and read-only."""
+    t = np.frombuffer(points)
+    phi = np.column_stack([np.ones(t.size), t])
+    outer = (phi[:, :, None] * phi[:, None, :]).reshape(t.size, 4)
+    eye = np.eye(n_free_regimes)[:, :, None]
+    for a in (phi, outer, eye):
+        a.flags.writeable = False
+    return phi, outer, eye
+
+
 def qw_gradient_hessian(
     weights, grid: TimeGrid, soft_counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,24 +188,17 @@ def qw_gradient_hessian(
 
     pi = _probs(coef, grid)[:, :-1]  # (G, R-1, m): the free regimes
     totals = counts.sum(axis=1)  # (G, m)
-    phi = np.column_stack([np.ones(m), grid.points])  # (m, 2)
+    phi, outer, eye = _hessian_constants(grid.points.tobytes(), R - 1)
 
     weighted = totals[:, None] * pi
     grad = ((counts[:, :-1] - weighted) @ phi).reshape(G, n_free)
 
     # cov[g, r, s, j] = totals_gj * pi_grj * (delta_rs - pi_gsj); one
     # product with the (m, 4) outer products of phi gives every 2x2 block
-    cov = weighted[:, :, None] * (np.eye(R - 1)[:, :, None] - pi[:, None])
-    outer = (phi[:, :, None] * phi[:, None, :]).reshape(m, 4)
+    cov = weighted[:, :, None] * (eye - pi[:, None])
     blocks = (cov.reshape(G, -1, m) @ outer).reshape(G, R - 1, R - 1, 2, 2)
     hess = -blocks.transpose(0, 1, 3, 2, 4).reshape(G, n_free, n_free)
     return _unwrap((grad, hess), single)
-
-
-def _with_free(n_regimes: int, free: np.ndarray) -> LogisticWeights:
-    coef = np.zeros((n_regimes, 2))
-    coef[:-1] = free.reshape(-1, 2)
-    return LogisticWeights(coef)
 
 
 def _newton_directions(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -230,24 +241,28 @@ def irls_fit(
     when it stops. Each Newton step of the stack is one
     ``qw_gradient_hessian`` call and one ``ridge_solve``, and each round of
     candidates one ``qw_value`` call, over the problems still in it.
+
+    The iteration runs on one (G, R, 2) coefficient array, and every
+    candidate array has its gauge row at (0, 0) by construction; a
+    non-finite candidate raises ``ValueError``, as ``LogisticWeights``
+    does. ``LogisticWeights`` are built once, for the problems that moved;
+    a problem that did not keeps its input object.
     """
     coef, single = _coef_stack(weights_init)
     G, R = coef.shape[:2]
     # (G, m, R), as qw_value takes a stack, over regime-first memory
     counts = _aggregate_counts(soft_counts, len(grid), None if single else G).transpose(0, 2, 1)
-    fitted = [weights_init] if single else list(weights_init)
     if R == 1 or max_iter <= 0:
-        return weights_init if single else tuple(fitted)
+        return weights_init if single else tuple(weights_init)
 
-    q = qw_value(tuple(fitted), grid, counts)
-    free = coef[:, :-1].reshape(G, -1).copy()
+    coef = coef.copy()  # the iterate of every problem; the gauge row stays 0
+    moved = np.zeros(G, dtype=bool)
+    q = qw_value(coef, grid, counts)
     live = np.arange(G)  # problems still iterating
     for _ in range(max_iter):
         if not live.size:
             break
-        grad, hess = qw_gradient_hessian(
-            tuple(fitted[g] for g in live), grid, counts[live]
-        )
+        grad, hess = qw_gradient_hessian(coef[live], grid, counts[live])
         direction = _newton_directions(grad, hess)
         gain = 0.5 * np.einsum("gf,gf->g", grad, direction)
         ascent = gain > tol * (1.0 + np.abs(q[live]))  # False for NaN
@@ -258,17 +273,25 @@ def irls_fit(
             if not searching.size:
                 break
             members = live[searching]
-            cand_free = free[members] + step[searching, None] * direction[searching]
-            cands = tuple(_with_free(R, f) for f in cand_free)
+            free = coef[members, :-1].reshape(members.size, -1)
+            cand_free = free + step[searching, None] * direction[searching]
+            if not np.isfinite(cand_free).all():
+                raise ValueError("logistic weights must be finite")
+            cands = np.zeros((members.size, R, 2))
+            cands[:, :-1] = cand_free.reshape(members.size, R - 1, 2)
             q_cand = qw_value(cands, grid, counts[members])
             accept = q_cand >= q[members]
-            for pos in np.flatnonzero(accept):
-                g = members[pos]
-                fitted[g], free[g], q[g] = cands[pos], cand_free[pos], q_cand[pos]
+            won = members[accept]
+            coef[won], q[won] = cands[accept], q_cand[accept]
+            moved[won] = True
             searching = searching[~accept]
             step[searching] *= 0.5
         if searching.size:  # an exhausted line search stops its problem
             kept = np.ones(live.size, dtype=bool)
             kept[searching] = False
             live = live[kept]
-    return fitted[0] if single else tuple(fitted)
+    starts = [weights_init] if single else weights_init
+    fitted = tuple(
+        LogisticWeights(c) if did else start for c, did, start in zip(coef, moved, starts)
+    )
+    return fitted[0] if single else fitted

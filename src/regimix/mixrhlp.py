@@ -32,6 +32,20 @@ before. The M-step fits each group as one stack too: (G, R, m) weighted
 statistics, one ``ridge_solve`` over the Grams of every regime with mass,
 and one stacked IRLS for the G logistic processes.
 
+Each EM restart (one ``_em_once`` call) owns a workspace of two slots,
+each holding one (G, R, n, m) kernel buffer per regime group, allocated
+once when the restart starts. The E-step of an iterate writes its regime
+responsibilities into one slot, and ``Posteriors.regime_resp`` views that
+memory. A candidate's E-step takes the other slot, so the slot behind the
+accepted posteriors is overwritten only once a newer iterate has been
+accepted; the rescue fallback, which re-reads them after the candidate's
+E-step, always finds them intact. The buffers are not shared across
+restarts, which may run on parallel threads. Inside the ascent the
+posteriors are not re-checked, since the kernel normalises them by
+construction. No public function returns workspace memory: ``e_step``,
+``m_step`` and the ``*_loglik_set`` functions allocate fresh arrays, and
+``e_step`` checks its posteriors as ``Posteriors`` checks any table.
+
 The regression mixtures of ``baselines`` (one regime per cluster) share
 the EM driver: one ascent loop, ``_ascend``, and one restart selection,
 ``_fit_restarts``, serve both families, each with its own E- and M-step.
@@ -39,6 +53,7 @@ the EM driver: one ascent loop, ``_ascend``, and one restart selection,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -173,6 +188,17 @@ class Posteriors:
         object.__setattr__(self, "cluster_resp", gamma)
         object.__setattr__(self, "regime_resp", taus)
 
+    @classmethod
+    def _unchecked(cls, cluster_resp: np.ndarray, regime_resp: tuple) -> "Posteriors":
+        """The E-step's tables, which its kernel normalises by construction:
+        made read-only, not re-checked."""
+        post = object.__new__(cls)
+        for table in (cluster_resp, *regime_resp):
+            table.flags.writeable = False
+        object.__setattr__(post, "cluster_resp", cluster_resp)
+        object.__setattr__(post, "regime_resp", regime_resp)
+        return post
+
 
 @dataclass(frozen=True)
 class FitReport:
@@ -247,7 +273,7 @@ def _regime_groups(clusters, indices) -> list[list[int]]:
 
 
 def _regime_kernel(
-    clusters, values: np.ndarray, design: DesignMatrix, want_resp: bool
+    clusters, values: np.ndarray, design: DesignMatrix, want_resp: bool, out=None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(G, n) per-curve log-likelihoods under G clusters that share one
     regime count R; with ``want_resp``, also their (G, R, n, m) regime
@@ -255,6 +281,7 @@ def _regime_kernel(
 
     One (G, R, n, m) buffer takes log pi_r(t_j) + log N(x_ij; mean_jr, var_r)
     and is reduced across its R slabs; the responsibilities overwrite it.
+    The buffer is ``out`` when given, else a fresh array.
     A point at which every regime density underflows to 0 (a curve that
     lies far outside the cluster) gets uniform responsibilities; its
     log-likelihood is -inf, so the cluster's responsibility for the curve
@@ -263,7 +290,8 @@ def _regime_kernel(
     log_pi = log_regime_probabilities(tuple(c.logistic for c in clusters), design.grid)
     means = np.stack([c.coeffs for c in clusters]) @ design.matrix.T  # (G, R, m)
     var = np.stack([c.variances for c in clusters])[:, :, None, None]
-    buf = np.empty(means.shape[:2] + values.shape)  # C order: one slab per regime
+    # C order: one slab per regime
+    buf = np.empty(means.shape[:2] + values.shape) if out is None else out
     np.subtract(values, means[:, :, None, :], out=buf)
     np.square(buf, out=buf)
     buf /= 2.0 * var
@@ -271,18 +299,22 @@ def _regime_kernel(
     buf += log_pi.transpose(0, 2, 1)[:, :, None, :]
 
     shift = np.maximum.reduce(buf, axis=1)  # (G, n, m)
-    shift[~np.isfinite(shift)] = 0.0
+    # a finite sum needs every term finite; only a point whose regime
+    # densities all underflow (shift -inf) takes the masked path
+    underflow = not np.isfinite(shift.sum())
+    if underflow:
+        shift[~np.isfinite(shift)] = 0.0
     buf -= shift[:, None]
     np.exp(buf, out=buf)
     # explicit normalisation: exp(lp - lse) alone drifts from a unit sum by
-    # eps * |lse| when log-densities are huge
+    # eps * |lse| when log-densities are huge. Without underflow the
+    # largest term is exp(0) = 1, so every total is at least 1.
     totals = np.add.reduce(buf, axis=1)
     if want_resp:
-        empty = totals == 0.0
         with np.errstate(invalid="ignore"):
             buf /= totals[:, None]
-        if empty.any():
-            np.copyto(buf, 1.0 / buf.shape[1], where=empty[:, None])
+        if underflow:
+            np.copyto(buf, 1.0 / buf.shape[1], where=(totals == 0.0)[:, None])
     with np.errstate(divide="ignore"):
         point = np.log(totals, out=totals)
     point += shift
@@ -326,9 +358,14 @@ def mixrhlp_curve_loglik(params: MixRhlpParams, curve, design: DesignMatrix) -> 
 
 
 def _e_step_full(
-    params: MixRhlpParams, values: np.ndarray, design: DesignMatrix
+    params: MixRhlpParams, values: np.ndarray, design: DesignMatrix, out=None
 ) -> tuple[Posteriors, float, np.ndarray]:
-    """Posteriors, total log-likelihood, and per-curve log-likelihoods."""
+    """Posteriors, total log-likelihood, and per-curve log-likelihoods.
+
+    ``out`` holds one (G, R, n, m) buffer per group of ``_regime_groups``,
+    which the regime responsibilities overwrite; without it they get
+    fresh arrays. The posteriors are not re-checked (see ``e_step``).
+    """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     _check_design(design, params)
     n = values.shape[0]
@@ -336,34 +373,45 @@ def _e_step_full(
 
     per_cluster = np.empty((n, K))
     taus = [None] * K
-    for group in _regime_groups(params.clusters, range(K)):
+    groups = _regime_groups(params.clusters, range(K))
+    for i, group in enumerate(groups):
         logliks, resp = _regime_kernel(
-            [params.clusters[k] for k in group], values, design, True
+            [params.clusters[k] for k in group],
+            values,
+            design,
+            True,
+            None if out is None else out[i],
         )
         for g, k in enumerate(group):
             per_cluster[:, k] = logliks[g]
             taus[k] = resp[g].transpose(1, 2, 0)  # (n, m, R) view of (R, n, m)
 
     gamma, per_curve = _cluster_posteriors(np.log(params.weights)[None, :] + per_cluster)
-    return Posteriors(gamma, tuple(taus)), float(per_curve.sum()), per_curve
+    return Posteriors._unchecked(gamma, tuple(taus)), float(per_curve.sum()), per_curve
 
 
 def _cluster_posteriors(log_mix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(n, K) cluster responsibilities and (n,) per-curve log-likelihoods
-    from the (n, K) table of log weight plus log density; both families."""
-    per_curve = logsumexp(log_mix, axis=1)
-    if not np.all(np.isfinite(per_curve)):
+    from the (n, K) table of log weight plus log density; both families.
+
+    A row's log-likelihood is finite exactly when its maximum is: then the
+    shifted exponentials lie in [0, 1], one of them 1.
+    """
+    shift = functools.reduce(np.maximum, log_mix.T)  # the row maxima, column by column
+    if not np.isfinite(shift).all():
         raise NumericalError("curve log-likelihood is not finite; parameters are corrupted")
-    shifted = np.exp(log_mix - log_mix.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True), per_curve
+    shifted = np.exp(log_mix - shift[:, None])
+    totals = shifted.sum(axis=1)
+    return shifted / totals[:, None], np.log(totals) + shift
 
 
 def e_step(
     params: MixRhlpParams, values: np.ndarray, design: DesignMatrix
 ) -> Posteriors:
-    """Cluster and regime responsibilities for a set of curves."""
+    """Cluster and regime responsibilities for a set of curves, checked as
+    ``Posteriors`` checks tables built by hand."""
     post, _, _ = _e_step_full(params, values, design)
-    return post
+    return Posteriors(post.cluster_resp, post.regime_resp)
 
 
 def _regime_stats(
@@ -576,26 +624,32 @@ def _random_partition(
 
 
 def _ascend(e_step, m_step, params, config: EmConfig) -> tuple[object, list[float], bool]:
-    """EM from ``params`` for either family: ``e_step(params)`` gives
+    """EM from ``params`` for either family: ``e_step(params, slot)`` gives
     (posteriors, loglik, per-curve logliks), ``m_step(posteriors, params,
     rescue, per_curve)`` gives (candidate, whether a starved cluster was
-    re-seeded). Returns (last accepted params, loglik trace, converged)."""
-    post, ll, per_curve = e_step(params)
+    re-seeded). Returns (last accepted params, loglik trace, converged).
+
+    ``slot`` (0 or 1) names the workspace an E-step may overwrite: a
+    candidate's E-step never takes the slot behind ``post``, which the
+    rescue fallback reads after it.
+    """
+    slot = 0  # the slot behind ``post``
+    post, ll, per_curve = e_step(params, slot)
     trace = [ll]
     converged = False
     for _ in range(config.max_iter):
         cand, rescued = m_step(post, params, True, per_curve)
-        cand_post, cand_ll, cand_pc = e_step(cand)
+        cand_post, cand_ll, cand_pc = e_step(cand, 1 - slot)
         if rescued and cand_ll < ll - _LOGLIK_SLACK:
             # The rescue hurt the likelihood; fall back to the plain update,
             # which is monotone by construction.
             cand, _ = m_step(post, params, False, per_curve)
-            cand_post, cand_ll, cand_pc = e_step(cand)
+            cand_post, cand_ll, cand_pc = e_step(cand, 1 - slot)
         if cand_ll < ll - _LOGLIK_SLACK:
             # A degraded M-step (a ridge-regularized solve) lowered the
             # likelihood: keep the previous iterate and stop unconverged.
             break
-        params, post, per_curve = cand, cand_post, cand_pc
+        params, post, per_curve, slot = cand, cand_post, cand_pc, 1 - slot
         increment = cand_ll - ll
         ll = cand_ll
         trace.append(ll)
@@ -646,8 +700,14 @@ def _em_once(
         init = initial_params(
             values, design, config.n_clusters, config.regimes(), rng, floor
         )
+    # two workspace slots of one (G, R, n, m) buffer per regime group
+    shapes = [
+        (len(group), init.clusters[group[0]].n_regimes) + values.shape
+        for group in _regime_groups(init.clusters, range(init.n_clusters))
+    ]
+    slots = [[np.empty(shape) for shape in shapes] for _ in range(2)]
     return _ascend(
-        lambda params: _e_step_full(params, values, design),
+        lambda params, slot: _e_step_full(params, values, design, slots[slot]),
         lambda post, params, rescue, per_curve: _m_step_impl(
             post, values, design, params, floor, config.irls_max_iter, rescue, per_curve
         ),

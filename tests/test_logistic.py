@@ -305,6 +305,29 @@ class TestIrlsFit:
             np.testing.assert_allclose(stacked[k].coef, solo.coef, rtol=1e-12, atol=1e-12)
             assert not np.array_equal(solo.coef, starts[k].coef)
 
+    def test_unmoved_problem_keeps_its_input_object(self):
+        # the stack iterates on one coefficient array; only a problem that
+        # moved gets a new LogisticWeights, gauge row pinned
+        rng = np.random.default_rng(53)
+        g = TimeGrid(np.linspace(0, 1, 9))
+        counts = rand_counts(rng, 2, 9, 3)
+        settled = irls_fit(LogisticWeights.zeros(3), g, counts[0], max_iter=300, tol=1e-13)
+        starts = (settled, rand_weights(rng, 3, scale=2.0))
+        fitted = irls_fit(starts, g, counts)
+        assert fitted[0] is starts[0]
+        assert fitted[1] is not starts[1]
+        np.testing.assert_array_equal(fitted[1].coef[-1], [0.0, 0.0])
+
+    def test_non_finite_candidate_rejected(self, monkeypatch):
+        # a step that overflows raises the error LogisticWeights raises
+        g = TimeGrid(np.linspace(0, 1, 6))
+        counts = rand_counts(np.random.default_rng(59), 2, 6, 2)
+        monkeypatch.setattr(
+            logistic, "_newton_directions", lambda grad, hess: np.sign(grad) * np.inf
+        )
+        with pytest.raises(ValueError, match="finite"):
+            irls_fit(LogisticWeights.zeros(2), g, counts)
+
     def test_degenerate_all_mass_one_regime(self):
         # objective is maximized by pushing probabilities to 1; must not
         # crash and must not decrease the objective

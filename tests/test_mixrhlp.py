@@ -16,6 +16,7 @@ from oracles import (
 from regimix import mixrhlp
 from regimix.core import Curve, TimeGrid, ridge_solve, vandermonde, variance_floor
 from regimix.datagen import WaveformSpec, gen_waveform
+from regimix.errors import NumericalError
 from regimix.logistic import LogisticWeights, irls_fit
 from regimix.mixrhlp import (
     EmConfig,
@@ -304,6 +305,19 @@ class TestEStepExtremes:
         np.testing.assert_array_equal(post.cluster_resp, [[1.0, 0.0]])
         np.testing.assert_array_equal(post.regime_resp[1], 0.5)
         np.testing.assert_array_equal(post.regime_resp[0].sum(axis=2), 1.0)
+
+    def test_curve_outside_every_cluster_raises(self):
+        # the E-step skips the table checks, but a curve that no cluster can
+        # explain (a -inf log-likelihood) still stops it
+        g = TimeGrid(np.linspace(0, 1, 3))
+        near = RhlpParams(LogisticWeights.zeros(2), np.zeros((2, 1)), np.ones(2))
+        params = MixRhlpParams(np.array([0.5, 0.5]), (near, near))
+        values = np.vstack([np.zeros(3), np.full(3, 1e160)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match="not finite"):
+                e_step(params, values, vandermonde(g, 0))
+        assert not [w for w in caught if "invalid value" in str(w.message)]
 
     def test_tiny_segment_em_stays_monotone(self):
         rng = np.random.default_rng(90)
@@ -618,6 +632,80 @@ class TestEmFit:
         p2, r2 = em_fit(values, g, cfg, workers=4)
         np.testing.assert_array_equal(p1.weights, p2.weights)
         assert r1 == r2
+
+
+    @pytest.mark.parametrize("regimes", [2, (2, 3, 2)], ids=["uniform", "ragged"])
+    def test_workspace_matches_public_steps(self, regimes):
+        # EM reuses two kernel buffers per restart; from the same start it
+        # must give, bit for bit, the parameters and trace of hand-run
+        # public steps, which allocate fresh arrays
+        data = gen_waveform(WaveformSpec(40), 0)
+        values = data.values[data.labels == 1]
+        K, degree, rounds = 3, 2, 6
+        cfg = EmConfig(n_clusters=K, n_regimes=regimes, degree=degree, max_iter=rounds,
+                       tol=1e-300, n_restarts=1)
+        design = vandermonde(data.grid, degree)
+        floor = variance_floor(values)
+        init = mixrhlp.initial_params(
+            values, design, K, cfg.regimes(), np.random.default_rng(5), floor
+        )
+        got, report = em_fit(values, data.grid, cfg, init=init)
+
+        params = init
+        post = e_step(params, values, design)
+        trace = [float(mixrhlp_loglik_set(params, values, design).sum())]
+        for _ in range(rounds):
+            params = m_step(post, values, design, params, floor=floor,
+                            irls_max_iter=cfg.irls_max_iter)
+            post = e_step(params, values, design)
+            trace.append(float(mixrhlp_loglik_set(params, values, design).sum()))
+        assert min(post.cluster_resp.sum(axis=0)) > 1.0  # no cluster starved
+        assert report.iterations == rounds
+        assert list(report.loglik_trace) == trace
+        np.testing.assert_array_equal(got.weights, params.weights)
+        for c1, c2 in zip(got.clusters, params.clusters):
+            np.testing.assert_array_equal(c1.coeffs, c2.coeffs)
+            np.testing.assert_array_equal(c1.variances, c2.variances)
+            np.testing.assert_array_equal(c1.logistic.coef, c2.logistic.coef)
+
+    @pytest.mark.parametrize("case", ["rescue_fallback", "two_restarts"])
+    def test_m_steps_read_their_iterates_posteriors(self, monkeypatch, case):
+        # every M-step, the rescue fallback's included, must get the checked
+        # posteriors of the iterate it updates, never a buffer that a later
+        # E-step has overwritten
+        if case == "rescue_fallback":
+            # the data and start of test_rescue_that_lowers_likelihood_falls_back
+            values = np.array([[1.0, -1.0, 1.0, -1.0]] * 9 + [[1.5, -1.5, 1.5, -1.5]])
+            var = float(np.mean(values**2))
+            g = TimeGrid(np.linspace(0, 1, 4))
+            far = RhlpParams(LogisticWeights.zeros(2), np.full((2, 1), 1e3), np.full(2, var))
+            init = MixRhlpParams(
+                np.array([1.0 - 1e-9, 1e-9]),
+                (RhlpParams(LogisticWeights.zeros(2), np.zeros((2, 1)), np.full(2, var)), far),
+            )
+            cfg = EmConfig(n_clusters=2, n_regimes=2, degree=0, max_iter=20, n_restarts=1)
+        else:
+            rng = np.random.default_rng(61)
+            g = TimeGrid(np.linspace(0, 1, 12))
+            values = np.vstack([rng.normal(size=(6, 12)), 3.0 + rng.normal(size=(6, 12))])
+            init = None
+            cfg = EmConfig(n_clusters=2, n_regimes=2, degree=1, max_iter=15, n_restarts=2)
+        real_m_step = mixrhlp._m_step_impl
+        rescue_flags = []
+
+        def checked(post, values, design, prev, *rest):
+            Posteriors(post.cluster_resp, post.regime_resp)  # every normalisation check
+            fresh = e_step(prev, values, design)
+            np.testing.assert_array_equal(post.cluster_resp, fresh.cluster_resp)
+            for got, want in zip(post.regime_resp, fresh.regime_resp):
+                np.testing.assert_array_equal(got, want)
+            rescue_flags.append(rest[2])
+            return real_m_step(post, values, design, prev, *rest)
+
+        monkeypatch.setattr(mixrhlp, "_m_step_impl", checked)
+        em_fit(values, g, cfg, init=init)
+        assert len(rescue_flags) >= 2
+        assert (False in rescue_flags) == (case == "rescue_fallback")
 
 
 class TestDegenerateInputs:
