@@ -8,14 +8,7 @@ also ships the baseline variants, BIC model selection, synthetic
 benchmark generators, and a cross-validation harness.
 """
 
-from .baselines import (
-    RegressionMixtureParams,
-    SingleRegressionParams,
-    fit_regression_mixture,
-    fit_single_regression,
-    regression_mixture_curve_loglik,
-    single_regression_curve_loglik,
-)
+from .baselines import fit_regression_mixture, fit_single_regression
 from .core import (
     Basis,
     Curve,

@@ -28,6 +28,7 @@ from . import datagen, mixrhlp
 from .core import Basis, TimeGrid, atomic_write_text, read_curveset, write_curveset
 from .discriminant import (
     FMDA_MIXRHLP,
+    RHLP_VARIANTS,
     VARIANTS,
     ClassifierModel,
     TrainConfig,
@@ -390,7 +391,7 @@ def _cmd_export_plots(args: argparse.Namespace, workers: int) -> int:
         )
 
         cm = model.class_models[g - 1]
-        if model.variant in ("flda-rhlp", "fmda-mixrhlp"):
+        if model.variant in RHLP_VARIANTS:
             for k, cluster in enumerate(cm.clusters, start=1):
                 probs = regime_probabilities(cluster.logistic, model.grid)
                 header = "t," + ",".join(
@@ -407,7 +408,7 @@ def _cmd_export_plots(args: argparse.Namespace, workers: int) -> int:
                 )
 
         resp = class_cluster_responsibilities(model, g, data.class_values(g))
-        if resp is not None and resp.shape[1] > 1:
+        if resp.shape[1] > 1:
             indices = data.class_indices(g)
             assigned = np.argmax(resp, axis=1) + 1
             rows = ["index,cluster"]

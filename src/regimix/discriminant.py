@@ -6,6 +6,11 @@ hidden-logistic-process regression); the FMDA family fits a mixture per
 class (polynomial mixture, spline mixture, or the cluster mixture of
 hidden-process regressions). A curve is assigned to the class with the
 highest prior-weighted conditional density.
+
+Every class density is a ``MixRhlpParams``: the regression baselines have
+one regime per cluster and the FLDA variants one cluster. Only the
+training configuration and the choice of fitting algorithm read the
+variant; scoring, summaries and model documents take one path.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .core import (
     logsumexp,
 )
 from .errors import DataError
-from .mixrhlp import EmConfig, FitReport, _mixing_proportions
+from .mixrhlp import EmConfig, FitReport, MixRhlpParams, _mixing_proportions
 from .rng import subseed
 
 FLDA_PR = "flda-pr"
@@ -39,9 +44,12 @@ FMDA_MIXRHLP = "fmda-mixrhlp"
 VARIANTS = (FLDA_PR, FLDA_SR, FLDA_RHLP, FMDA_PRM, FMDA_SRM, FMDA_MIXRHLP)
 
 _SPLINE_VARIANTS = (FLDA_SR, FMDA_SRM)
-_RHLP_VARIANTS = (FLDA_RHLP, FMDA_MIXRHLP)
+RHLP_VARIANTS = (FLDA_RHLP, FMDA_MIXRHLP)
 
-CLASSIFIER_FORMAT_VERSION = 1
+#: Version 2 writes every class as kind ``mixrhlp``; version 1, which
+#: wrote the baselines as ``single_regression`` and ``regression_mixture``
+#: documents, is still read.
+CLASSIFIER_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -104,11 +112,15 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class ClassifierModel:
-    """Fitted per-class densities plus class priors on a fixed grid."""
+    """Fitted per-class densities plus class priors on a fixed grid.
+
+    Each class model must be a ``MixRhlpParams`` whose coefficients fit
+    the design of ``basis`` on ``grid``; else ``ValueError``.
+    """
 
     variant: str
     priors: np.ndarray
-    class_models: tuple
+    class_models: tuple[MixRhlpParams, ...]
     basis: Basis
     grid: TimeGrid
     _design: DesignMatrix = field(repr=False, compare=False, default=None)
@@ -117,9 +129,14 @@ class ClassifierModel:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         priors = _mixing_proportions(self.priors, len(self.class_models))
+        design = design_matrix(self.grid, self.basis)
+        for cm in self.class_models:
+            if not isinstance(cm, MixRhlpParams):
+                raise ValueError(f"class model is a {type(cm).__name__}, not MixRhlpParams")
+            mixrhlp._check_design(design, cm)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "class_models", tuple(self.class_models))
-        object.__setattr__(self, "_design", design_matrix(self.grid, self.basis))
+        object.__setattr__(self, "_design", design)
 
     @property
     def n_classes(self) -> int:
@@ -190,24 +207,11 @@ def train(
     return model
 
 
-def _class_loglik_set(
-    class_model, variant: str, values: np.ndarray, design: DesignMatrix
-) -> np.ndarray:
-    if variant in (FLDA_PR, FLDA_SR):
-        return baselines.single_regression_loglik_set(class_model, values, design)
-    if variant in (FMDA_PRM, FMDA_SRM):
-        return baselines.regression_mixture_loglik_set(class_model, values, design)
-    return mixrhlp.mixrhlp_loglik_set(class_model, values, design)
-
-
 def class_logliks(model: ClassifierModel, values: np.ndarray) -> np.ndarray:
     """(n, G) per-curve conditional log-densities."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     return np.column_stack(
-        [
-            _class_loglik_set(cm, model.variant, values, model.design)
-            for cm in model.class_models
-        ]
+        [mixrhlp.mixrhlp_loglik_set(cm, values, model.design) for cm in model.class_models]
     )
 
 
@@ -248,27 +252,16 @@ def class_mean_curves(model: ClassifierModel, label: int) -> np.ndarray:
     """Mean curve(s) for one class: (1, m) for FLDA, (K, m) for FMDA."""
     if not 1 <= label <= model.n_classes:
         raise ValueError(f"class label {label} out of range 1..{model.n_classes}")
-    cm = model.class_models[label - 1]
-    design = model.design
-    if model.variant in (FLDA_PR, FLDA_SR):
-        return (design.matrix @ cm.coeffs)[None, :]
-    if model.variant in (FMDA_PRM, FMDA_SRM):
-        return np.stack([design.matrix @ comp.coeffs for comp in cm.components])
-    return mixrhlp.mean_curves(cm, model.grid, design)
+    return mixrhlp.mean_curves(model.class_models[label - 1], model.grid, model.design)
 
 
 def class_cluster_responsibilities(
     model: ClassifierModel, label: int, values: np.ndarray
-) -> np.ndarray | None:
-    """(n, K) cluster responsibilities under one class's mixture, or None
-    for single-model variants."""
+) -> np.ndarray:
+    """(n, K) cluster responsibilities under one class's mixture; one
+    column of ones for the single-density variants."""
     cm = model.class_models[label - 1]
-    if model.variant in (FMDA_PRM, FMDA_SRM):
-        return baselines.mixture_responsibilities(cm, values, model.design)
-    if model.variant in _RHLP_VARIANTS:
-        post = mixrhlp.e_step(cm, values, model.design)
-        return post.cluster_resp
-    return None
+    return mixrhlp.e_step(cm, values, model.design).cluster_resp
 
 
 # ---------------------------------------------------------------------------
@@ -276,49 +269,22 @@ def class_cluster_responsibilities(
 # ---------------------------------------------------------------------------
 
 
-def _class_model_to_dict(class_model, variant: str) -> dict:
-    if variant in (FLDA_PR, FLDA_SR):
-        return {
-            "kind": "single_regression",
-            "coeffs": [float(v) for v in class_model.coeffs],
-            "variance": float(class_model.variance),
-        }
-    if variant in (FMDA_PRM, FMDA_SRM):
-        return {
-            "kind": "regression_mixture",
-            "alphas": [float(w) for w in class_model.weights],
-            "components": [
-                {
-                    "coeffs": [float(v) for v in comp.coeffs],
-                    "variance": float(comp.variance),
-                }
-                for comp in class_model.components
-            ],
-        }
-    doc = mixrhlp.params_to_dict(class_model)
-    doc["kind"] = "mixrhlp"
-    return doc
+def _regressions_from_dict(weights, components: list) -> MixRhlpParams:
+    """A version-1 regression document's components, one regime each."""
+    coeffs = [c["coeffs"] for c in components]
+    return baselines._one_regime_params(weights, coeffs, [c["variance"] for c in components])
 
 
-def _class_model_from_dict(doc: dict):
+def _class_model_from_dict(doc: dict, version: int) -> MixRhlpParams:
     kind = doc.get("kind")
     try:
-        if kind == "single_regression":
-            return baselines.SingleRegressionParams(
-                np.array(doc["coeffs"], dtype=float), float(doc["variance"])
-            )
-        if kind == "regression_mixture":
-            return baselines.RegressionMixtureParams(
-                np.array(doc["alphas"], dtype=float),
-                tuple(
-                    baselines.SingleRegressionParams(
-                        np.array(c["coeffs"], dtype=float), float(c["variance"])
-                    )
-                    for c in doc["components"]
-                ),
-            )
         if kind == "mixrhlp":
             return mixrhlp.params_from_dict(doc)
+        # version 1 wrote the baselines in kinds of their own
+        if version == 1 and kind == "single_regression":
+            return _regressions_from_dict([1.0], [doc])
+        if version == 1 and kind == "regression_mixture":
+            return _regressions_from_dict(doc["alphas"], doc["components"])
     except (KeyError, ValueError) as exc:
         raise DataError(f"malformed class model document: {exc}") from exc
     raise DataError(f"unknown class model kind {kind!r}")
@@ -332,22 +298,22 @@ def model_to_dict(model: ClassifierModel) -> dict:
         "basis": model.basis.to_dict(),
         "grid": [float(t) for t in model.grid.points],
         "classes": [
-            _class_model_to_dict(cm, model.variant) for cm in model.class_models
+            {**mixrhlp.params_to_dict(cm), "kind": "mixrhlp"} for cm in model.class_models
         ],
     }
 
 
 def model_from_dict(doc: dict) -> ClassifierModel:
-    if doc.get("format_version") != CLASSIFIER_FORMAT_VERSION:
-        raise DataError(
-            f"unsupported classifier format version: {doc.get('format_version')!r}"
-        )
+    """A classifier from its document, of ``format_version`` 2 or 1."""
+    version = doc.get("format_version")
+    if version not in (1, CLASSIFIER_FORMAT_VERSION):
+        raise DataError(f"unsupported classifier format version: {version!r}")
     try:
         grid = TimeGrid(np.array(doc["grid"], dtype=float))
         return ClassifierModel(
             variant=doc["variant"],
             priors=np.array(doc["priors"], dtype=float),
-            class_models=tuple(_class_model_from_dict(c) for c in doc["classes"]),
+            class_models=tuple(_class_model_from_dict(c, version) for c in doc["classes"]),
             basis=Basis.from_dict(doc["basis"]),
             grid=grid,
         )

@@ -660,12 +660,12 @@ def _ascend(e_step, m_step, params, config: EmConfig) -> tuple[object, list[floa
 
 
 def _fit_restarts(
-    run, init, config: EmConfig, workers: int, n: int, n_params
-) -> tuple[object, FitReport]:
+    run, init, config: EmConfig, workers: int, n: int, degree: int
+) -> tuple[MixRhlpParams, FitReport]:
     """Best of the EM runs ``run(init, rng) -> (params, trace, converged)``
     of either family on n curves: the run from ``init`` if given, else one
     per stream ``child_rng(config.seed, r)``. The highest final loglik wins,
-    ties to the smaller index; ``n_params(params)`` counts for the BIC."""
+    ties to the smaller index. The BIC counts degree + 1 coefficients per regime."""
     if n < config.n_clusters:
         raise ValueError(
             f"infeasible clustering: {n} curves for {config.n_clusters} clusters"
@@ -681,7 +681,7 @@ def _fit_restarts(
         loglik_trace=tuple(trace),
         iterations=len(trace) - 1,
         converged=converged,
-        bic=trace[-1] - 0.5 * n_params(params) * float(np.log(n)),
+        bic=bic(params, trace[-1], n, degree),
         restarts_tried=len(runs),
         best_restart=best_idx,
     )
@@ -753,7 +753,7 @@ def em_fit(
         config,
         workers,
         n,
-        lambda params: n_free_parameters(params, config.degree),
+        config.degree,
     )
 
 

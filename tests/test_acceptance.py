@@ -34,11 +34,7 @@ from regimix.mixrhlp import (
     n_free_parameters,
     select_model,
 )
-from regimix.baselines import (
-    RegressionMixtureParams,
-    SingleRegressionParams,
-    fit_regression_mixture,
-)
+from regimix.baselines import fit_regression_mixture
 
 BENCHMARK_SEED = 0  # default seed for the seeded benchmark criteria
 
@@ -212,23 +208,18 @@ def test_criterion_4_degenerate_collapses():
     )
     bitwise = doc_a.replace("flda-rhlp", "fmda-mixrhlp") == doc_b
 
-    # (c) R=1 per cluster matches the regression-mixture trace under an
-    # identical initialization
-    comps = (
-        SingleRegressionParams(np.array([0.2, 0.1]), 1.0),
-        SingleRegressionParams(np.array([1.5, -0.4]), 0.8),
-    )
-    mix_init = RegressionMixtureParams(np.array([0.5, 0.5]), comps)
+    # (c) R=1 per cluster matches the regression-mixture trace from one
+    # initialization
     rhlp_init = MixRhlpParams(
         np.array([0.5, 0.5]),
-        tuple(
-            RhlpParams(LogisticWeights.zeros(1), c.coeffs[None, :], np.array([c.variance]))
-            for c in comps
+        (
+            RhlpParams(LogisticWeights.zeros(1), np.array([[0.2, 0.1]]), np.array([1.0])),
+            RhlpParams(LogisticWeights.zeros(1), np.array([[1.5, -0.4]]), np.array([0.8])),
         ),
     )
     design1 = vandermonde(grid, 1)
     cfg1 = EmConfig(n_clusters=2, n_regimes=1, degree=1, max_iter=30, n_restarts=1, seed=0)
-    _, rep_mix = fit_regression_mixture(values, design1, cfg1, init=mix_init)
+    _, rep_mix = fit_regression_mixture(values, design1, cfg1, init=rhlp_init)
     _, rep_rhlp = em_fit(values, grid, cfg1, init=rhlp_init)
     trace_err = float(
         np.max(np.abs(np.array(rep_mix.loglik_trace) - np.array(rep_rhlp.loglik_trace)))

@@ -6,22 +6,43 @@ import pytest
 
 from oracles import explicit_wls_beta, mp_gauss
 from regimix import baselines
-from regimix.baselines import (
-    RegressionMixtureParams,
-    SingleRegressionParams,
-    fit_regression_mixture,
-    fit_single_regression,
-    mixture_responsibilities,
-    regression_mixture_curve_loglik,
-    single_regression_curve_loglik,
-)
-from regimix.core import Curve, TimeGrid, vandermonde
+from regimix.baselines import fit_regression_mixture, fit_single_regression
+from regimix.core import Basis, Curve, TimeGrid, design_matrix, vandermonde
 from regimix.logistic import LogisticWeights
-from regimix.mixrhlp import EmConfig, MixRhlpParams, RhlpParams, em_fit
+from regimix.mixrhlp import (
+    EmConfig,
+    MixRhlpParams,
+    RhlpParams,
+    e_step,
+    em_fit,
+    mixrhlp_curve_loglik,
+    mixrhlp_loglik_set,
+    rhlp_curve_loglik,
+)
 
 
 def grid_of(*pts):
     return TimeGrid(np.array(pts, dtype=float))
+
+
+def one_regime(weights, *components):
+    """The mixture with one regime per cluster, from (coeffs, variance)
+    pairs: the class model of every regression baseline."""
+    return MixRhlpParams(
+        np.array(weights, dtype=float),
+        tuple(
+            RhlpParams(LogisticWeights.zeros(1), np.array([coeffs], dtype=float), [variance])
+            for coeffs, variance in components
+        ),
+    )
+
+
+def coeffs_of(params, k=0):
+    return params.clusters[k].coeffs[0]
+
+
+def variance_of(params, k=0):
+    return float(params.clusters[k].variances[0])
 
 
 class TestFitSingleRegression:
@@ -29,15 +50,16 @@ class TestFitSingleRegression:
         g = grid_of(0.0, 1.0, 2.0)
         design = vandermonde(g, 0)
         fitted = fit_single_regression(np.full((4, 3), 7.5), design)
-        assert fitted.coeffs[0] == pytest.approx(7.5, rel=1e-12)
-        assert fitted.variance == 1e-10  # clamped to the floor
+        assert fitted.regimes == (1,)
+        assert coeffs_of(fitted)[0] == pytest.approx(7.5, rel=1e-12)
+        assert variance_of(fitted) == 1e-10  # clamped to the floor
 
     def test_exact_line(self):
         g = grid_of(0.0, 1.0, 2.0)
         design = vandermonde(g, 1)
         fitted = fit_single_regression(np.array([[0.0, 1.0, 2.0]]), design)
-        np.testing.assert_allclose(fitted.coeffs, [0.0, 1.0], atol=1e-10)
-        assert fitted.variance <= 1e-8  # zero residual, clamped to the floor
+        np.testing.assert_allclose(coeffs_of(fitted), [0.0, 1.0], atol=1e-10)
+        assert variance_of(fitted) <= 1e-8  # zero residual, clamped to the floor
 
     def test_matches_explicit_normal_equations(self):
         rng = np.random.default_rng(31)
@@ -46,7 +68,7 @@ class TestFitSingleRegression:
         values = rng.normal(size=(4, 6))
         fitted = fit_single_regression(values, design)
         beta_ref = explicit_wls_beta(np.ones((4, 6)), values, design.matrix)
-        np.testing.assert_allclose(fitted.coeffs, beta_ref, rtol=1e-9)
+        np.testing.assert_allclose(coeffs_of(fitted), beta_ref, rtol=1e-9)
 
     def test_underdetermined_rejected(self):
         g = grid_of(0.0, 1.0)
@@ -60,35 +82,31 @@ class TestSingleRegressionLoglik:
     def test_zero_residuals(self):
         g = grid_of(0.0, 1.0)
         design = vandermonde(g, 0)
-        params = SingleRegressionParams(np.array([3.0]), 1.0)
-        got = single_regression_curve_loglik(params, Curve(np.full(2, 3.0), g), design)
+        params = one_regime([1.0], ([3.0], 1.0))
+        got = mixrhlp_curve_loglik(params, Curve(np.full(2, 3.0), g), design)
         assert got == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
     def test_variance_scaling(self):
         g = grid_of(0.0, 1.0, 2.0)
         design = vandermonde(g, 0)
         curve = Curve(np.full(3, 1.0), g)
-        base = single_regression_curve_loglik(
-            SingleRegressionParams(np.array([1.0]), 1.0), curve, design
-        )
-        scaled = single_regression_curve_loglik(
-            SingleRegressionParams(np.array([1.0]), 4.0), curve, design
-        )
+        base = mixrhlp_curve_loglik(one_regime([1.0], ([1.0], 1.0)), curve, design)
+        scaled = mixrhlp_curve_loglik(one_regime([1.0], ([1.0], 4.0)), curve, design)
         assert base - scaled == pytest.approx(3 * math.log(2), rel=1e-12)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(32)
         g = grid_of(0.0, 0.4, 1.7)
         design = vandermonde(g, 1)
-        params = SingleRegressionParams(rng.normal(size=2), 0.8)
+        params = one_regime([1.0], (rng.normal(size=2), 0.8))
         values = rng.normal(size=3)
-        mean = design.matrix @ params.coeffs
+        mean = design.matrix @ coeffs_of(params)
         expected = float(
             mp.fsum(
                 mp.log(mp_gauss(values[j], mean[j], 0.8)) for j in range(3)
             )
         )
-        got = single_regression_curve_loglik(params, Curve(values, g), design)
+        got = mixrhlp_curve_loglik(params, Curve(values, g), design)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -97,26 +115,22 @@ class TestRegressionMixtureLoglik:
         rng = np.random.default_rng(33)
         g = grid_of(0.0, 1.0, 2.0)
         design = vandermonde(g, 1)
-        comp = SingleRegressionParams(rng.normal(size=2), 1.3)
-        mixture = RegressionMixtureParams(np.array([1.0]), (comp,))
+        comp = (rng.normal(size=2), 1.3)
+        mixture = one_regime([1.0], comp)
         curve = Curve(rng.normal(size=3), g)
-        assert regression_mixture_curve_loglik(
-            mixture, curve, design
-        ) == pytest.approx(
-            single_regression_curve_loglik(comp, curve, design), rel=1e-12
+        assert mixrhlp_curve_loglik(mixture, curve, design) == pytest.approx(
+            rhlp_curve_loglik(mixture.clusters[0], curve, design), rel=1e-12
         )
 
     def test_duplicate_components_collapse(self):
         rng = np.random.default_rng(34)
         g = grid_of(0.0, 1.0, 2.0)
         design = vandermonde(g, 1)
-        comp = SingleRegressionParams(rng.normal(size=2), 0.9)
-        mixture = RegressionMixtureParams(np.array([0.5, 0.5]), (comp, comp))
+        comp = (rng.normal(size=2), 0.9)
+        mixture = one_regime([0.5, 0.5], comp, comp)
         curve = Curve(rng.normal(size=3), g)
-        assert regression_mixture_curve_loglik(
-            mixture, curve, design
-        ) == pytest.approx(
-            single_regression_curve_loglik(comp, curve, design), rel=1e-12
+        assert mixrhlp_curve_loglik(mixture, curve, design) == pytest.approx(
+            mixrhlp_curve_loglik(one_regime([1.0], comp), curve, design), rel=1e-12
         )
 
     def test_matches_linear_domain_brute_force(self):
@@ -124,21 +138,42 @@ class TestRegressionMixtureLoglik:
         g = grid_of(0.0, 0.6, 1.1)
         design = vandermonde(g, 1)
         comps = tuple(
-            SingleRegressionParams(rng.normal(size=2), float(rng.uniform(0.5, 2)))
-            for _ in range(2)
+            (rng.normal(size=2), float(rng.uniform(0.5, 2))) for _ in range(2)
         )
         weights = np.array([0.3, 0.7])
-        mixture = RegressionMixtureParams(weights, comps)
+        mixture = one_regime(weights, *comps)
         values = rng.normal(size=3)
         total = mp.mpf(0)
-        for w, comp in zip(weights, comps):
-            mean = design.matrix @ comp.coeffs
+        for w, (coeffs, variance) in zip(weights, comps):
+            mean = design.matrix @ coeffs
             dens = mp.mpf(1)
             for j in range(3):
-                dens *= mp_gauss(values[j], mean[j], comp.variance)
+                dens *= mp_gauss(values[j], mean[j], variance)
             total += mp.mpf(float(w)) * dens
-        got = regression_mixture_curve_loglik(mixture, Curve(values, g), design)
+        got = mixrhlp_curve_loglik(mixture, Curve(values, g), design)
         assert got == pytest.approx(float(mp.log(total)), rel=1e-10)
+
+
+class TestScoringDensity:
+    @pytest.mark.parametrize(
+        "basis", [Basis.polynomial(3), Basis.bspline(4, 3)], ids=["polynomial", "bspline"]
+    )
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_posterior_matches_scoring_density(self, basis, K):
+        # fitting evaluates the one-regime density in closed form, scoring
+        # through the general regime kernel: one model, the same per-curve
+        # log-likelihoods to round-off
+        rng = np.random.default_rng(42 + K)
+        design = design_matrix(TimeGrid(np.linspace(0.0, 20.0, 21)), basis)
+        raw = rng.uniform(0.2, 1.0, size=K)
+        state = (raw / raw.sum(), rng.normal(size=(K, design.n_cols)), rng.uniform(0.5, 2, K))
+        params = baselines._one_regime_params(*state)
+        values = design.matrix @ rng.normal(size=design.n_cols) + rng.normal(size=(30, 21))
+        _, total, per_curve = baselines._posterior(state, values, design)
+        np.testing.assert_allclose(
+            per_curve, mixrhlp_loglik_set(params, values, design), rtol=1e-12, atol=0
+        )
+        assert total == per_curve.sum()
 
 
 class TestFitRegressionMixture:
@@ -151,8 +186,8 @@ class TestFitRegressionMixture:
             values, design, EmConfig(n_clusters=1, n_restarts=1, seed=0)
         )
         direct = fit_single_regression(values, design)
-        np.testing.assert_allclose(params.components[0].coeffs, direct.coeffs, rtol=1e-10)
-        assert params.components[0].variance == pytest.approx(direct.variance, rel=1e-10)
+        np.testing.assert_allclose(coeffs_of(params), coeffs_of(direct), rtol=1e-10)
+        assert variance_of(params) == pytest.approx(variance_of(direct), rel=1e-10)
 
     def test_recovers_separated_constants(self):
         rng = np.random.default_rng(37)
@@ -164,7 +199,8 @@ class TestFitRegressionMixture:
         params, report = fit_regression_mixture(
             values, design, EmConfig(n_clusters=2, n_restarts=3, seed=1, max_iter=100)
         )
-        levels = sorted(float(c.coeffs[0]) for c in params.components)
+        assert params.regimes == (1, 1)
+        levels = sorted(float(c.coeffs[0, 0]) for c in params.clusters)
         assert abs(levels[0] - 0.0) < 0.1
         assert abs(levels[1] - 100.0) < 0.1
         np.testing.assert_allclose(sorted(params.weights), [1 / 3, 2 / 3], atol=0.05)
@@ -174,20 +210,17 @@ class TestFitRegressionMixture:
         rng = np.random.default_rng(38)
         g = grid_of(0.0, 0.5, 1.0)
         design = vandermonde(g, 0)
-        comps = (
-            SingleRegressionParams(np.array([0.0]), 1.0),
-            SingleRegressionParams(np.array([1.5]), 0.5),
-        )
-        mixture = RegressionMixtureParams(np.array([0.4, 0.6]), comps)
+        comps = (([0.0], 1.0), ([1.5], 0.5))
+        mixture = one_regime([0.4, 0.6], *comps)
         values = rng.normal(size=(3, 3))
-        resp = mixture_responsibilities(mixture, values, design)
+        resp = e_step(mixture, values, design).cluster_resp
         for i in range(3):
             dens = []
-            for w, comp in zip((0.4, 0.6), comps):
-                mean = design.matrix @ comp.coeffs
+            for w, (coeffs, variance) in zip((0.4, 0.6), comps):
+                mean = design.matrix @ coeffs
                 d = mp.mpf(1)
                 for j in range(3):
-                    d *= mp_gauss(values[i, j], mean[j], comp.variance)
+                    d *= mp_gauss(values[i, j], mean[j], variance)
                 dens.append(mp.mpf(w) * d)
             total = mp.fsum(dens)
             for k in range(2):
@@ -206,30 +239,15 @@ class TestFitRegressionMixture:
                 3.0 + rng.normal(size=(4, 15)),
             ]
         )
-        comps = (
-            SingleRegressionParams(np.array([0.1, 0.0]), 1.0),
-            SingleRegressionParams(np.array([2.9, 0.1]), 1.2),
-        )
-        mix_init = RegressionMixtureParams(np.array([0.5, 0.5]), comps)
-        rhlp_init = MixRhlpParams(
-            np.array([0.5, 0.5]),
-            tuple(
-                RhlpParams(
-                    LogisticWeights.zeros(1),
-                    comp.coeffs[None, :],
-                    np.array([comp.variance]),
-                )
-                for comp in comps
-            ),
-        )
+        init = one_regime([0.5, 0.5], ([0.1, 0.0], 1.0), ([2.9, 0.1], 1.2))
         cfg = EmConfig(n_clusters=2, n_regimes=1, degree=1, max_iter=40, seed=0,
                        n_restarts=1)
-        pm, rm = fit_regression_mixture(values, design, cfg, init=mix_init)
-        ph, rh = em_fit(values, g, cfg, init=rhlp_init)
+        pm, rm = fit_regression_mixture(values, design, cfg, init=init)
+        ph, rh = em_fit(values, g, cfg, init=init)
         assert len(rm.loglik_trace) == len(rh.loglik_trace)
         np.testing.assert_allclose(rm.loglik_trace, rh.loglik_trace, atol=1e-8)
-        for comp, cluster in zip(pm.components, ph.clusters):
-            np.testing.assert_allclose(comp.coeffs, cluster.coeffs[0], atol=1e-8)
+        for comp, cluster in zip(pm.clusters, ph.clusters):
+            np.testing.assert_allclose(comp.coeffs, cluster.coeffs, atol=1e-8)
 
     def test_same_seed_same_initial_partition_as_mixrhlp(self):
         # seeded runs share the partition draw, so the R=1 equivalence also
@@ -252,10 +270,7 @@ class TestFitRegressionMixture:
         values = np.array([[1.0, -1.0, 1.0, -1.0]] * 9 + [[1.5, -1.5, 1.5, -1.5]])
         var = float(np.mean(values**2))
         design = vandermonde(TimeGrid(np.linspace(0, 1, 4)), 0)
-        far = SingleRegressionParams(np.array([1e3]), var)
-        init = RegressionMixtureParams(
-            np.array([1.0 - 1e-9, 1e-9]), (SingleRegressionParams(np.array([0.0]), var), far)
-        )
+        init = one_regime([1.0 - 1e-9, 1e-9], ([0.0], var), ([1e3], var))
         real_m_step = baselines._mixture_m_step
         calls = []
 
@@ -270,7 +285,7 @@ class TestFitRegressionMixture:
         assert calls[:2] == [(True, True), (False, False)]
         assert np.all(np.diff(report.loglik_trace) >= 0.0)
         # the plain update keeps the starved component as it was
-        np.testing.assert_array_equal(params.components[1].coeffs, far.coeffs)
+        np.testing.assert_array_equal(params.clusters[1].coeffs, init.clusters[1].coeffs)
         assert params.weights[1] < 1e-11
 
     def test_likelihood_drop_is_not_convergence(self, monkeypatch):
@@ -289,10 +304,8 @@ class TestFitRegressionMixture:
             calls.append(cand)
             if len(calls) == 1:
                 return cand, rescued
-            far = tuple(
-                SingleRegressionParams(c.coeffs + 50.0, c.variance) for c in cand.components
-            )
-            return RegressionMixtureParams(cand.weights, far), rescued
+            weights, coeffs, variances = cand
+            return (weights, coeffs + 50.0, variances), rescued
 
         monkeypatch.setattr(baselines, "_mixture_m_step", worse_m_step)
         cfg = EmConfig(n_clusters=2, max_iter=20, n_restarts=1, seed=0)
@@ -301,6 +314,21 @@ class TestFitRegressionMixture:
         assert np.all(np.diff(report.loglik_trace) >= 0.0)
         assert report.iterations == 1
         assert report.converged is False
-        np.testing.assert_array_equal(
-            [c.coeffs for c in params.components], [c.coeffs for c in calls[0].components]
-        )
+        np.testing.assert_array_equal([c.coeffs[0] for c in params.clusters], calls[0][1])
+
+    @pytest.mark.parametrize(
+        "init",
+        [
+            one_regime([0.5, 0.5], ([0.0, 1.0], 1.0), ([1.0, 0.0], 1.0)),
+            MixRhlpParams(
+                np.array([1.0]),
+                (RhlpParams(LogisticWeights.zeros(2), np.zeros((2, 1)), np.ones(2)),),
+            ),
+        ],
+        ids=["too-wide", "two-regimes"],
+    )
+    def test_init_outside_the_model_rejected(self, init):
+        design = vandermonde(TimeGrid(np.linspace(0, 1, 5)), 0)
+        cfg = EmConfig(n_clusters=init.n_clusters, n_restarts=1)
+        with pytest.raises(ValueError):
+            fit_regression_mixture(np.zeros((4, 5)), design, cfg, init=init)

@@ -228,6 +228,29 @@ class TestClassify:
         assert code == 3
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("variant", ["fmda-prm", "fmda-mixrhlp"])
+    @pytest.mark.parametrize("command", ["classify", "export-plots"])
+    def test_basis_disagreeing_with_coefficients_is_data_error(
+        self, tmp_path, dataset_dir, capsys, variant, command
+    ):
+        # a degree-1 fit whose file then claims degree 3: the design has
+        # four columns and every coefficient row two
+        model_path = tmp_path / "model.json"
+        assert run("fit", "--data", dataset_dir, "--variant", variant, "--K", "2", "--R", "2",
+                   "--p", "1", "--n-restarts", "1", "--out", str(model_path)) == 0
+        doc = json.loads(model_path.read_text())
+        doc["basis"]["degree"] = 3
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / "p.csv" if command == "classify" else out
+        capsys.readouterr()
+        code = run(command, "--model", str(model_path), "--data", dataset_dir,
+                   "--out", str(target))
+        assert code == 3
+        assert "design has 4 columns but coefficients expect 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestEvaluate:
     def test_separable_data_zero_error(self, tmp_path, dataset_dir):

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import warnings
 
 import mpmath as mp
@@ -20,9 +21,20 @@ from regimix.discriminant import (
     train,
     train_detailed,
 )
-from regimix.baselines import SingleRegressionParams
 from regimix.errors import DataError
-from regimix.mixrhlp import mean_curves
+from regimix.logistic import LogisticWeights
+from regimix.mixrhlp import MixRhlpParams, RhlpParams, mean_curves
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def regression(coeffs, variance):
+    """A single regression's class model: one cluster with one regime."""
+    return MixRhlpParams(
+        np.array([1.0]),
+        (RhlpParams(LogisticWeights.zeros(1), np.array([coeffs], dtype=float), [variance]),),
+    )
 
 
 def toy_dataset(rng, n1=6, n2=4, m=12, sep=5.0):
@@ -100,7 +112,7 @@ class TestClassify:
 
     def test_equal_likelihood_decided_by_priors(self):
         g = TimeGrid(np.linspace(0, 1, 4))
-        shared = SingleRegressionParams(np.array([0.0]), 1.0)
+        shared = regression([0.0], 1.0)
         model = ClassifierModel(
             variant="flda-pr",
             priors=np.array([0.625, 0.375]),
@@ -112,13 +124,19 @@ class TestClassify:
         assert label == 1
         np.testing.assert_allclose(post, [0.625, 0.375], atol=1e-12)
 
+    def test_class_model_outside_the_model_rejected(self):
+        g = TimeGrid(np.linspace(0, 1, 4))
+        kw = dict(variant="flda-pr", priors=np.array([1.0]), basis=vandermonde(g, 1).basis, grid=g)
+        ClassifierModel(class_models=(regression([0.0, 1.0], 1.0),), **kw)
+        with pytest.raises(ValueError, match="design has 2 columns"):
+            ClassifierModel(class_models=(regression([0.0], 1.0),), **kw)
+        with pytest.raises(ValueError, match="not MixRhlpParams"):
+            ClassifierModel(class_models=(object(),), **kw)
+
     def test_posteriors_match_brute_force_bayes(self):
         rng = np.random.default_rng(56)
         g = TimeGrid(np.linspace(0, 1, 4))
-        models = (
-            SingleRegressionParams(rng.normal(size=1), 0.9),
-            SingleRegressionParams(rng.normal(size=1), 1.7),
-        )
+        models = (regression(rng.normal(size=1), 0.9), regression(rng.normal(size=1), 1.7))
         priors = np.array([0.3, 0.7])
         model = ClassifierModel(
             variant="flda-pr",
@@ -131,10 +149,11 @@ class TestClassify:
         _, post = classify(model, Curve(values, g))
         dens = []
         for prior, cm in zip(priors, models):
-            mean = vandermonde(g, 0).matrix @ cm.coeffs
+            (cluster,) = cm.clusters
+            mean = vandermonde(g, 0).matrix @ cluster.coeffs[0]
             d = mp.mpf(1)
             for j in range(4):
-                d *= mp_gauss(values[j], mean[j], cm.variance)
+                d *= mp_gauss(values[j], mean[j], cluster.variances[0])
             dens.append(mp.mpf(float(prior)) * d)
         total = mp.fsum(dens)
         expected = [float(d / total) for d in dens]
@@ -215,8 +234,8 @@ class TestMeanCurves:
         )
         curves = class_mean_curves(model, 1)
         design = model.design
-        for k, comp in enumerate(model.class_models[0].components):
-            np.testing.assert_allclose(curves[k], design.matrix @ comp.coeffs)
+        for k, comp in enumerate(model.class_models[0].clusters):
+            np.testing.assert_allclose(curves[k], design.matrix @ comp.coeffs[0])
 
     def test_fmda_mixrhlp_delegates(self):
         rng = np.random.default_rng(62)
@@ -248,6 +267,9 @@ class TestClassifierSerialization:
         )
         model = train(data, cfg)
         text = model_to_json(model)
+        doc = json.loads(text)
+        assert doc["format_version"] == 2
+        assert [c["kind"] for c in doc["classes"]] == ["mixrhlp", "mixrhlp"]
         loaded = model_from_json(text)
         assert model_to_json(loaded) == text
         l1, p1 = classify_set(model, data.values)
@@ -260,3 +282,56 @@ class TestClassifierSerialization:
             model_from_json("not json at all {")
         with pytest.raises(DataError):
             model_from_json(json.dumps({"format_version": 0}))
+        doc = json.loads((DATA / "v1_fmda-mixrhlp.model.json").read_text())
+        for version in (0, 3):
+            with pytest.raises(DataError, match="format version"):
+                model_from_json(json.dumps({**doc, "format_version": version}))
+
+
+def _written_clusters(class_doc):
+    """(coefficients, variances) of each cluster of a version-1 class
+    document; a regression component is one regime."""
+    if class_doc["kind"] == "mixrhlp":
+        return [(c["betas"], c["variances"]) for c in class_doc["clusters"]]
+    return [([c["coeffs"]], [c["variance"]]) for c in class_doc.get("components", [class_doc])]
+
+
+class TestVersion1Documents:
+    """Model files written by the format-1 writer (commit 036c4f0), with the
+    labels and posteriors its ``classify_set`` gave on six held-out curves.
+    The regression kinds now score through the regime kernel, which sums
+    the same density point by point: the labels are the same and the
+    posteriors agree to round-off. The ``mixrhlp`` kind scores as before,
+    bit for bit."""
+
+    EXPECTED = json.loads((DATA / "v1_classify_expected.json").read_text())
+
+    @pytest.mark.parametrize("variant", ["flda-sr", "fmda-prm", "fmda-mixrhlp"])
+    def test_loads_and_classifies_as_written(self, variant):
+        text = (DATA / f"v1_{variant}.model.json").read_text()
+        doc = json.loads(text)
+        assert doc["format_version"] == 1
+        model = model_from_json(text)
+        assert model.variant == variant
+        assert all(isinstance(cm, MixRhlpParams) for cm in model.class_models)
+        for cm, class_doc in zip(model.class_models, doc["classes"]):
+            written = _written_clusters(class_doc)
+            assert len(cm.clusters) == len(written)
+            for cluster, (coeffs, variances) in zip(cm.clusters, written):
+                np.testing.assert_array_equal(cluster.coeffs, coeffs)
+                np.testing.assert_array_equal(cluster.variances, variances)
+
+        expected = self.EXPECTED[variant]
+        values = np.array(self.EXPECTED["values"])
+        labels, posteriors = classify_set(model, values)
+        np.testing.assert_array_equal(labels, expected["labels"])
+        if variant == "fmda-mixrhlp":
+            np.testing.assert_array_equal(posteriors, expected["posteriors"])
+        else:
+            np.testing.assert_allclose(posteriors, expected["posteriors"], rtol=1e-12, atol=0)
+
+        rewritten = json.loads(model_to_json(model))
+        assert rewritten["format_version"] == 2
+        assert {c["kind"] for c in rewritten["classes"]} == {"mixrhlp"}
+        again = model_from_json(model_to_json(model))
+        np.testing.assert_array_equal(classify_set(again, values)[1], posteriors)

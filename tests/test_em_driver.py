@@ -77,7 +77,8 @@ def test_regression_mixture_fit_is_finite_and_monotone_or_rejected(shape):
         params, report = fit_regression_mixture(_curves(shape), design, _config(shape))
     except ValueError:
         return
+    assert set(params.regimes) == {1}
     arrays = [params.weights]
-    for c in params.components:
-        arrays += [c.coeffs, np.array([c.variance])]
+    for c in params.clusters:
+        arrays += [c.coeffs, c.variances]
     _check_fit(arrays, report)
