@@ -216,6 +216,13 @@ def _cmd_fit(args: argparse.Namespace, workers: int) -> int:
     data = _read_dataset(args.data)
     config = _train_config(cfg)
     model, reports = train_detailed(data, config, workers=workers)
+    for label, rep in enumerate(reports, start=1):
+        if rep is not None and not rep.converged:
+            print(
+                f"regimix: warning: class {label} fit stopped after {rep.iterations} "
+                "iterations without converging",
+                file=sys.stderr,
+            )
     atomic_write_text(args.out, model_to_json(model) + "\n")
     report_doc = {
         "command": "fit",

@@ -305,9 +305,7 @@ def model_to_dict(model: ClassifierModel) -> dict:
 
 def model_from_dict(doc: dict) -> ClassifierModel:
     """A classifier from its document, of ``format_version`` 2 or 1."""
-    version = doc.get("format_version")
-    if version not in (1, CLASSIFIER_FORMAT_VERSION):
-        raise DataError(f"unsupported classifier format version: {version!r}")
+    version = mixrhlp._format_version(doc, (1, CLASSIFIER_FORMAT_VERSION), "classifier")
     try:
         grid = TimeGrid(np.array(doc["grid"], dtype=float))
         return ClassifierModel(

@@ -23,12 +23,24 @@ all G problems at once: the EM's M-step fits the logistic processes of
 every cluster of a class as one stack. The single process is the G = 1
 case of the same code. Internally the tables are regime-first, (G, R, m),
 so that reductions over regimes run across slabs.
+
+``irls_fit`` prepares its problem once: it checks the counts, makes them
+regime-first and forms their positive mask and (G, m) totals over
+regimes. It hands that prepared problem to ``qw_value`` and
+``qw_gradient_hessian`` (called through their module names, once per
+round of candidates and once per Newton step) in place of the raw counts,
+so neither re-checks them. ``qw_value`` on a prepared problem also
+returns the regime probabilities its softmax formed, and the accepted
+candidate's probabilities go to the next gradient and Hessian instead of
+a second softmax. Given a (G, R, 2) coefficient array, ``irls_fit``
+returns the fitted array and builds no ``LogisticWeights``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,8 +146,49 @@ def _aggregate_counts(soft_counts: np.ndarray, m: int, stack: int | None) -> np.
     return counts.transpose(0, 2, 1)
 
 
+class _Counts(NamedTuple):
+    """A stack's soft counts, checked once: the (G, R, m) regime-first
+    counts, their positive mask, their (G, m) totals over regimes and, when
+    known, the (G, R, m) regime probabilities at the current iterate."""
+
+    counts: np.ndarray
+    positive: np.ndarray
+    totals: np.ndarray
+    probs: np.ndarray | None = None
+
+    @staticmethod
+    def prepare(soft_counts, m: int, stack: int | None) -> "_Counts":
+        counts = _aggregate_counts(soft_counts, m, stack)
+        return _Counts(counts, counts > 0, counts.sum(axis=1))
+
+    def take(self, rows: np.ndarray, probs: np.ndarray | None = None) -> "_Counts":
+        """The problems at the sorted positions ``rows``, with their rows of
+        the (G, R, m) probabilities ``probs`` when given."""
+        if rows.size == len(self.counts):  # every problem, in order
+            return _Counts(self.counts, self.positive, self.totals, probs)
+        if probs is not None:
+            probs = probs[rows]
+        return _Counts(self.counts[rows], self.positive[rows], self.totals[rows], probs)
+
+
 def _unwrap(values, single: bool):
     return tuple(v[0] for v in values) if single else values
+
+
+def _objective(coef: np.ndarray, grid: TimeGrid, prepared: _Counts):
+    """(G,) values of Q and the (G, R, m) regime probabilities, from one
+    softmax: the log-probabilities of ``_log_probs`` and the
+    probabilities of ``_probs``, bit for bit."""
+    scores = _scores(coef, grid)
+    scores -= scores.max(axis=1, keepdims=True)
+    expd = np.exp(scores)
+    sums = expd.sum(axis=1, keepdims=True)
+    scores -= np.log(sums)
+    # a zero count scores 0, whatever its log-probability (-inf included)
+    terms = np.multiply(
+        prepared.counts, scores, out=np.zeros_like(scores), where=prepared.positive
+    )
+    return terms.reshape(len(coef), -1).sum(axis=1), np.divide(expd, sums, out=expd)
 
 
 def qw_value(weights, grid: TimeGrid, soft_counts: np.ndarray):
@@ -143,13 +196,14 @@ def qw_value(weights, grid: TimeGrid, soft_counts: np.ndarray):
 
     One process gives a float. A tuple of G processes with the same R,
     with a (G, m, R) count array, gives the (G,) values of the G problems.
+    ``irls_fit`` passes a (G, R, 2) array with its prepared counts and gets
+    the values with the regime probabilities.
     """
+    if isinstance(soft_counts, _Counts):
+        return _objective(weights, grid, soft_counts)
     coef, single = _coef_stack(weights)
-    counts = _aggregate_counts(soft_counts, len(grid), None if single else len(coef))
-    log_pi = _log_probs(coef, grid)
-    with np.errstate(invalid="ignore"):
-        terms = np.where(counts > 0, counts * log_pi, 0.0)
-    q = terms.reshape(len(coef), -1).sum(axis=1)
+    prepared = _Counts.prepare(soft_counts, len(grid), None if single else len(coef))
+    q = _objective(coef, grid, prepared)[0]
     return float(q[0]) if single else q
 
 
@@ -176,18 +230,22 @@ def qw_gradient_hessian(
     flattened as (intercept, slope) pairs. The Hessian is the usual
     multinomial-logistic curvature, symmetric negative semi-definite.
     A tuple of G processes with a (G, m, R) count array gives (G, 2(R-1))
-    gradients and (G, 2(R-1), 2(R-1)) Hessians.
+    gradients and (G, 2(R-1), 2(R-1)) Hessians. ``irls_fit`` passes its
+    prepared counts, with the probabilities at ``weights`` when known.
     """
     coef, single = _coef_stack(weights)
     G, R = coef.shape[:2]
     m = len(grid)
-    counts = _aggregate_counts(soft_counts, m, None if single else G)
+    prepared = soft_counts
+    if not isinstance(prepared, _Counts):
+        prepared = _Counts.prepare(soft_counts, m, None if single else G)
     n_free = 2 * (R - 1)
     if n_free == 0:
         return _unwrap((np.zeros((G, 0)), np.zeros((G, 0, 0))), single)
 
-    pi = _probs(coef, grid)[:, :-1]  # (G, R-1, m): the free regimes
-    totals = counts.sum(axis=1)  # (G, m)
+    counts, totals = prepared.counts, prepared.totals  # (G, R, m), (G, m)
+    probs = _probs(coef, grid) if prepared.probs is None else prepared.probs
+    pi = probs[:, :-1]  # (G, R-1, m): the free regimes
     phi, outer, eye = _hessian_constants(grid.points.tobytes(), R - 1)
 
     weighted = totals[:, None] * pi
@@ -246,50 +304,54 @@ def irls_fit(
     candidate array has its gauge row at (0, 0) by construction; a
     non-finite candidate raises ``ValueError``, as ``LogisticWeights``
     does. ``LogisticWeights`` are built once, for the problems that moved;
-    a problem that did not keeps its input object.
+    a problem that did not keeps its input object. A (G, R, 2) array
+    ``weights_init`` gives the fitted (G, R, 2) array instead.
     """
     coef, single = _coef_stack(weights_init)
+    as_array = isinstance(weights_init, np.ndarray)
     G, R = coef.shape[:2]
-    # (G, m, R), as qw_value takes a stack, over regime-first memory
-    counts = _aggregate_counts(soft_counts, len(grid), None if single else G).transpose(0, 2, 1)
+    prepared = _Counts.prepare(soft_counts, len(grid), None if single else G)
     if R == 1 or max_iter <= 0:
-        return weights_init if single else tuple(weights_init)
+        return weights_init if single or as_array else tuple(weights_init)
 
     coef = coef.copy()  # the iterate of every problem; the gauge row stays 0
     moved = np.zeros(G, dtype=bool)
-    q = qw_value(coef, grid, counts)
+    q, probs = qw_value(coef, grid, prepared)  # probs: the softmax at coef
     live = np.arange(G)  # problems still iterating
     for _ in range(max_iter):
-        if not live.size:
-            break
-        grad, hess = qw_gradient_hessian(coef[live], grid, counts[live])
+        grad, hess = qw_gradient_hessian(coef[live], grid, prepared.take(live, probs))
         direction = _newton_directions(grad, hess)
         gain = 0.5 * np.einsum("gf,gf->g", grad, direction)
         ascent = gain > tol * (1.0 + np.abs(q[live]))  # False for NaN
-        live, direction = live[ascent], direction[ascent]
-        step = np.ones(live.size)
-        searching = np.arange(live.size)  # positions in ``live`` still halving
-        for _ in range(_MAX_HALVINGS + 1):
-            if not searching.size:
+        if not ascent.all():
+            live, direction = live[ascent], direction[ascent]
+            if not live.size:
                 break
-            members = live[searching]
-            free = coef[members, :-1].reshape(members.size, -1)
-            cand_free = free + step[searching, None] * direction[searching]
+        # the line search: every problem still in it has halved its step
+        # as often, so one scalar step serves them all
+        members, free = live, coef[live, :-1].reshape(live.size, -1)
+        step = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            cand_free = free + step * direction
             if not np.isfinite(cand_free).all():
                 raise ValueError("logistic weights must be finite")
             cands = np.zeros((members.size, R, 2))
             cands[:, :-1] = cand_free.reshape(members.size, R - 1, 2)
-            q_cand = qw_value(cands, grid, counts[members])
+            q_cand, p_cand = qw_value(cands, grid, prepared.take(members))
             accept = q_cand >= q[members]
             won = members[accept]
-            coef[won], q[won] = cands[accept], q_cand[accept]
+            coef[won], q[won], probs[won] = cands[accept], q_cand[accept], p_cand[accept]
             moved[won] = True
-            searching = searching[~accept]
-            step[searching] *= 0.5
-        if searching.size:  # an exhausted line search stops its problem
-            kept = np.ones(live.size, dtype=bool)
-            kept[searching] = False
-            live = live[kept]
+            if won.size == members.size:
+                break
+            members, free, direction = members[~accept], free[~accept], direction[~accept]
+            step *= 0.5
+        else:  # an exhausted line search stops its problems
+            live = live[~np.isin(live, members)]
+            if not live.size:
+                break
+    if as_array:
+        return coef
     starts = [weights_init] if single else weights_init
     fitted = tuple(
         LogisticWeights(c) if did else start for c, did, start in zip(coef, moved, starts)

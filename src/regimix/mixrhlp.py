@@ -32,9 +32,22 @@ before. The M-step fits each group as one stack too: (G, R, m) weighted
 statistics, one ``ridge_solve`` over the Grams of every regime with mass,
 and one stacked IRLS for the G logistic processes.
 
-Each EM restart (one ``_em_once`` call) owns a workspace of two slots,
-each holding one (G, R, n, m) kernel buffer per regime group, allocated
-once when the restart starts. The E-step of an iterate writes its regime
+Each EM restart (one ``_em_once`` call) carries its iterate as one packed
+state of plain arrays, ``_EmState``: the (K,) mixing weights and, for each
+regime group, the (G, R, d) coefficients, (G, R) variances and (G, R, 2)
+logistic coefficients. The E-step reads it and the M-step returns a new
+one, so an iteration builds no ``RhlpParams``, ``LogisticWeights`` or
+``MixRhlpParams`` and checks none: ``_em_once`` packs its start and builds
+(and so checks) the parameters it returns, and the public ``e_step`` and
+``m_step`` convert the same way. A NaN in an M-step result makes the next
+E-step's log-likelihoods NaN, which raises ``NumericalError``; an infinite
+one starves its cluster, or fails the checks where ``_em_once`` builds its
+result. Ragged regime counts give one entry per group, and the
+starved-cluster rescue writes its re-seeded cluster into its group's rows.
+
+Each restart also owns a workspace of two slots, each holding one
+(G, R, n, m) kernel buffer per regime group, allocated once when the
+restart starts. The E-step of an iterate writes its regime
 responsibilities into one slot, and ``Posteriors.regime_resp`` views that
 memory. A candidate's E-step takes the other slot, so the slot behind the
 accepted posteriors is overwritten only once a newer iterate has been
@@ -54,7 +67,9 @@ the EM driver: one ascent loop, ``_ascend``, and one restart selection,
 from __future__ import annotations
 
 import functools
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -263,21 +278,24 @@ def _check_design(design: DesignMatrix, params: MixRhlpParams | RhlpParams) -> N
             )
 
 
-def _regime_groups(clusters, indices) -> list[list[int]]:
-    """The given cluster indices grouped by regime count, each group in
-    index order; one group unless the regime counts are ragged."""
-    groups: dict[int, list[int]] = {}
-    for k in indices:
-        groups.setdefault(clusters[k].n_regimes, []).append(k)
-    return list(groups.values())
+#: Shifted log-densities below this bound have an ``exp`` of exactly 0.0,
+#: which numpy computes on a slow path; the kernel writes the 0.0.
+_EXP_UNDERFLOW = -745.2
 
 
 def _regime_kernel(
-    clusters, values: np.ndarray, design: DesignMatrix, want_resp: bool, out=None
+    coeffs: np.ndarray,
+    variances: np.ndarray,
+    logistic: np.ndarray,
+    values: np.ndarray,
+    design: DesignMatrix,
+    want_resp: bool,
+    out=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(G, n) per-curve log-likelihoods under G clusters that share one
-    regime count R; with ``want_resp``, also their (G, R, n, m) regime
-    responsibilities.
+    regime count R, given as (G, R, d) coefficients, (G, R) variances and
+    (G, R, 2) logistic coefficients; with ``want_resp``, also their
+    (G, R, n, m) regime responsibilities.
 
     One (G, R, n, m) buffer takes log pi_r(t_j) + log N(x_ij; mean_jr, var_r)
     and is reduced across its R slabs; the responsibilities overwrite it.
@@ -287,9 +305,9 @@ def _regime_kernel(
     log-likelihood is -inf, so the cluster's responsibility for the curve
     is 0 and they carry no weight.
     """
-    log_pi = log_regime_probabilities(tuple(c.logistic for c in clusters), design.grid)
-    means = np.stack([c.coeffs for c in clusters]) @ design.matrix.T  # (G, R, m)
-    var = np.stack([c.variances for c in clusters])[:, :, None, None]
+    log_pi = log_regime_probabilities(logistic, design.grid)  # (G, m, R)
+    means = coeffs @ design.matrix.T  # (G, R, m)
+    var = variances[:, :, None, None]
     # C order: one slab per regime
     buf = np.empty(means.shape[:2] + values.shape) if out is None else out
     np.subtract(values, means[:, :, None, :], out=buf)
@@ -305,17 +323,26 @@ def _regime_kernel(
     if underflow:
         shift[~np.isfinite(shift)] = 0.0
     buf -= shift[:, None]
-    np.exp(buf, out=buf)
+    # Lanes below the bound get their exp of 0.0 written, not computed. A
+    # regime probability below the bound (a sharp logistic process) is what
+    # puts lanes there, and it is cheap to test; any other lane below it
+    # takes exp, with the same result.
+    if log_pi.min() < _EXP_UNDERFLOW:
+        low = buf < _EXP_UNDERFLOW  # False for NaN, which exp keeps
+        np.exp(buf, out=buf, where=~low)
+        np.copyto(buf, 0.0, where=low)
+    else:
+        np.exp(buf, out=buf)
     # explicit normalisation: exp(lp - lse) alone drifts from a unit sum by
     # eps * |lse| when log-densities are huge. Without underflow the
     # largest term is exp(0) = 1, so every total is at least 1.
     totals = np.add.reduce(buf, axis=1)
-    if want_resp:
-        with np.errstate(invalid="ignore"):
+    # only a total of 0, which needs underflow, divides by zero
+    with np.errstate(invalid="ignore", divide="ignore") if underflow else nullcontext():
+        if want_resp:
             buf /= totals[:, None]
-        if underflow:
-            np.copyto(buf, 1.0 / buf.shape[1], where=(totals == 0.0)[:, None])
-    with np.errstate(divide="ignore"):
+            if underflow:
+                np.copyto(buf, 1.0 / buf.shape[1], where=(totals == 0.0)[:, None])
         point = np.log(totals, out=totals)
     point += shift
     return point.sum(axis=2), (buf if want_resp else None)
@@ -327,7 +354,8 @@ def rhlp_loglik_set(
     """Per-curve log-likelihood under one cluster's density; values is (n, m)."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     _check_design(design, rhlp)
-    return _regime_kernel((rhlp,), values, design, False)[0][0]
+    arrays = (rhlp.coeffs, rhlp.variances, rhlp.logistic.coef)
+    return _regime_kernel(*(a[None] for a in arrays), values, design, False)[0][0]
 
 
 def rhlp_curve_loglik(rhlp: RhlpParams, curve, design: DesignMatrix) -> float:
@@ -357,26 +385,68 @@ def mixrhlp_curve_loglik(params: MixRhlpParams, curve, design: DesignMatrix) -> 
 # ---------------------------------------------------------------------------
 
 
+class _EmState(NamedTuple):
+    """One EM iterate of ``_em_once`` on plain arrays: the (K,) mixing
+    weights and, for each regime group (the cluster indices ``groups[i]``,
+    which share one regime count R), the (G, R, d) coefficients, (G, R)
+    variances and (G, R, 2) logistic coefficients of its G clusters.
+    Nothing checks it; ``_pack`` and ``_unpack`` convert at the boundaries
+    that do."""
+
+    weights: np.ndarray
+    groups: tuple[tuple[int, ...], ...]
+    coeffs: tuple[np.ndarray, ...]
+    variances: tuple[np.ndarray, ...]
+    logistic: tuple[np.ndarray, ...]
+
+
+def _pack(params: MixRhlpParams) -> _EmState:
+    """The iterate of ``params``: its cluster indices grouped by regime
+    count, each group in index order (one group unless the counts are
+    ragged), and the stacked arrays of each group."""
+    by_count: dict[int, list[int]] = {}
+    for k, cluster in enumerate(params.clusters):
+        by_count.setdefault(cluster.n_regimes, []).append(k)
+    groups = tuple(map(tuple, by_count.values()))
+
+    def stacked(field):
+        return tuple(np.stack([field(params.clusters[k]) for k in g]) for g in groups)
+
+    return _EmState(
+        params.weights,
+        groups,
+        stacked(lambda c: c.coeffs),
+        stacked(lambda c: c.variances),
+        stacked(lambda c: c.logistic.coef),
+    )
+
+
+def _unpack(state: _EmState) -> MixRhlpParams:
+    """The checked parameters of an iterate."""
+    clusters = [None] * len(state.weights)
+    for group, *arrays in zip(state.groups, state.coeffs, state.variances, state.logistic):
+        for k, coeffs, variances, logistic in zip(group, *arrays):
+            clusters[k] = RhlpParams(LogisticWeights(logistic), coeffs, variances)
+    return MixRhlpParams(state.weights, tuple(clusters))
+
+
 def _e_step_full(
-    params: MixRhlpParams, values: np.ndarray, design: DesignMatrix, out=None
+    state: _EmState, values: np.ndarray, design: DesignMatrix, out=None
 ) -> tuple[Posteriors, float, np.ndarray]:
     """Posteriors, total log-likelihood, and per-curve log-likelihoods.
 
-    ``out`` holds one (G, R, n, m) buffer per group of ``_regime_groups``,
+    ``out`` holds one (G, R, n, m) buffer per regime group of ``state``,
     which the regime responsibilities overwrite; without it they get
     fresh arrays. The posteriors are not re-checked (see ``e_step``).
     """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    _check_design(design, params)
     n = values.shape[0]
-    K = params.n_clusters
-
-    per_cluster = np.empty((n, K))
-    taus = [None] * K
-    groups = _regime_groups(params.clusters, range(K))
-    for i, group in enumerate(groups):
+    per_cluster = np.empty((n, len(state.weights)))
+    taus = [None] * len(state.weights)
+    for i, group in enumerate(state.groups):
         logliks, resp = _regime_kernel(
-            [params.clusters[k] for k in group],
+            state.coeffs[i],
+            state.variances[i],
+            state.logistic[i],
             values,
             design,
             True,
@@ -386,7 +456,7 @@ def _e_step_full(
             per_cluster[:, k] = logliks[g]
             taus[k] = resp[g].transpose(1, 2, 0)  # (n, m, R) view of (R, n, m)
 
-    gamma, per_curve = _cluster_posteriors(np.log(params.weights)[None, :] + per_cluster)
+    gamma, per_curve = _cluster_posteriors(np.log(state.weights)[None, :] + per_cluster)
     return Posteriors._unchecked(gamma, tuple(taus)), float(per_curve.sum()), per_curve
 
 
@@ -410,7 +480,9 @@ def e_step(
 ) -> Posteriors:
     """Cluster and regime responsibilities for a set of curves, checked as
     ``Posteriors`` checks tables built by hand."""
-    post, _, _ = _e_step_full(params, values, design)
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    _check_design(design, params)
+    post, _, _ = _e_step_full(_pack(params), values, design)
     return Posteriors(post.cluster_resp, post.regime_resp)
 
 
@@ -432,20 +504,24 @@ def _fit_clusters(
     taus: list[np.ndarray],
     values: np.ndarray,
     design: DesignMatrix,
-    prev: list[RhlpParams],
+    coeffs: np.ndarray,
+    variances: np.ndarray,
+    logistic: np.ndarray,
     floor: float,
     irls_max_iter: int,
-) -> list[RhlpParams]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted updates for a stack of G clusters that share one regime
-    count, given their (n,) responsibilities ``resp`` and (R, n, m) regime
-    responsibilities ``taus``: one regime solve over every regime with
-    mass, and one IRLS over the stack."""
+    count, given their (n,) responsibilities ``resp``, (R, n, m) regime
+    responsibilities ``taus`` and previous (G, R, d) ``coeffs``, (G, R)
+    ``variances`` and (G, R, 2) ``logistic`` coefficients: one regime solve
+    over every regime with mass, and one IRLS over the stack. The new
+    coefficients and variances overwrite the given arrays."""
     T = design.matrix
-    stats = [_regime_stats(r, tau, values) for r, tau in zip(resp, taus)]
-    point_w, xw, x2w = (np.stack(s) for s in zip(*stats))  # (G, R, m) each
+    G, R = variances.shape
+    point_w, xw, x2w = (np.empty((G, R, len(T))) for _ in range(3))
+    for g, (r, tau) in enumerate(zip(resp, taus)):
+        point_w[g], xw[g], x2w[g] = _regime_stats(r, tau, values)
 
-    coeffs = np.stack([c.coeffs for c in prev])
-    variances = np.stack([c.variances for c in prev])
     regime_mass = point_w.sum(axis=2)
     # a regime without mass keeps its previous parameters; zero weight,
     # zero influence
@@ -459,57 +535,70 @@ def _fit_clusters(
         variances[fit] = np.maximum(sse / regime_mass[fit], floor)
 
     logistic = irls_fit(
-        tuple(c.logistic for c in prev),
+        logistic,
         design.grid,
         point_w.transpose(0, 2, 1),  # (G, m, R) view of regime-first memory
         max_iter=irls_max_iter,
     )
-    return [RhlpParams(*args) for args in zip(logistic, coeffs, variances)]
+    return coeffs, variances, logistic
 
 
 def _m_step_impl(
     posteriors: Posteriors,
     values: np.ndarray,
     design: DesignMatrix,
-    prev: MixRhlpParams,
+    prev: _EmState,
     floor: float,
     irls_max_iter: int,
     rescue: bool,
     prev_curve_loglik: np.ndarray | None,
-) -> tuple[MixRhlpParams, bool]:
+) -> tuple[_EmState, bool]:
     n = values.shape[0]
     gamma = posteriors.cluster_resp
     totals = gamma.sum(axis=0)
     weights = totals / n
+    starved = totals < _STARVED_FRACTION * n
 
-    clusters = list(prev.clusters)
-    starved = [k for k in range(prev.n_clusters) if totals[k] < _STARVED_FRACTION * n]
-    fitted = [k for k in range(prev.n_clusters) if k not in starved]
-    for group in _regime_groups(prev.clusters, fitted):
-        updated = _fit_clusters(
-            [gamma[:, k] for k in group],
-            [posteriors.regime_resp[k].transpose(2, 0, 1) for k in group],
+    def fit(members, *arrays):
+        return _fit_clusters(
+            [gamma[:, k] for k in members],
+            [posteriors.regime_resp[k].transpose(2, 0, 1) for k in members],
             values,
             design,
-            [prev.clusters[k] for k in group],
+            *arrays,
             floor,
             irls_max_iter,
         )
-        for k, cluster in zip(group, updated):
-            clusters[k] = cluster
 
-    rescued = rescue and bool(starved)
+    groups = []  # (coefficients, variances, logistic) of each group
+    for group, *arrays in zip(prev.groups, prev.coeffs, prev.variances, prev.logistic):
+        new = [a.copy() for a in arrays]  # a starved cluster keeps its row
+        rows = [g for g, k in enumerate(group) if not starved[k]]
+        if len(rows) == len(group):
+            new = fit(group, *new)
+        elif rows:
+            fitted = fit([group[g] for g in rows], *(a[rows] for a in new))
+            for a, f in zip(new, fitted):
+                a[rows] = f
+        groups.append(new)
+
+    rescued = rescue and bool(starved.any())
     if rescued:
         if prev_curve_loglik is None:
-            prev_curve_loglik = mixrhlp_loglik_set(prev, values, design)
-        for k, i in zip(starved, np.argsort(prev_curve_loglik)):  # worst fits first
-            regimes = prev.clusters[k].n_regimes
-            clusters[k] = _init_cluster(values[i : i + 1], design, regimes, floor)
+            prev_curve_loglik = _e_step_full(prev, values, design)[2]
+        where = {k: (i, g) for i, group in enumerate(prev.groups) for g, k in enumerate(group)}
+        # worst fits first
+        for k, curve in zip(np.flatnonzero(starved), np.argsort(prev_curve_loglik)):
+            i, g = where[k]
+            regimes = prev.variances[i].shape[1]
+            cluster = _init_cluster(values[curve : curve + 1], design, regimes, floor)
+            for a, v in zip(groups[i], (cluster.coeffs, cluster.variances, cluster.logistic.coef)):
+                a[g] = v
             weights[k] = 1.0 / n
 
     weights = np.maximum(weights, _WEIGHT_FLOOR)
     weights = weights / weights.sum()
-    return MixRhlpParams(weights, tuple(clusters)), rescued
+    return _EmState(weights, prev.groups, *map(tuple, zip(*groups))), rescued
 
 
 def m_step(
@@ -526,10 +615,10 @@ def m_step(
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if floor is None:
         floor = variance_floor(values)
-    params, _ = _m_step_impl(
-        posteriors, values, design, prev, floor, irls_max_iter, True, None
+    state, _ = _m_step_impl(
+        posteriors, values, design, _pack(prev), floor, irls_max_iter, True, None
     )
-    return params
+    return _unpack(state)
 
 
 # ---------------------------------------------------------------------------
@@ -700,20 +789,19 @@ def _em_once(
         init = initial_params(
             values, design, config.n_clusters, config.regimes(), rng, floor
         )
+    start = _pack(init)
     # two workspace slots of one (G, R, n, m) buffer per regime group
-    shapes = [
-        (len(group), init.clusters[group[0]].n_regimes) + values.shape
-        for group in _regime_groups(init.clusters, range(init.n_clusters))
-    ]
+    shapes = [v.shape + values.shape for v in start.variances]
     slots = [[np.empty(shape) for shape in shapes] for _ in range(2)]
-    return _ascend(
-        lambda params, slot: _e_step_full(params, values, design, slots[slot]),
-        lambda post, params, rescue, per_curve: _m_step_impl(
-            post, values, design, params, floor, config.irls_max_iter, rescue, per_curve
+    state, trace, converged = _ascend(
+        lambda state, slot: _e_step_full(state, values, design, slots[slot]),
+        lambda post, state, rescue, per_curve: _m_step_impl(
+            post, values, design, state, floor, config.irls_max_iter, rescue, per_curve
         ),
-        init,
+        start,
         config,
     )
+    return _unpack(state), trace, converged
 
 
 def em_fit(
@@ -746,6 +834,8 @@ def em_fit(
             f"{config.degree + 1} grid points, got {m}"
         )
     design = vandermonde(grid, config.degree)
+    if init is not None:
+        _check_design(design, init)
     floor = variance_floor(values)
     return _fit_restarts(
         lambda start, rng: _em_once(values, design, config, floor, start, rng),
@@ -872,11 +962,17 @@ def params_to_dict(params: MixRhlpParams) -> dict:
     }
 
 
+def _format_version(doc: dict, supported, kind: str) -> int:
+    """The document's ``format_version``: one of ``supported``, and an
+    ``int`` exactly, so that ``true`` or ``1.0`` is no version."""
+    version = doc.get("format_version")
+    if type(version) is not int or version not in supported:
+        raise DataError(f"unsupported {kind} format version: {version!r}")
+    return version
+
+
 def params_from_dict(doc: dict) -> MixRhlpParams:
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(
-            f"unsupported model format version: {doc.get('format_version')!r}"
-        )
+    _format_version(doc, (MODEL_FORMAT_VERSION,), "model")
     try:
         clusters = tuple(
             RhlpParams(

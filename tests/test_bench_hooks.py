@@ -30,8 +30,9 @@ def _load_tracer():
     return module
 
 
-@pytest.fixture(scope="module")
-def per_layer():
+def _traced_metrics(variants):
+    """Per-layer metrics of training and scoring tiny models of ``variants``
+    under the tracer."""
     tracer_module = _load_tracer()
     tracer = tracer_module.Tracer()
     data = gen_piecewise(
@@ -41,7 +42,7 @@ def per_layer():
     try:
         tracer.segment = "round-0"
         tracer.active = True
-        for variant in ("fmda-mixrhlp", "fmda-prm", "flda-pr"):
+        for variant in variants:
             config = discriminant.TrainConfig(
                 variant=variant, degree=0, n_clusters=2, n_regimes=2,
                 n_restarts=N_RESTARTS, max_iter=10, seed=0,
@@ -52,6 +53,11 @@ def per_layer():
         tracer.active = False
         tracer.uninstall()
     return tracer_module.per_layer_metrics(tracer)
+
+
+@pytest.fixture(scope="module")
+def per_layer():
+    return _traced_metrics(("fmda-mixrhlp", "fmda-prm", "flda-pr"))
 
 
 def test_every_benchmark_metric_is_reported(per_layer):
@@ -66,3 +72,14 @@ def test_em_counts_are_read(per_layer):
     # one traced EM run per MixRHLP restart of each of the two classes, and
     # none for the regression mixture
     assert per_layer["mixrhlp.restarts"]["value"] == 2 * N_RESTARTS
+
+
+def test_mixrhlp_inner_hooks_are_called():
+    # a hook that stays installed but is no longer called (say, an IRLS loop
+    # that bypasses qw_value) would read 0 here, not go missing
+    per_layer = _traced_metrics(("fmda-mixrhlp",))
+    value = {name: entry["value"] for name, entry in per_layer.items()}
+    assert value["logistic.newton_steps"] > 0
+    assert value["logistic.q_evals"] >= value["logistic.newton_steps"]
+    assert value["mixrhlp.e_steps"] > 0
+    assert value["core.ridge_solves"] > 0

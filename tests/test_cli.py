@@ -130,6 +130,30 @@ class TestFit:
         assert doc_b.pop("variant") == "fmda-mixrhlp"
         assert doc_a == doc_b
 
+    @pytest.mark.parametrize("max_iter", ["2", "200"])
+    def test_unconverged_class_fit_warns(self, tmp_path, dataset_dir, capsys, max_iter):
+        # one stderr line per class fit that stops short of tol; the files
+        # and the exit code are those of a fit without the warning
+        report_path = tmp_path / "rep.json"
+        capsys.readouterr()
+        code = run(
+            "fit", "--data", dataset_dir, "--variant", "fmda-mixrhlp", "--K", "2",
+            "--R", "2", "--p", "0", "--n-restarts", "1", "--max-iter", max_iter,
+            "--out", str(tmp_path / "m.json"), "--report", str(report_path),
+        )
+        assert code == 0
+        per_class = json.loads(report_path.read_text())["per_class"]
+        if max_iter == "2":
+            assert [c["converged"] for c in per_class] == [False, False]
+        else:
+            assert any(c["converged"] for c in per_class)
+        assert capsys.readouterr().err.splitlines() == [
+            f"regimix: warning: class {label} fit stopped after {c['iterations']} "
+            "iterations without converging"
+            for label, c in enumerate(per_class, start=1)
+            if not c["converged"]
+        ]
+
     def test_infeasible_clustering_is_config_error(self, tmp_path, dataset_dir):
         code = run(
             "fit", "--data", dataset_dir, "--variant", "fmda-mixrhlp",
@@ -211,6 +235,20 @@ class TestClassify:
             assert "data" in err and "model" in err
             errs.append(err)
         assert errs[0] == errs[1]
+
+    def test_version_not_an_int_is_data_error(self, tmp_path, dataset_dir, capsys):
+        model_path = tmp_path / "model.json"
+        assert run("fit", "--data", dataset_dir, "--variant", "flda-pr",
+                   "--out", str(model_path)) == 0
+        doc = json.loads(model_path.read_text())
+        for version in ("true", "1.0", "2.0"):
+            model_path.write_text(json.dumps({**doc, "format_version": json.loads(version)}))
+            capsys.readouterr()
+            code = run("classify", "--model", str(model_path), "--data", dataset_dir,
+                       "--out", str(tmp_path / "p.csv"))
+            assert code == 3
+            assert f"format version: {json.loads(version)!r}" in capsys.readouterr().err
+            assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_curve_outside_every_class_is_data_error(self, tmp_path, dataset_dir):

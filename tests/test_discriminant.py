@@ -283,7 +283,8 @@ class TestClassifierSerialization:
         with pytest.raises(DataError):
             model_from_json(json.dumps({"format_version": 0}))
         doc = json.loads((DATA / "v1_fmda-mixrhlp.model.json").read_text())
-        for version in (0, 3):
+        # the version is an int exactly: true, 1.0 and 2.0 are no versions
+        for version in (0, 3, True, 1.0, 2.0):
             with pytest.raises(DataError, match="format version"):
                 model_from_json(json.dumps({**doc, "format_version": version}))
 

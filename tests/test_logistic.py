@@ -146,6 +146,67 @@ class TestGradientHessian:
         assert hess.shape == (0, 0)
 
 
+class TestPreparedProblem:
+    """``irls_fit`` checks its counts once and hands ``qw_value`` and
+    ``qw_gradient_hessian`` the prepared problem; the answers are those of
+    the public calls on the raw counts, bit for bit."""
+
+    @pytest.mark.parametrize("G,R", [(1, 2), (2, 3), (3, 3), (4, 4)])
+    def test_prepared_calls_equal_public_calls(self, G, R):
+        rng = np.random.default_rng(100 + 10 * G + R)
+        g = TimeGrid(np.sort(rng.uniform(-2.0, 5.0, size=17)))
+        counts = rng.uniform(size=(G, 17, R))
+        counts[0, :5, 0] = 0.0  # zero counts score 0
+        weights = tuple(rand_weights(rng, R, scale=3.0) for _ in range(G))
+        coef = np.array([w.coef for w in weights])
+        prepared = logistic._Counts.prepare(counts, len(g), G)
+        q, probs = qw_value(coef, g, prepared)
+        np.testing.assert_array_equal(q, qw_value(weights, g, counts))
+        public = qw_gradient_hessian(weights, g, counts)
+        for given in (None, probs):
+            got = qw_gradient_hessian(coef, g, prepared._replace(probs=given))
+            for a, b in zip(got, public):
+                np.testing.assert_array_equal(a, b)
+
+    def test_single_process_counts_prepare_alike(self):
+        # an (n, m, R) table of one process is summed over curves, as the
+        # public calls sum it
+        rng = np.random.default_rng(109)
+        g = TimeGrid(np.linspace(0, 3, 11))
+        counts = rand_counts(rng, 6, 11, 3)
+        w = rand_weights(rng, 3)
+        prepared = logistic._Counts.prepare(counts, len(g), None)
+        q, probs = qw_value(w.coef[None], g, prepared)
+        assert q[0] == qw_value(w, g, counts)
+        got = qw_gradient_hessian(w.coef[None], g, prepared._replace(probs=probs))
+        for a, b in zip(got, qw_gradient_hessian(w, g, counts)):
+            np.testing.assert_array_equal(a[0], b)
+
+    def test_reused_probabilities_equal_regime_probabilities(self):
+        rng = np.random.default_rng(111)
+        g = TimeGrid(np.linspace(0, 10, 23))
+        for G in range(1, 5):
+            for R in range(2, 5):
+                weights = [rand_weights(rng, R, scale=s) for s in rng.uniform(0.1, 30, G)]
+                coef = np.array([w.coef for w in weights])
+                prepared = logistic._Counts.prepare(rng.uniform(size=(G, 23, R)), 23, G)
+                _, probs = qw_value(coef, g, prepared)
+                for k, w in enumerate(weights):
+                    np.testing.assert_array_equal(probs[k].T, regime_probabilities(w, g))
+
+    def test_coefficient_array_fit_equals_weights_fit(self):
+        # the EM passes a (G, R, 2) array and gets the fitted array back
+        rng = np.random.default_rng(113)
+        g = TimeGrid(np.linspace(0, 1, 15))
+        counts = rng.uniform(size=(3, 15, 3)) * rng.uniform(0.1, 10, size=(3, 1, 1))
+        starts = tuple(rand_weights(rng, 3, scale=s) for s in (0.5, 2.0, 4.0))
+        coef = np.array([w.coef for w in starts])
+        fitted = irls_fit(coef, g, counts)
+        assert isinstance(fitted, np.ndarray) and fitted.shape == (3, 3, 2)
+        np.testing.assert_array_equal(fitted, [w.coef for w in irls_fit(starts, g, counts)])
+        np.testing.assert_array_equal(coef, [w.coef for w in starts])  # input untouched
+
+
 class TestIrlsFit:
     def test_uniform_counts_keep_zero_weights(self):
         g = grid(0.0, 0.5, 1.0)

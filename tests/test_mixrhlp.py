@@ -25,7 +25,9 @@ from regimix.mixrhlp import (
     RhlpParams,
     _e_step_full,
     _m_step_impl,
+    _pack,
     _regime_stats,
+    _unpack,
     bic,
     e_step,
     em_fit,
@@ -216,7 +218,7 @@ class TestEStep:
             design = vandermonde(g, 1)
             params = rand_params(rng, K, R, 1)
             values = rng.normal(size=(n, m))
-            _, total, per_curve = _e_step_full(params, values, design)
+            _, total, per_curve = _e_step_full(_pack(params), values, design)
             np.testing.assert_array_equal(
                 per_curve, mixrhlp_loglik_set(params, values, design)
             )
@@ -241,7 +243,7 @@ class TestEStep:
         clusters = tuple(rand_params(rng, 1, R, 1).clusters[0] for R in (2, 3, 2))
         params = MixRhlpParams(np.array([0.2, 0.5, 0.3]), clusters)
         values = rng.normal(size=(6, 9))
-        post, total, per_curve = _e_step_full(params, values, design)
+        post, total, per_curve = _e_step_full(_pack(params), values, design)
         np.testing.assert_array_equal(per_curve, mixrhlp_loglik_set(params, values, design))
         assert [tau.shape for tau in post.regime_resp] == [(6, 9, 2), (6, 9, 3), (6, 9, 2)]
         for k, cluster in enumerate(clusters):
@@ -329,6 +331,42 @@ class TestEStepExtremes:
         assert np.all(np.diff(report.loglik_trace) >= -1e-8)
 
 
+class TestExpUnderflowMask:
+    """The kernel writes exp's 0.0 for shifted log-densities below its bound
+    instead of computing it, and so changes no bit."""
+
+    def test_exp_is_zero_at_and_below_the_bound(self):
+        bound = mixrhlp._EXP_UNDERFLOW
+        below = [bound, np.nextafter(bound, -np.inf), -746.0, -800.0, -1e300, -np.inf]
+        for size in (1, 7, 37):  # a scalar loop, and vector lanes with a tail
+            for x in below:
+                got = np.exp(np.full(size, x))
+                np.testing.assert_array_equal(got, 0.0)
+                assert not np.signbit(got).any()
+        assert np.exp(-745.0) > 0.0  # the bound sits just past the last subnormal
+
+    def test_masked_kernel_keeps_the_bits(self, monkeypatch):
+        # sharp logistic processes put over a third of the lanes below the bound
+        rng = np.random.default_rng(120)
+        g = TimeGrid(np.linspace(0, 1, 60))
+        design = vandermonde(g, 0)
+        params = rand_params(rng, 3, 3, 0, scale=3.0)
+        state = mixrhlp._pack(params)
+        state = state._replace(logistic=tuple(1000.0 * a for a in state.logistic))
+        values = rng.normal(size=(8, 60))
+        log_pi = mixrhlp.log_regime_probabilities(state.logistic[0], g)
+        assert log_pi.min() < mixrhlp._EXP_UNDERFLOW
+        masked = _e_step_full(state, values, design)
+        monkeypatch.setattr(mixrhlp, "_EXP_UNDERFLOW", -np.inf)  # exp of every lane
+        plain = _e_step_full(state, values, design)
+        assert masked[1] == plain[1]
+        np.testing.assert_array_equal(masked[2], plain[2])
+        np.testing.assert_array_equal(masked[0].cluster_resp, plain[0].cluster_resp)
+        for a, b in zip(masked[0].regime_resp, plain[0].regime_resp):
+            np.testing.assert_array_equal(a, b)
+            assert (a == 0.0).mean() > 0.2
+
+
 class TestMStep:
     def test_uniform_responsibilities_give_uniform_weights(self):
         rng = np.random.default_rng(10)
@@ -380,10 +418,15 @@ class TestMStep:
         taus[0][:, :, 0] = 1.0
         floor = variance_floor(values)
         new, rescued = _m_step_impl(
-            Posteriors(gamma, tuple(taus)), values, design, prev, floor, 50, False, None
+            Posteriors(gamma, tuple(taus)), values, design, _pack(prev), floor, 50, False, None
         )
+        new = _unpack(new)
         assert not rescued
-        assert new.clusters[3] is prev.clusters[3]
+        for field in ("coeffs", "variances"):
+            np.testing.assert_array_equal(
+                getattr(new.clusters[3], field), getattr(prev.clusters[3], field)
+            )
+        np.testing.assert_array_equal(new.clusters[3].logistic.coef, prev.clusters[3].logistic.coef)
         for k in range(3):
             old = prev.clusters[k]
             w = gamma[:, k][:, None, None] * taus[k]  # (n, m, R)
@@ -576,10 +619,7 @@ class TestEmFit:
             calls.append(cand)
             if len(calls) == 1:
                 return cand, rescued
-            far = tuple(
-                RhlpParams(c.logistic, c.coeffs + 50.0, c.variances) for c in cand.clusters
-            )
-            return MixRhlpParams(cand.weights, far), rescued
+            return cand._replace(coeffs=tuple(c + 50.0 for c in cand.coeffs)), rescued
 
         monkeypatch.setattr(mixrhlp, "_m_step_impl", worse_m_step)
         cfg = EmConfig(n_clusters=2, n_regimes=2, degree=0, max_iter=20, n_restarts=1)
@@ -589,8 +629,25 @@ class TestEmFit:
         assert report.iterations == 1
         assert report.converged is False
         np.testing.assert_array_equal(
-            [c.coeffs for c in params.clusters], [c.coeffs for c in calls[0].clusters]
+            [c.coeffs for c in params.clusters], [c.coeffs for c in _unpack(calls[0]).clusters]
         )
+
+    def test_non_finite_m_step_is_numerical_error(self, monkeypatch):
+        # the ascent does not check its iterates; a NaN variance still stops
+        # the fit, at the next E-step, with a typed error
+        rng = np.random.default_rng(44)
+        g = TimeGrid(np.linspace(0, 1, 10))
+        values = np.vstack([rng.normal(size=(5, 10)), 4.0 + rng.normal(size=(5, 10))])
+        real_stats = mixrhlp._regime_stats
+
+        def nan_sum_of_squares(*args):
+            point_w, xw, x2w = real_stats(*args)
+            return point_w, xw, np.full_like(x2w, np.nan)
+
+        monkeypatch.setattr(mixrhlp, "_regime_stats", nan_sum_of_squares)
+        cfg = EmConfig(n_clusters=2, n_regimes=2, degree=0, max_iter=20, n_restarts=1)
+        with pytest.raises(NumericalError, match="not finite"):
+            em_fit(values, g, cfg)
 
     def test_rescue_that_lowers_likelihood_falls_back(self, monkeypatch):
         # cluster 1 starts at the pooled fit of every curve, cluster 2 far
@@ -695,7 +752,7 @@ class TestEmFit:
 
         def checked(post, values, design, prev, *rest):
             Posteriors(post.cluster_resp, post.regime_resp)  # every normalisation check
-            fresh = e_step(prev, values, design)
+            fresh = e_step(_unpack(prev), values, design)
             np.testing.assert_array_equal(post.cluster_resp, fresh.cluster_resp)
             for got, want in zip(post.regime_resp, fresh.regime_resp):
                 np.testing.assert_array_equal(got, want)
@@ -889,11 +946,12 @@ class TestSerialization:
     def test_version_checked(self):
         rng = np.random.default_rng(28)
         doc = params_to_dict(rand_params(rng, 1, 1, 0))
-        doc["format_version"] = 99
         from regimix.errors import DataError
 
-        with pytest.raises(DataError):
-            params_from_dict(doc)
+        for version in (99, True, 1.0, 2.0):
+            doc["format_version"] = version
+            with pytest.raises(DataError, match="format version"):
+                params_from_dict(json.loads(json.dumps(doc)))
 
 
 class TestPosteriorsValidation:
