@@ -163,7 +163,6 @@ def fit_regression_mixture(
     config: EmConfig,
     *,
     init: MixRhlpParams | None = None,
-    workers: int = 1,
 ) -> tuple[MixRhlpParams, FitReport]:
     """Curve-level mixture-of-regressions EM with multi-restart best-of.
 
@@ -182,7 +181,6 @@ def fit_regression_mixture(
         lambda start, rng: _mixture_em_once(values, design, config, floor, start, rng),
         init,
         config,
-        workers,
         values.shape[0],
         design.n_cols - 1,
     )

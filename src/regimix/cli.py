@@ -6,8 +6,7 @@ reruns produce byte-identical outputs. Output files are written to a
 temporary name and renamed, so a failed run leaves no partial artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure. The REGIMIX_THREADS environment variable caps internal thread
-parallelism (results never depend on it).
+failure.
 
 All flags have JSON-config equivalents via ``--config FILE`` (top-level
 keys named like the flags, dashes as underscores); explicit flags
@@ -43,7 +42,6 @@ from .discriminant import (
 from .errors import DataError, NumericalError
 from .evaluation import evaluate_variant
 from .logistic import regime_probabilities
-from .parallel import thread_cap
 
 def _FMT(x) -> str:
     """Round-trip float text."""
@@ -144,7 +142,7 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_generate(args: argparse.Namespace, workers: int) -> int:
+def _cmd_generate(args: argparse.Namespace) -> int:
     file_config = _load_config_file(args.config)
     cfg = _effective(
         args,
@@ -210,12 +208,12 @@ def _cmd_generate(args: argparse.Namespace, workers: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_fit(args: argparse.Namespace, workers: int) -> int:
+def _cmd_fit(args: argparse.Namespace) -> int:
     file_config = _load_config_file(args.config)
     cfg = _effective(args, file_config, _MODEL_KEYS)
     data = _read_dataset(args.data)
     config = _train_config(cfg)
-    model, reports = train_detailed(data, config, workers=workers)
+    model, reports = train_detailed(data, config)
     for label, rep in enumerate(reports, start=1):
         if rep is not None and not rep.converged:
             print(
@@ -251,7 +249,7 @@ def _cmd_fit(args: argparse.Namespace, workers: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_classify(args: argparse.Namespace, workers: int) -> int:
+def _cmd_classify(args: argparse.Namespace) -> int:
     with open(args.model, encoding="utf-8") as fh:
         model = model_from_json(fh.read())
     data = _read_dataset_on_grid(args.data, model.grid)
@@ -271,7 +269,7 @@ def _cmd_classify(args: argparse.Namespace, workers: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_evaluate(args: argparse.Namespace, workers: int) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> int:
     file_config = _load_config_file(args.config)
     cfg = _effective(args, file_config, {**_MODEL_KEYS, "k_folds": 5})
     data = _read_dataset(args.data)
@@ -279,9 +277,7 @@ def _cmd_evaluate(args: argparse.Namespace, workers: int) -> int:
     k = int(cfg["k_folds"])
     if k < 2:
         raise ValueError("k_folds must be >= 2")
-    report = evaluate_variant(
-        data, config, k=k, seed=int(cfg["seed"]), workers=workers
-    )
+    report = evaluate_variant(data, config, k=k, seed=int(cfg["seed"]))
     doc = {"command": "evaluate", "k_folds": k, **report.to_dict(),
            "config_hash": report.config_hash()}
     atomic_write_text(args.out, _dump_json(doc))
@@ -306,7 +302,7 @@ def _parse_range(text: str) -> list[int]:
     return out
 
 
-def _cmd_select(args: argparse.Namespace, workers: int) -> int:
+def _cmd_select(args: argparse.Namespace) -> int:
     file_config = _load_config_file(args.config)
     cfg = _effective(
         args,
@@ -336,8 +332,7 @@ def _cmd_select(args: argparse.Namespace, workers: int) -> int:
     class_models = []
     for g in range(1, data.n_classes + 1):
         params, cells = mixrhlp.select_model(
-            data.class_values(g), data.grid, k_range, r_range, degree, base,
-            workers=workers,
+            data.class_values(g), data.grid, k_range, r_range, degree, base
         )
         class_models.append(params)
         chosen = (params.n_clusters, params.regimes[0] if params.regimes else 0)
@@ -377,7 +372,7 @@ def _cmd_select(args: argparse.Namespace, workers: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_export_plots(args: argparse.Namespace, workers: int) -> int:
+def _cmd_export_plots(args: argparse.Namespace) -> int:
     with open(args.model, encoding="utf-8") as fh:
         model = model_from_json(fh.read())
     data = _read_dataset_on_grid(args.data, model.grid)
@@ -504,8 +499,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        workers = thread_cap()
-        return args.func(args, workers)
+        return args.func(args)
     except ValueError as exc:
         print(f"regimix: configuration error: {exc}", file=sys.stderr)
         return 2

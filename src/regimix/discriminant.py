@@ -153,15 +153,12 @@ def _fit_class(
     design: DesignMatrix,
     config: TrainConfig,
     seed: int,
-    workers: int,
 ):
     if variant in (FLDA_PR, FLDA_SR):
         return baselines.fit_single_regression(values, design), None
     if variant in (FMDA_PRM, FMDA_SRM):
-        return baselines.fit_regression_mixture(
-            values, design, config.em_config(seed), workers=workers
-        )
-    return mixrhlp.em_fit(values, design.grid, config.em_config(seed), workers=workers)
+        return baselines.fit_regression_mixture(values, design, config.em_config(seed))
+    return mixrhlp.em_fit(values, design.grid, config.em_config(seed))
 
 
 def class_priors(data: LabeledCurveSet) -> np.ndarray:
@@ -171,7 +168,7 @@ def class_priors(data: LabeledCurveSet) -> np.ndarray:
 
 
 def train_detailed(
-    data: LabeledCurveSet, config: TrainConfig, *, workers: int = 1
+    data: LabeledCurveSet, config: TrainConfig
 ) -> tuple[ClassifierModel, list[FitReport | None]]:
     """Fit every class density; also return the per-class fit reports.
 
@@ -186,7 +183,7 @@ def train_detailed(
     for g in range(1, data.n_classes + 1):
         values = data.class_values(g)
         model, report = _fit_class(
-            config.variant, values, design, config, subseed(config.seed, g), workers
+            config.variant, values, design, config, subseed(config.seed, g)
         )
         class_models.append(model)
         reports.append(report)
@@ -200,10 +197,8 @@ def train_detailed(
     return model, reports
 
 
-def train(
-    data: LabeledCurveSet, config: TrainConfig, *, workers: int = 1
-) -> ClassifierModel:
-    model, _ = train_detailed(data, config, workers=workers)
+def train(data: LabeledCurveSet, config: TrainConfig) -> ClassifierModel:
+    model, _ = train_detailed(data, config)
     return model
 
 

@@ -25,7 +25,6 @@ from .discriminant import (
     classify_set,
     train,
 )
-from .parallel import map_ordered
 from .rng import child_rng
 
 
@@ -99,20 +98,14 @@ def cv_error_rate(
     config: TrainConfig,
     k: int = 5,
     seed: int = 0,
-    *,
-    workers: int = 1,
 ) -> tuple[float, tuple[float, ...]]:
     """Mean and per-fold misclassification rates under k-fold CV."""
-    folds = kfold_split(data, k, seed)
     all_idx = np.arange(data.n_curves)
-
-    def _run_fold(fold: np.ndarray) -> float:
-        train_idx = np.setdiff1d(all_idx, fold)
-        model = train(_subset(data, train_idx), config)
+    rates = []
+    for fold in kfold_split(data, k, seed):
+        model = train(_subset(data, np.setdiff1d(all_idx, fold)), config)
         labels, _ = classify_set(model, data.values[fold])
-        return float(np.mean(labels != data.labels[fold]))
-
-    rates = map_ordered(_run_fold, folds, workers=workers)
+        rates.append(float(np.mean(labels != data.labels[fold])))
     return float(np.mean(rates)), tuple(rates)
 
 
@@ -152,12 +145,10 @@ def evaluate_variant(
     config: TrainConfig,
     k: int = 5,
     seed: int = 0,
-    *,
-    workers: int = 1,
 ) -> EvalReport:
     """Full protocol: CV error rate plus inertia of a full-data fit."""
-    error_rate, per_fold = cv_error_rate(data, config, k, seed, workers=workers)
-    model = train(data, config, workers=workers)
+    error_rate, per_fold = cv_error_rate(data, config, k, seed)
+    model = train(data, config)
     inertia = intra_class_inertia(data, model)
     return EvalReport(
         variant=config.variant,

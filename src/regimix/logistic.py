@@ -44,7 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TimeGrid, ridge_solve
+from . import core
+from .core import TimeGrid
 
 _MAX_HALVINGS = 30
 
@@ -261,14 +262,15 @@ def qw_gradient_hessian(
 
 def _newton_directions(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """(G, 2(R-1)) directions ``ridge_solve(-hess, grad)``; a problem whose
-    system cannot be solved gets NaN, which stops it."""
+    system cannot be solved gets NaN, which stops it. ``core.ridge_solve`` is
+    looked up per call, so a wrapper set on the module sees every solve."""
     try:
-        return ridge_solve(-hess, grad)
+        return core.ridge_solve(-hess, grad)
     except np.linalg.LinAlgError:
         out = np.full_like(grad, np.nan)
         for g in range(len(grad)):
             try:
-                out[g] = ridge_solve(-hess[g], grad[g])
+                out[g] = core.ridge_solve(-hess[g], grad[g])
             except np.linalg.LinAlgError:
                 pass
         return out

@@ -53,7 +53,8 @@ memory. A candidate's E-step takes the other slot, so the slot behind the
 accepted posteriors is overwritten only once a newer iterate has been
 accepted; the rescue fallback, which re-reads them after the candidate's
 E-step, always finds them intact. The buffers are not shared across
-restarts, which may run on parallel threads. Inside the ascent the
+restarts, each of which draws from its own random stream, so results do
+not depend on the order in which restarts run. Inside the ascent the
 posteriors are not re-checked, since the kernel normalises them by
 construction. No public function returns workspace memory: ``e_step``,
 ``m_step`` and the ``*_loglik_set`` functions allocate fresh arrays, and
@@ -84,7 +85,6 @@ from .core import (
 )
 from .errors import DataError, NumericalError
 from .logistic import LogisticWeights, irls_fit, log_regime_probabilities
-from .parallel import map_ordered
 from .rng import child_rng, subseed
 
 #: A cluster whose total responsibility falls below this fraction of n is
@@ -749,7 +749,7 @@ def _ascend(e_step, m_step, params, config: EmConfig) -> tuple[object, list[floa
 
 
 def _fit_restarts(
-    run, init, config: EmConfig, workers: int, n: int, degree: int
+    run, init, config: EmConfig, n: int, degree: int
 ) -> tuple[MixRhlpParams, FitReport]:
     """Best of the EM runs ``run(init, rng) -> (params, trace, converged)``
     of either family on n curves: the run from ``init`` if given, else one
@@ -760,10 +760,9 @@ def _fit_restarts(
             f"infeasible clustering: {n} curves for {config.n_clusters} clusters"
         )
     if init is not None:
-        starts = [(init, None)]
+        runs = [run(init, None)]
     else:
-        starts = [(None, child_rng(config.seed, r)) for r in range(config.n_restarts)]
-    runs = map_ordered(lambda start: run(*start), starts, workers=workers)
+        runs = [run(None, child_rng(config.seed, r)) for r in range(config.n_restarts)]
     best_idx = max(range(len(runs)), key=lambda idx: runs[idx][1][-1])
     params, trace, converged = runs[best_idx]
     report = FitReport(
@@ -810,7 +809,6 @@ def em_fit(
     config: EmConfig,
     *,
     init: MixRhlpParams | None = None,
-    workers: int = 1,
 ) -> tuple[MixRhlpParams, FitReport]:
     """Fit the cluster mixture by multi-restart EM.
 
@@ -841,7 +839,6 @@ def em_fit(
         lambda start, rng: _em_once(values, design, config, floor, start, rng),
         init,
         config,
-        workers,
         n,
         config.degree,
     )
@@ -897,8 +894,6 @@ def select_model(
     regime_range,
     degree: int,
     config: EmConfig | None = None,
-    *,
-    workers: int = 1,
 ) -> tuple[MixRhlpParams, list[SelectionCell]]:
     """Fit every (K, R) combination and keep the best-BIC parameters.
 
@@ -923,7 +918,7 @@ def select_model(
                 degree=degree,
                 seed=subseed(base.seed, K, R),
             )
-            params, report = em_fit(values, grid, cfg, workers=workers)
+            params, report = em_fit(values, grid, cfg)
             cell = SelectionCell(
                 n_clusters=K,
                 n_regimes=R,

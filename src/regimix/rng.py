@@ -2,9 +2,9 @@
 
 All stochastic choices in the package draw from counter-based Philox
 streams derived from a single integer seed plus an integer path. Streams
-for different paths are independent, so parallel workers (one restart,
-one fold, one generated curve each) produce output that does not depend
-on scheduling.
+for different paths are independent: each restart, fold and generated
+curve draws from its own stream, so results do not depend on the order
+in which they run.
 
 Gaussian noise for the data generators is produced by an explicit
 Box-Muller transform of the stream's uniform doubles, so the generated

@@ -83,3 +83,8 @@ def test_mixrhlp_inner_hooks_are_called():
     assert value["logistic.q_evals"] >= value["logistic.newton_steps"]
     assert value["mixrhlp.e_steps"] > 0
     assert value["core.ridge_solves"] > 0
+    # every Newton direction is a core.ridge_solve, on top of each M-step's
+    # regime solve (one per IRLS call here), so the tracer must see both
+    assert value["core.ridge_solves"] >= (
+        value["logistic.newton_steps"] + value["logistic.irls_calls"]
+    )

@@ -103,9 +103,7 @@ class TestFit:
             assert all(b - a >= -1e-8 for a, b in zip(trace, trace[1:]))
         assert report["config"]["tol"] == 1e-6  # stopping-rule default
 
-    def test_rerun_byte_identical_and_thread_invariant(
-        self, tmp_path, dataset_dir, monkeypatch
-    ):
+    def test_rerun_byte_identical(self, tmp_path, dataset_dir):
         args = (
             "fit", "--data", dataset_dir, "--variant", "fmda-prm", "--K", "2",
             "--p", "0", "--n-restarts", "2", "--seed", "4",
@@ -113,7 +111,6 @@ class TestFit:
         )
         assert run(*args) == 0
         first = (tmp_path / "m.json").read_bytes()
-        monkeypatch.setenv("REGIMIX_THREADS", "4")
         assert run(*args) == 0
         assert (tmp_path / "m.json").read_bytes() == first
 
@@ -459,9 +456,10 @@ class TestEntryPoint:
         assert (out / "curves.csv").exists()
         assert (out / "grid.csv").exists()
 
-    def test_import_loads_no_scipy(self, tmp_path):
+    def test_import_loads_no_scipy_and_no_thread_pool(self, tmp_path):
         """Importing the package and its CLI in a fresh process loads numpy
-        but no scipy module, so no command pays scipy's start-up."""
+        but no scipy module, so no command pays scipy's start-up, and no
+        thread pool: no ``concurrent.futures`` and no ``regimix.parallel``."""
         import subprocess
         import sys
         from pathlib import Path
@@ -472,10 +470,13 @@ class TestEntryPoint:
             p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
         probe = ("import regimix, regimix.cli, sys; "
                  "print(regimix.__file__); "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.startswith('concurrent.futures') or m == 'regimix.parallel'))")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               cwd=tmp_path, env=env, text=True)
         assert proc.returncode == 0, proc.stderr
-        package_file, loaded = proc.stdout.splitlines()
+        package_file, scipy_modules, pool_modules = proc.stdout.splitlines()
         assert Path(package_file).resolve().is_relative_to(repo / "src")
-        assert loaded == "[]"
+        assert scipy_modules == "[]"
+        assert pool_modules == "[]"

@@ -84,15 +84,6 @@ class TestCvErrorRate:
         rate, folds = cv_error_rate(data, cfg, k=3, seed=2)
         assert rate == pytest.approx(np.mean(folds), rel=1e-12)
 
-    def test_worker_count_does_not_change_result(self):
-        rng = np.random.default_rng(77)
-        data = balanced_dataset(rng, per_class=5, sep=2.0)
-        cfg = TrainConfig(variant="fmda-prm", degree=0, n_clusters=2, n_restarts=2,
-                          max_iter=15)
-        r1 = cv_error_rate(data, cfg, k=5, seed=3, workers=1)
-        r2 = cv_error_rate(data, cfg, k=5, seed=3, workers=4)
-        assert r1 == r2
-
 
 class TestIntraClassInertia:
     def test_zero_when_curves_equal_means(self):

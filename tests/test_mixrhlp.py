@@ -679,18 +679,6 @@ class TestEmFit:
         np.testing.assert_array_equal(params.clusters[1].coeffs, far.coeffs)
         assert params.weights[1] < 1e-11
 
-    def test_workers_do_not_change_result(self):
-        rng = np.random.default_rng(19)
-        g = TimeGrid(np.linspace(0, 1, 12))
-        values = rng.normal(size=(6, 12))
-        cfg = EmConfig(n_clusters=2, n_regimes=1, degree=0, n_restarts=4, seed=3,
-                       max_iter=25)
-        p1, r1 = em_fit(values, g, cfg, workers=1)
-        p2, r2 = em_fit(values, g, cfg, workers=4)
-        np.testing.assert_array_equal(p1.weights, p2.weights)
-        assert r1 == r2
-
-
     @pytest.mark.parametrize("regimes", [2, (2, 3, 2)], ids=["uniform", "ragged"])
     def test_workspace_matches_public_steps(self, regimes):
         # EM reuses two kernel buffers per restart; from the same start it
