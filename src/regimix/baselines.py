@@ -118,7 +118,7 @@ def _mixture_em_once(
         fits = [(c.coeffs[0], c.variances[0]) for c in init.clusters]
     state = (weights, np.array([c for c, _ in fits]), np.array([v for _, v in fits]))
     state, trace, converged = _ascend(
-        lambda state, slot: _posterior(state, values, design),  # no workspace
+        lambda state: _posterior(state, values, design),
         lambda resp, state, rescue, per_curve: _mixture_m_step(
             resp, values, design, state, floor, per_curve, rescue
         ),

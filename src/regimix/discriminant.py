@@ -256,7 +256,7 @@ def class_cluster_responsibilities(
     """(n, K) cluster responsibilities under one class's mixture; one
     column of ones for the single-density variants."""
     cm = model.class_models[label - 1]
-    return mixrhlp.e_step(cm, values, model.design).cluster_resp
+    return mixrhlp._cluster_posteriors(mixrhlp._log_mix(cm, values, model.design))[0]
 
 
 # ---------------------------------------------------------------------------

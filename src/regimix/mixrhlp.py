@@ -26,11 +26,9 @@ R slabs instead of along a short trailing axis. The E-step calls it once
 per group (one group unless the regime counts are ragged); scoring calls
 it one cluster at a time, which keeps the buffer of a large scoring set
 to one cluster's size and gives the same per-curve log-likelihoods, bit
-for bit. The same layout carries the regime responsibilities into the
-M-step; ``Posteriors.regime_resp`` shows them as (n, m, R) views, as
-before. The M-step fits each group as one stack too: (G, R, m) weighted
-statistics, one ``ridge_solve`` over the Grams of every regime with mass,
-and one stacked IRLS for the G logistic processes.
+for bit. The M-step fits each group as one stack too: one ``ridge_solve``
+over the Grams of every regime with mass, and one stacked IRLS for the G
+logistic processes.
 
 Each EM restart (one ``_em_once`` call) carries its iterate as one packed
 state of plain arrays, ``_EmState``: the (K,) mixing weights and, for each
@@ -45,20 +43,17 @@ one starves its cluster, or fails the checks where ``_em_once`` builds its
 result. Ragged regime counts give one entry per group, and the
 starved-cluster rescue writes its re-seeded cluster into its group's rows.
 
-Each restart also owns a workspace of two slots, each holding one
-(G, R, n, m) kernel buffer per regime group, allocated once when the
-restart starts. The E-step of an iterate writes its regime
-responsibilities into one slot, and ``Posteriors.regime_resp`` views that
-memory. A candidate's E-step takes the other slot, so the slot behind the
-accepted posteriors is overwritten only once a newer iterate has been
-accepted; the rescue fallback, which re-reads them after the candidate's
-E-step, always finds them intact. The buffers are not shared across
-restarts, each of which draws from its own random stream, so results do
-not depend on the order in which restarts run. Inside the ascent the
-posteriors are not re-checked, since the kernel normalises them by
-construction. No public function returns workspace memory: ``e_step``,
-``m_step`` and the ``*_loglik_set`` functions allocate fresh arrays, and
-``e_step`` checks its posteriors as ``Posteriors`` checks any table.
+The M-step reads the posteriors only through their sufficient statistics,
+``_Stats``: the (K,) cluster totals and, per regime group, the (G, R, m)
+point masses, sums of x and sums of x^2. The EM E-step computes them
+right after the kernel, from one (G, R, n, m) buffer per regime group that
+each restart allocates once and every E-step overwrites; nothing reads the
+buffer after that, so the rescue fallback re-runs the M-step from the
+accepted iterate's statistics. The buffers are not shared across restarts,
+each of which draws from its own random stream, so results do not depend
+on the order in which restarts run. No public function returns workspace
+memory: ``e_step`` builds checked ``Posteriors`` from fresh arrays, and
+``m_step`` turns its ``Posteriors`` into the statistics EM uses.
 
 The regression mixtures of ``baselines`` (one regime per cluster) share
 the EM driver: one ascent loop, ``_ascend``, and one restart selection,
@@ -176,7 +171,7 @@ class Posteriors:
 
     ``cluster_resp`` is (n, K); ``regime_resp[k]`` is (n, m, R_k). Rows of
     ``cluster_resp`` and every (i, j) slice of ``regime_resp[k]`` sum to 1.
-    The E-step stores each table regime first, as an (R_k, n, m) array, and
+    ``e_step`` stores each table regime first, as an (R_k, n, m) array, and
     ``regime_resp[k]`` is its read-only transposed view; tables built
     by hand in the (n, m, R_k) shape work the same.
     """
@@ -202,17 +197,6 @@ class Posteriors:
         gamma.flags.writeable = False
         object.__setattr__(self, "cluster_resp", gamma)
         object.__setattr__(self, "regime_resp", taus)
-
-    @classmethod
-    def _unchecked(cls, cluster_resp: np.ndarray, regime_resp: tuple) -> "Posteriors":
-        """The E-step's tables, which its kernel normalises by construction:
-        made read-only, not re-checked."""
-        post = object.__new__(cls)
-        for table in (cluster_resp, *regime_resp):
-            table.flags.writeable = False
-        object.__setattr__(post, "cluster_resp", cluster_resp)
-        object.__setattr__(post, "regime_resp", regime_resp)
-        return post
 
 
 @dataclass(frozen=True)
@@ -363,16 +347,22 @@ def rhlp_curve_loglik(rhlp: RhlpParams, curve, design: DesignMatrix) -> float:
     return float(rhlp_loglik_set(rhlp, values, design)[0])
 
 
-def mixrhlp_loglik_set(
-    params: MixRhlpParams, values: np.ndarray, design: DesignMatrix
-) -> np.ndarray:
-    """Per-curve log-likelihood under the cluster mixture."""
+def _log_mix(params: MixRhlpParams, values: np.ndarray, design: DesignMatrix) -> np.ndarray:
+    """(n, K) log weight plus log density of each curve under each cluster,
+    scored one cluster at a time."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     _check_design(design, params)
     per_cluster = np.column_stack(
         [rhlp_loglik_set(c, values, design) for c in params.clusters]
     )
-    return logsumexp(np.log(params.weights)[None, :] + per_cluster, axis=1)
+    return np.log(params.weights)[None, :] + per_cluster
+
+
+def mixrhlp_loglik_set(
+    params: MixRhlpParams, values: np.ndarray, design: DesignMatrix
+) -> np.ndarray:
+    """Per-curve log-likelihood under the cluster mixture."""
+    return logsumexp(_log_mix(params, values, design), axis=1)
 
 
 def mixrhlp_curve_loglik(params: MixRhlpParams, curve, design: DesignMatrix) -> float:
@@ -430,18 +420,23 @@ def _unpack(state: _EmState) -> MixRhlpParams:
     return MixRhlpParams(state.weights, tuple(clusters))
 
 
-def _e_step_full(
-    state: _EmState, values: np.ndarray, design: DesignMatrix, out=None
-) -> tuple[Posteriors, float, np.ndarray]:
-    """Posteriors, total log-likelihood, and per-curve log-likelihoods.
+class _Stats(NamedTuple):
+    """The sufficient statistics of one E-step, all the M-step reads: the
+    (K,) cluster totals and, for each regime group, one (3, G, R, m) array
+    of the point masses, sums of x and sums of x^2 of its G clusters."""
 
-    ``out`` holds one (G, R, n, m) buffer per regime group of ``state``,
-    which the regime responsibilities overwrite; without it they get
-    fresh arrays. The posteriors are not re-checked (see ``e_step``).
-    """
-    n = values.shape[0]
-    per_cluster = np.empty((n, len(state.weights)))
-    taus = [None] * len(state.weights)
+    totals: np.ndarray
+    sums: tuple[np.ndarray, ...]
+
+
+def _responsibilities(
+    state: _EmState, values: np.ndarray, design: DesignMatrix, out=None
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(n, K) cluster responsibilities, (n,) per-curve log-likelihoods and
+    each regime group's (G, R, n, m) regime responsibilities, written into
+    that group's buffer in ``out`` when given, else into fresh arrays."""
+    per_cluster = np.empty((values.shape[0], len(state.weights)))
+    resps = []
     for i, group in enumerate(state.groups):
         logliks, resp = _regime_kernel(
             state.coeffs[i],
@@ -454,10 +449,48 @@ def _e_step_full(
         )
         for g, k in enumerate(group):
             per_cluster[:, k] = logliks[g]
-            taus[k] = resp[g].transpose(1, 2, 0)  # (n, m, R) view of (R, n, m)
-
+        resps.append(resp)
     gamma, per_curve = _cluster_posteriors(np.log(state.weights)[None, :] + per_cluster)
-    return Posteriors._unchecked(gamma, tuple(taus)), float(per_curve.sum()), per_curve
+    return gamma, per_curve, resps
+
+
+def _regime_stats(
+    resp: np.ndarray, tau: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, m) weighted point masses, sums of x and sums of x^2 per regime:
+    products of the (R, n, m) responsibilities with resp, resp * x and
+    resp * x^2 over the curves."""
+    rx = resp[:, None] * values
+    point_w = resp @ tau
+    xw = np.einsum("rij,ij->rj", tau, rx)
+    x2w = np.einsum("rij,ij->rj", tau, rx * values)
+    return point_w, xw, x2w
+
+
+def _sufficient_stats(
+    gamma: np.ndarray, groups: tuple, taus: list, values: np.ndarray
+) -> _Stats:
+    """The statistics of (n, K) cluster responsibilities ``gamma`` and the
+    (R, n, m) regime responsibilities ``taus[i][g]`` of each cluster
+    ``groups[i][g]``."""
+    sums = []
+    for group, tau in zip(groups, taus):
+        point_w, xw, x2w = group_sums = np.empty((3, len(group), len(tau[0]), values.shape[1]))
+        for g, k in enumerate(group):
+            point_w[g], xw[g], x2w[g] = _regime_stats(gamma[:, k], tau[g], values)
+        sums.append(group_sums)
+    return _Stats(gamma.sum(axis=0), tuple(sums))
+
+
+def _e_step_full(
+    state: _EmState, values: np.ndarray, design: DesignMatrix, out=None
+) -> tuple[_Stats, float, np.ndarray]:
+    """The M-step's statistics, total log-likelihood, and per-curve
+    log-likelihoods. ``out`` holds one (G, R, n, m) buffer per regime group
+    of ``state``, which the regime responsibilities overwrite; the
+    statistics are taken from it at once, while it is still in cache."""
+    gamma, per_curve, resps = _responsibilities(state, values, design, out)
+    return _sufficient_stats(gamma, state.groups, resps, values), float(per_curve.sum()), per_curve
 
 
 def _cluster_posteriors(log_mix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -482,27 +515,24 @@ def e_step(
     ``Posteriors`` checks tables built by hand."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     _check_design(design, params)
-    post, _, _ = _e_step_full(_pack(params), values, design)
-    return Posteriors(post.cluster_resp, post.regime_resp)
+    state = _pack(params)
+    gamma, _, resps = _responsibilities(state, values, design)
+    taus = [None] * params.n_clusters
+    for group, resp in zip(state.groups, resps):
+        for g, k in enumerate(group):
+            taus[k] = resp[g].transpose(1, 2, 0)  # (n, m, R) view of (R, n, m)
+    return Posteriors(gamma, tuple(taus))
 
 
-def _regime_stats(
-    resp: np.ndarray, tau: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, m) weighted point masses, sums of x and sums of x^2 per regime:
-    products of the (R, n, m) responsibilities with resp, resp * x and
-    resp * x^2 over the curves."""
-    rx = resp[:, None] * values
-    point_w = resp @ tau
-    xw = np.einsum("rij,ij->rj", tau, rx)
-    x2w = np.einsum("rij,ij->rj", tau, rx * values)
-    return point_w, xw, x2w
+def _posterior_stats(posteriors: Posteriors, groups: tuple, values: np.ndarray) -> _Stats:
+    """The statistics of ``posteriors``, grouped as ``groups``."""
+    taus = [[posteriors.regime_resp[k].transpose(2, 0, 1) for k in group] for group in groups]
+    return _sufficient_stats(posteriors.cluster_resp, groups, taus, values)
 
 
 def _fit_clusters(
-    resp: list[np.ndarray],
-    taus: list[np.ndarray],
-    values: np.ndarray,
+    sums: np.ndarray,
+    totals: np.ndarray,
     design: DesignMatrix,
     coeffs: np.ndarray,
     variances: np.ndarray,
@@ -511,21 +541,17 @@ def _fit_clusters(
     irls_max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted updates for a stack of G clusters that share one regime
-    count, given their (n,) responsibilities ``resp``, (R, n, m) regime
-    responsibilities ``taus`` and previous (G, R, d) ``coeffs``, (G, R)
-    ``variances`` and (G, R, 2) ``logistic`` coefficients: one regime solve
-    over every regime with mass, and one IRLS over the stack. The new
-    coefficients and variances overwrite the given arrays."""
+    count, given their (3, G, R, m) statistics ``sums``, (G,) cluster
+    ``totals`` and previous (G, R, d) ``coeffs``, (G, R) ``variances`` and
+    (G, R, 2) ``logistic`` coefficients: one regime solve over every regime
+    with mass, and one IRLS over the stack. The new coefficients and
+    variances overwrite the given arrays."""
     T = design.matrix
-    G, R = variances.shape
-    point_w, xw, x2w = (np.empty((G, R, len(T))) for _ in range(3))
-    for g, (r, tau) in enumerate(zip(resp, taus)):
-        point_w[g], xw[g], x2w[g] = _regime_stats(r, tau, values)
-
+    point_w, xw, x2w = sums
     regime_mass = point_w.sum(axis=2)
     # a regime without mass keeps its previous parameters; zero weight,
     # zero influence
-    fit = regime_mass > 1e-12 * np.maximum([r.sum() for r in resp], 1.0)[:, None]
+    fit = regime_mass > 1e-12 * np.maximum(totals, 1.0)[:, None]
     if fit.any():
         w = point_w[fit]  # (A, m)
         beta = ridge_solve(T.T @ (w[:, :, None] * T), xw[fit] @ T)
@@ -544,7 +570,7 @@ def _fit_clusters(
 
 
 def _m_step_impl(
-    posteriors: Posteriors,
+    stats: _Stats,
     values: np.ndarray,
     design: DesignMatrix,
     prev: _EmState,
@@ -554,30 +580,24 @@ def _m_step_impl(
     prev_curve_loglik: np.ndarray | None,
 ) -> tuple[_EmState, bool]:
     n = values.shape[0]
-    gamma = posteriors.cluster_resp
-    totals = gamma.sum(axis=0)
-    weights = totals / n
-    starved = totals < _STARVED_FRACTION * n
-
-    def fit(members, *arrays):
-        return _fit_clusters(
-            [gamma[:, k] for k in members],
-            [posteriors.regime_resp[k].transpose(2, 0, 1) for k in members],
-            values,
-            design,
-            *arrays,
-            floor,
-            irls_max_iter,
-        )
+    weights = stats.totals / n
+    starved = stats.totals < _STARVED_FRACTION * n
 
     groups = []  # (coefficients, variances, logistic) of each group
-    for group, *arrays in zip(prev.groups, prev.coeffs, prev.variances, prev.logistic):
+    for group, sums, *arrays in zip(
+        prev.groups, stats.sums, prev.coeffs, prev.variances, prev.logistic
+    ):
         new = [a.copy() for a in arrays]  # a starved cluster keeps its row
         rows = [g for g, k in enumerate(group) if not starved[k]]
-        if len(rows) == len(group):
-            new = fit(group, *new)
-        elif rows:
-            fitted = fit([group[g] for g in rows], *(a[rows] for a in new))
+        if rows:
+            fitted = _fit_clusters(
+                sums[:, rows],
+                stats.totals[[group[g] for g in rows]],
+                design,
+                *(a[rows] for a in new),
+                floor,
+                irls_max_iter,
+            )
             for a, f in zip(new, fitted):
                 a[rows] = f
         groups.append(new)
@@ -585,7 +605,7 @@ def _m_step_impl(
     rescued = rescue and bool(starved.any())
     if rescued:
         if prev_curve_loglik is None:
-            prev_curve_loglik = _e_step_full(prev, values, design)[2]
+            prev_curve_loglik = _responsibilities(prev, values, design)[1]
         where = {k: (i, g) for i, group in enumerate(prev.groups) for g, k in enumerate(group)}
         # worst fits first
         for k, curve in zip(np.flatnonzero(starved), np.argsort(prev_curve_loglik)):
@@ -615,10 +635,10 @@ def m_step(
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if floor is None:
         floor = variance_floor(values)
-    state, _ = _m_step_impl(
-        posteriors, values, design, _pack(prev), floor, irls_max_iter, True, None
-    )
-    return _unpack(state)
+    state = _pack(prev)
+    stats = _posterior_stats(posteriors, state.groups, values)
+    new, _ = _m_step_impl(stats, values, design, state, floor, irls_max_iter, True, None)
+    return _unpack(new)
 
 
 # ---------------------------------------------------------------------------
@@ -626,30 +646,16 @@ def m_step(
 # ---------------------------------------------------------------------------
 
 
-def _ols(stacked_design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    coeffs, *_ = np.linalg.lstsq(stacked_design, y, rcond=None)
-    resid = y - stacked_design @ coeffs
-    return coeffs, float(np.mean(resid**2))
-
-
 def _segment_logistic(grid: TimeGrid, segments: list[np.ndarray]) -> LogisticWeights:
     """Weights whose softmax approximates the given contiguous segmentation."""
     R = len(segments)
-    if R == 1:
-        return LogisticWeights.zeros(1)
     t = grid.points
     slope_gap = _INIT_SLOPE_SCALE * R / grid.span
-    bounds = []
-    for left, right in zip(segments[:-1], segments[1:]):
-        if left.size and right.size:
-            bounds.append(0.5 * (t[left[-1]] + t[right[0]]))
-        else:
-            bounds.append(0.5 * (t[0] + t[-1]))
     raw = np.zeros((R, 2))
-    for r in range(R):
-        raw[r, 1] = slope_gap * r
+    raw[:, 1] = slope_gap * np.arange(R)
     for r in range(R - 2, -1, -1):
-        raw[r, 0] = raw[r + 1, 0] + slope_gap * bounds[r]
+        bound = 0.5 * (t[segments[r][-1]] + t[segments[r + 1][0]])
+        raw[r, 0] = raw[r + 1, 0] + slope_gap * bound
     return LogisticWeights.gauge_fixed(raw)
 
 
@@ -658,22 +664,16 @@ def _init_cluster(
 ) -> RhlpParams:
     """Segment the time axis uniformly and fit one polynomial per segment."""
     T = design.matrix
-    m = T.shape[0]
-    segments = np.array_split(np.arange(m), n_regimes)
-    full_design = np.tile(T, (values.shape[0], 1))
-    full_coeffs, full_var = _ols(full_design, values.reshape(-1))
-
+    if n_regimes > T.shape[0]:
+        raise ValueError(f"cannot split {T.shape[0]} grid points into {n_regimes} regimes")
+    segments = np.array_split(np.arange(T.shape[0]), n_regimes)
     coeffs = np.empty((n_regimes, T.shape[1]))
     variances = np.empty(n_regimes)
     for r, seg in enumerate(segments):
-        if seg.size == 0:
-            coeffs[r], variances[r] = full_coeffs, max(full_var, floor)
-            continue
         seg_design = np.tile(T[seg], (values.shape[0], 1))
         y = values[:, seg].reshape(-1)
-        c, v = _ols(seg_design, y)
-        coeffs[r] = c
-        variances[r] = max(v, floor)
+        coeffs[r], *_ = np.linalg.lstsq(seg_design, y, rcond=None)
+        variances[r] = max(float(np.mean((y - seg_design @ coeffs[r]) ** 2)), floor)
     logistic = _segment_logistic(design.grid, segments)
     return RhlpParams(logistic, coeffs, variances)
 
@@ -713,32 +713,31 @@ def _random_partition(
 
 
 def _ascend(e_step, m_step, params, config: EmConfig) -> tuple[object, list[float], bool]:
-    """EM from ``params`` for either family: ``e_step(params, slot)`` gives
-    (posteriors, loglik, per-curve logliks), ``m_step(posteriors, params,
-    rescue, per_curve)`` gives (candidate, whether a starved cluster was
-    re-seeded). Returns (last accepted params, loglik trace, converged).
+    """EM from ``params`` for either family: ``e_step(params)`` gives
+    (what the M-step reads, loglik, per-curve logliks), ``m_step(that,
+    params, rescue, per_curve)`` gives (candidate, whether a starved cluster
+    was re-seeded). Returns (last accepted params, loglik trace, converged).
 
-    ``slot`` (0 or 1) names the workspace an E-step may overwrite: a
-    candidate's E-step never takes the slot behind ``post``, which the
-    rescue fallback reads after it.
+    An E-step returns its own arrays (the MixRHLP statistics, or the
+    regression mixture's responsibilities), so the rescue fallback re-runs
+    the M-step from what the accepted iterate's E-step returned.
     """
-    slot = 0  # the slot behind ``post``
-    post, ll, per_curve = e_step(params, slot)
+    stats, ll, per_curve = e_step(params)
     trace = [ll]
     converged = False
     for _ in range(config.max_iter):
-        cand, rescued = m_step(post, params, True, per_curve)
-        cand_post, cand_ll, cand_pc = e_step(cand, 1 - slot)
+        cand, rescued = m_step(stats, params, True, per_curve)
+        cand_stats, cand_ll, cand_pc = e_step(cand)
         if rescued and cand_ll < ll - _LOGLIK_SLACK:
             # The rescue hurt the likelihood; fall back to the plain update,
             # which is monotone by construction.
-            cand, _ = m_step(post, params, False, per_curve)
-            cand_post, cand_ll, cand_pc = e_step(cand, 1 - slot)
+            cand, _ = m_step(stats, params, False, per_curve)
+            cand_stats, cand_ll, cand_pc = e_step(cand)
         if cand_ll < ll - _LOGLIK_SLACK:
             # A degraded M-step (a ridge-regularized solve) lowered the
             # likelihood: keep the previous iterate and stop unconverged.
             break
-        params, post, per_curve, slot = cand, cand_post, cand_pc, 1 - slot
+        params, stats, per_curve = cand, cand_stats, cand_pc
         increment = cand_ll - ll
         ll = cand_ll
         trace.append(ll)
@@ -789,13 +788,12 @@ def _em_once(
             values, design, config.n_clusters, config.regimes(), rng, floor
         )
     start = _pack(init)
-    # two workspace slots of one (G, R, n, m) buffer per regime group
-    shapes = [v.shape + values.shape for v in start.variances]
-    slots = [[np.empty(shape) for shape in shapes] for _ in range(2)]
+    # the E-step's workspace: one (G, R, n, m) buffer per regime group
+    buffers = [np.empty(v.shape + values.shape) for v in start.variances]
     state, trace, converged = _ascend(
-        lambda state, slot: _e_step_full(state, values, design, slots[slot]),
-        lambda post, state, rescue, per_curve: _m_step_impl(
-            post, values, design, state, floor, config.irls_max_iter, rescue, per_curve
+        lambda state: _e_step_full(state, values, design, buffers),
+        lambda stats, state, rescue, per_curve: _m_step_impl(
+            stats, values, design, state, floor, config.irls_max_iter, rescue, per_curve
         ),
         start,
         config,

@@ -26,6 +26,7 @@ from regimix.mixrhlp import (
     _e_step_full,
     _m_step_impl,
     _pack,
+    _posterior_stats,
     _regime_stats,
     _unpack,
     bic,
@@ -236,19 +237,52 @@ class TestEStep:
 
     def test_ragged_regime_counts_match_scoring(self):
         # clusters with R = 2, 3, 2 form two stacks in the E-step; the
-        # per-curve log-likelihoods still equal scoring one cluster at a time
+        # per-curve log-likelihoods still equal scoring one cluster at a
+        # time, and each cluster's regime table its solo E-step's
         rng = np.random.default_rng(95)
         g = TimeGrid(np.linspace(0, 1, 9))
         design = vandermonde(g, 1)
         clusters = tuple(rand_params(rng, 1, R, 1).clusters[0] for R in (2, 3, 2))
         params = MixRhlpParams(np.array([0.2, 0.5, 0.3]), clusters)
         values = rng.normal(size=(6, 9))
-        post, total, per_curve = _e_step_full(_pack(params), values, design)
+        stats, total, per_curve = _e_step_full(_pack(params), values, design)
         np.testing.assert_array_equal(per_curve, mixrhlp_loglik_set(params, values, design))
+        assert [s.shape for s in stats.sums] == [(3, 2, 2, 9), (3, 1, 3, 9)]
+        post = e_step(params, values, design)
         assert [tau.shape for tau in post.regime_resp] == [(6, 9, 2), (6, 9, 3), (6, 9, 2)]
         for k, cluster in enumerate(clusters):
             solo = e_step(MixRhlpParams(np.array([1.0]), (cluster,)), values, design)
             np.testing.assert_array_equal(post.regime_resp[k], solo.regime_resp[0])
+
+    @pytest.mark.parametrize("case", ["uniform", "ragged", "zero_cluster"])
+    def test_statistics_match_public_posteriors(self, case):
+        # the statistics EM computes right after its kernel equal, bit for
+        # bit, _regime_stats over the checked posteriors of the public
+        # E-step, cluster by cluster, down to a cluster with no
+        # responsibility at all
+        rng = np.random.default_rng(98)
+        g = TimeGrid(np.linspace(0, 1, 11))
+        design = vandermonde(g, 1)
+        regimes = (2, 3, 2) if case == "ragged" else (3, 3, 3)
+        clusters = [rand_params(rng, 1, R, 1).clusters[0] for R in regimes]
+        if case == "zero_cluster":
+            far = clusters[1]
+            clusters[1] = RhlpParams(far.logistic, far.coeffs + 1e3, far.variances)
+        params = MixRhlpParams(np.array([0.2, 0.5, 0.3]), tuple(clusters))
+        values = rng.normal(size=(7, 11))
+        state = _pack(params)
+        stats, _, _ = _e_step_full(state, values, design)
+        post = e_step(params, values, design)
+        if case == "zero_cluster":
+            np.testing.assert_array_equal(post.cluster_resp[:, 1], 0.0)
+        np.testing.assert_array_equal(stats.totals, post.cluster_resp.sum(axis=0))
+        assert len(stats.sums) == len(state.groups)
+        for group, sums in zip(state.groups, stats.sums):
+            for g_idx, k in enumerate(group):
+                want = _regime_stats(
+                    post.cluster_resp[:, k], post.regime_resp[k].transpose(2, 0, 1), values
+                )
+                np.testing.assert_array_equal(sums[:, g_idx], np.stack(want))
 
     def test_regime_resp_is_read_only_n_m_r_view(self):
         rng = np.random.default_rng(92)
@@ -309,8 +343,8 @@ class TestEStepExtremes:
         np.testing.assert_array_equal(post.regime_resp[0].sum(axis=2), 1.0)
 
     def test_curve_outside_every_cluster_raises(self):
-        # the E-step skips the table checks, but a curve that no cluster can
-        # explain (a -inf log-likelihood) still stops it
+        # a curve that no cluster can explain (a -inf log-likelihood) stops
+        # the E-step with a typed error
         g = TimeGrid(np.linspace(0, 1, 3))
         near = RhlpParams(LogisticWeights.zeros(2), np.zeros((2, 1)), np.ones(2))
         params = MixRhlpParams(np.array([0.5, 0.5]), (near, near))
@@ -357,12 +391,17 @@ class TestExpUnderflowMask:
         log_pi = mixrhlp.log_regime_probabilities(state.logistic[0], g)
         assert log_pi.min() < mixrhlp._EXP_UNDERFLOW
         masked = _e_step_full(state, values, design)
+        masked_post = e_step(_unpack(state), values, design)
         monkeypatch.setattr(mixrhlp, "_EXP_UNDERFLOW", -np.inf)  # exp of every lane
         plain = _e_step_full(state, values, design)
+        plain_post = e_step(_unpack(state), values, design)
         assert masked[1] == plain[1]
         np.testing.assert_array_equal(masked[2], plain[2])
-        np.testing.assert_array_equal(masked[0].cluster_resp, plain[0].cluster_resp)
-        for a, b in zip(masked[0].regime_resp, plain[0].regime_resp):
+        np.testing.assert_array_equal(masked[0].totals, plain[0].totals)
+        for a, b in zip(masked[0].sums, plain[0].sums):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(masked_post.cluster_resp, plain_post.cluster_resp)
+        for a, b in zip(masked_post.regime_resp, plain_post.regime_resp):
             np.testing.assert_array_equal(a, b)
             assert (a == 0.0).mean() > 0.2
 
@@ -417,9 +456,9 @@ class TestMStep:
         taus[0][:, :, 1] = 0.0  # a regime with no mass
         taus[0][:, :, 0] = 1.0
         floor = variance_floor(values)
-        new, rescued = _m_step_impl(
-            Posteriors(gamma, tuple(taus)), values, design, _pack(prev), floor, 50, False, None
-        )
+        state = _pack(prev)
+        stats = _posterior_stats(Posteriors(gamma, tuple(taus)), state.groups, values)
+        new, rescued = _m_step_impl(stats, values, design, state, floor, 50, False, None)
         new = _unpack(new)
         assert not rescued
         for field in ("coeffs", "variances"):
@@ -586,6 +625,10 @@ class TestEmFit:
             em_fit(values, g, EmConfig(n_clusters=2, n_regimes=(2, 5), n_restarts=1))
         with pytest.raises(ValueError, match="degree 4 needs at least 5 grid points"):
             em_fit(values, g, EmConfig(degree=4, n_restarts=1))
+        # the segment initialization, which the starved-cluster rescue of the
+        # public m_step also runs, gives every regime a grid point or refuses
+        with pytest.raises(ValueError, match="4 grid points into 5 regimes"):
+            mixrhlp.initial_params(values, vandermonde(g, 0), 1, (5,), rng, 1e-6)
         # as many regimes, or coefficients, as grid points is still allowed
         _, report = em_fit(values, g, EmConfig(n_regimes=4, degree=3, n_restarts=1,
                                                max_iter=3))
@@ -681,9 +724,9 @@ class TestEmFit:
 
     @pytest.mark.parametrize("regimes", [2, (2, 3, 2)], ids=["uniform", "ragged"])
     def test_workspace_matches_public_steps(self, regimes):
-        # EM reuses two kernel buffers per restart; from the same start it
-        # must give, bit for bit, the parameters and trace of hand-run
-        # public steps, which allocate fresh arrays
+        # EM reuses one kernel buffer per regime group and restart; from the
+        # same start it must give, bit for bit, the parameters and trace of
+        # hand-run public steps, which allocate fresh arrays
         data = gen_waveform(WaveformSpec(40), 0)
         values = data.values[data.labels == 1]
         K, degree, rounds = 3, 2, 6
@@ -715,9 +758,10 @@ class TestEmFit:
 
     @pytest.mark.parametrize("case", ["rescue_fallback", "two_restarts"])
     def test_m_steps_read_their_iterates_posteriors(self, monkeypatch, case):
-        # every M-step, the rescue fallback's included, must get the checked
-        # posteriors of the iterate it updates, never a buffer that a later
-        # E-step has overwritten
+        # every M-step, the rescue fallback's included, must get the
+        # statistics of the iterate it updates, equal to those of the
+        # checked posteriors of a fresh public E-step on it, never those of
+        # a later E-step
         if case == "rescue_fallback":
             # the data and start of test_rescue_that_lowers_likelihood_falls_back
             values = np.array([[1.0, -1.0, 1.0, -1.0]] * 9 + [[1.5, -1.5, 1.5, -1.5]])
@@ -738,14 +782,13 @@ class TestEmFit:
         real_m_step = mixrhlp._m_step_impl
         rescue_flags = []
 
-        def checked(post, values, design, prev, *rest):
-            Posteriors(post.cluster_resp, post.regime_resp)  # every normalisation check
-            fresh = e_step(_unpack(prev), values, design)
-            np.testing.assert_array_equal(post.cluster_resp, fresh.cluster_resp)
-            for got, want in zip(post.regime_resp, fresh.regime_resp):
+        def checked(stats, values, design, prev, *rest):
+            fresh = _posterior_stats(e_step(_unpack(prev), values, design), prev.groups, values)
+            np.testing.assert_array_equal(stats.totals, fresh.totals)
+            for got, want in zip(stats.sums, fresh.sums, strict=True):
                 np.testing.assert_array_equal(got, want)
             rescue_flags.append(rest[2])
-            return real_m_step(post, values, design, prev, *rest)
+            return real_m_step(stats, values, design, prev, *rest)
 
         monkeypatch.setattr(mixrhlp, "_m_step_impl", checked)
         em_fit(values, g, cfg, init=init)
