@@ -7,7 +7,8 @@ regression mixture has K clusters with curve-level responsibilities,
 fitted by EM. Both work on polynomial and B-spline designs.
 
 The one ascent loop and restart selection of ``mixrhlp`` fit a regression
-mixture, from this module's initialization, E-step and M-step. The E-step
+mixture, from this module's initialization, E-step and M-step, with all
+restarts in lockstep; the M-step leaves no logistic problems. The E-step
 evaluates the one-regime density in closed form, at a fraction of the
 cost of the general (G, R, n, m) kernel. A restart carries plain arrays,
 the (K,) weights, (K, d) coefficients and (K,) variances, and builds its
@@ -102,30 +103,18 @@ def _fit_component(
     return coeffs, max(sse / (m * total), floor)
 
 
-def _mixture_em_once(
-    values: np.ndarray,
-    design: DesignMatrix,
-    config: EmConfig,
-    floor: float,
-    init: MixRhlpParams | None,
-    rng: np.random.Generator | None,
-) -> tuple[MixRhlpParams, list[float], bool]:
-    if init is None:
-        parts, weights = _random_partition(values.shape[0], config.n_clusters, rng)
-        fits = [_least_squares(values[p], design, floor) for p in parts]
-    else:
-        weights = init.weights
-        fits = [(c.coeffs[0], c.variances[0]) for c in init.clusters]
-    state = (weights, np.array([c for c, _ in fits]), np.array([v for _, v in fits]))
-    state, trace, converged = _ascend(
-        lambda state: _posterior(state, values, design),
-        lambda resp, state, rescue, per_curve: _mixture_m_step(
-            resp, values, design, state, floor, per_curve, rescue
-        ),
-        state,
-        config,
-    )
-    return _one_regime_params(*state), trace, converged
+def _mixture_state(weights, fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (weights, (K, d) coefficients, (K,) variances) state of K
+    (coefficients, variance) fits."""
+    return weights, np.array([c for c, _ in fits]), np.array([v for _, v in fits])
+
+
+def _mixture_start(
+    values: np.ndarray, design: DesignMatrix, n_clusters: int, floor: float, rng
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A random start: one least-squares fit per part of a random partition."""
+    parts, weights = _random_partition(values.shape[0], n_clusters, rng)
+    return _mixture_state(weights, [_least_squares(values[p], design, floor) for p in parts])
 
 
 def _mixture_m_step(
@@ -177,9 +166,24 @@ def fit_regression_mixture(
             raise ValueError(f"init must hold one regime per cluster, got {init.regimes}")
         _check_design(design, init)
     floor = variance_floor(values)
+
+    def run(starts):
+        runs = _ascend(
+            lambda state: _posterior(state, values, design),
+            lambda resp, state, rescue, per_curve, pending: _mixture_m_step(
+                resp, values, design, state, floor, per_curve, rescue
+            ),
+            starts,
+            config,
+        )
+        return [(_one_regime_params(*state), trace, conv) for state, trace, conv in runs]
+
     return _fit_restarts(
-        lambda start, rng: _mixture_em_once(values, design, config, floor, start, rng),
-        init,
+        run,
+        lambda rng: _mixture_start(values, design, config.n_clusters, floor, rng),
+        None if init is None else _mixture_state(
+            init.weights, [(c.coeffs[0], c.variances[0]) for c in init.clusters]
+        ),
         config,
         values.shape[0],
         design.n_cols - 1,

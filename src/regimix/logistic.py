@@ -19,10 +19,10 @@ as good as the previous one.
 ``irls_fit``, ``qw_value``, ``qw_gradient_hessian`` and
 ``log_regime_probabilities`` also take a tuple of G processes with the same R,
 with one (m, R) count table each as a (G, m, R) array, and then work on
-all G problems at once: the EM's M-step fits the logistic processes of
-every cluster of a class as one stack. The single process is the G = 1
-case of the same code. Internally the tables are regime-first, (G, R, m),
-so that reductions over regimes run across slabs.
+all G problems at once: EM fits the logistic processes of the clusters
+of every live restart of a fit that share one R as one stack. The single
+process is the G = 1 case of the same code. Internally the tables are
+regime-first, (G, R, m), so that reductions over regimes run across slabs.
 
 ``irls_fit`` prepares its problem once: it checks the counts, makes them
 regime-first and forms their positive mask and (G, m) totals over
@@ -300,7 +300,9 @@ def irls_fit(
     stops on its own decrement, halves its own step and leaves the stack
     when it stops. Each Newton step of the stack is one
     ``qw_gradient_hessian`` call and one ``ridge_solve``, and each round of
-    candidates one ``qw_value`` call, over the problems still in it.
+    candidates one ``qw_value`` call, over the problems still in it. So a
+    concatenation of stacks gives each stack, bit for bit, its own result;
+    EM concatenates the stacks of every live restart's M-step.
 
     The iteration runs on one (G, R, 2) coefficient array, and every
     candidate array has its gauge row at (0, 0) by construction; a

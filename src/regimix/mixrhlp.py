@@ -27,37 +27,48 @@ per group (one group unless the regime counts are ragged); scoring calls
 it one cluster at a time, which keeps the buffer of a large scoring set
 to one cluster's size and gives the same per-curve log-likelihoods, bit
 for bit. The M-step fits each group as one stack too: one ``ridge_solve``
-over the Grams of every regime with mass, and one stacked IRLS for the G
-logistic processes.
+over the Grams of every regime with mass. It leaves the group's logistic
+processes to the driver, which fits them by IRLS together with those of
+the other restarts (below).
 
-Each EM restart (one ``_em_once`` call) carries its iterate as one packed
-state of plain arrays, ``_EmState``: the (K,) mixing weights and, for each
-regime group, the (G, R, d) coefficients, (G, R) variances and (G, R, 2)
-logistic coefficients. The E-step reads it and the M-step returns a new
-one, so an iteration builds no ``RhlpParams``, ``LogisticWeights`` or
-``MixRhlpParams`` and checks none: ``_em_once`` packs its start and builds
-(and so checks) the parameters it returns, and the public ``e_step`` and
-``m_step`` convert the same way. A NaN in an M-step result makes the next
-E-step's log-likelihoods NaN, which raises ``NumericalError``; an infinite
-one starves its cluster, or fails the checks where ``_em_once`` builds its
-result. Ragged regime counts give one entry per group, and the
-starved-cluster rescue writes its re-seeded cluster into its group's rows.
+Each EM restart carries its iterate as one packed state of plain arrays,
+``_EmState``: the (K,) mixing weights and, for each regime group, the
+(G, R, d) coefficients, (G, R) variances and (G, R, 2) logistic
+coefficients. The E-step reads it and the M-step returns a new one, so an
+iteration builds no ``RhlpParams``, ``LogisticWeights`` or
+``MixRhlpParams`` and checks none: ``em_fit`` packs each start, and
+``_em_once`` builds (and so checks) the parameters of each finished
+restart; the public ``e_step`` and ``m_step`` convert the same way. A NaN
+in an M-step result makes the next E-step's log-likelihoods NaN, which
+raises ``NumericalError``; an infinite one starves its cluster, or fails
+the checks where ``_em_once`` builds its result. Ragged regime counts give
+one entry per group, and the starved-cluster rescue writes its re-seeded
+cluster into its group's rows.
 
 The M-step reads the posteriors only through their sufficient statistics,
 ``_Stats``: the (K,) cluster totals and, per regime group, the (G, R, m)
 point masses, sums of x and sums of x^2. The EM E-step computes them
-right after the kernel, from one (G, R, n, m) buffer per regime group that
-each restart allocates once and every E-step overwrites; nothing reads the
-buffer after that, so the rescue fallback re-runs the M-step from the
-accepted iterate's statistics. The buffers are not shared across restarts,
-each of which draws from its own random stream, so results do not depend
-on the order in which restarts run. No public function returns workspace
+right after the kernel, from a workspace of one (G, R, n, m) buffer per
+regime group that each fit allocates once. Every E-step of every restart
+overwrites it, and nothing reads it after the statistics are taken, so
+the restarts share it and the rescue fallback re-runs the M-step from the
+accepted iterate's statistics. No public function returns workspace
 memory: ``e_step`` builds checked ``Posteriors`` from fresh arrays, and
 ``m_step`` turns its ``Posteriors`` into the statistics EM uses.
 
 The regression mixtures of ``baselines`` (one regime per cluster) share
 the EM driver: one ascent loop, ``_ascend``, and one restart selection,
 ``_fit_restarts``, serve both families, each with its own E- and M-step.
+``_ascend`` advances all restarts of a fit together, one iteration at a
+time, on one thread. Each restart runs its own E- and M-step, and the
+MixRHLP M-steps hand their logistic problems back: the (G, R, m) point
+masses and starting (G, R, 2) coefficients of the clusters they fit. The
+driver stacks the problems of every live restart by regime count, so that
+one ``irls_fit`` call per count, and per round of M-steps, fits up to
+``n_restarts`` x K processes. Each stacked problem makes the decisions a
+fit of its own would make, so every restart ends, bit for bit, where a
+fit from its start alone ends. The regression mixture's M-step has no
+logistic problems.
 """
 
 from __future__ import annotations
@@ -376,7 +387,7 @@ def mixrhlp_curve_loglik(params: MixRhlpParams, curve, design: DesignMatrix) -> 
 
 
 class _EmState(NamedTuple):
-    """One EM iterate of ``_em_once`` on plain arrays: the (K,) mixing
+    """One EM iterate of a MixRHLP restart on plain arrays: the (K,) mixing
     weights and, for each regime group (the cluster indices ``groups[i]``,
     which share one regime count R), the (G, R, d) coefficients, (G, R)
     variances and (G, R, 2) logistic coefficients of its G clusters.
@@ -536,15 +547,12 @@ def _fit_clusters(
     design: DesignMatrix,
     coeffs: np.ndarray,
     variances: np.ndarray,
-    logistic: np.ndarray,
     floor: float,
-    irls_max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted updates for a stack of G clusters that share one regime
-    count, given their (3, G, R, m) statistics ``sums``, (G,) cluster
-    ``totals`` and previous (G, R, d) ``coeffs``, (G, R) ``variances`` and
-    (G, R, 2) ``logistic`` coefficients: one regime solve over every regime
-    with mass, and one IRLS over the stack. The new coefficients and
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted regime updates for a stack of G clusters that share one
+    regime count, given their (3, G, R, m) statistics ``sums``, (G,) cluster
+    ``totals`` and previous (G, R, d) ``coeffs`` and (G, R) ``variances``:
+    one regime solve over every regime with mass. The new coefficients and
     variances overwrite the given arrays."""
     T = design.matrix
     point_w, xw, x2w = sums
@@ -559,14 +567,43 @@ def _fit_clusters(
         sse = np.sum(x2w[fit] - 2.0 * mean * xw[fit] + mean**2 * w, axis=1)
         coeffs[fit] = beta
         variances[fit] = np.maximum(sse / regime_mass[fit], floor)
+    return coeffs, variances
 
-    logistic = irls_fit(
-        logistic,
-        design.grid,
-        point_w.transpose(0, 2, 1),  # (G, m, R) view of regime-first memory
-        max_iter=irls_max_iter,
-    )
-    return coeffs, variances, logistic
+
+class _LogisticProblems(NamedTuple):
+    """The logistic problems an M-step leaves for one regime group: the
+    (G, R, m) point masses of the G clusters it fits, which sit at rows
+    ``rows`` of the candidate's (G', R, 2) logistic array ``coef``. Those
+    rows hold the starting coefficients and take the fits."""
+
+    counts: np.ndarray
+    coef: np.ndarray
+    rows: list[int]
+    grid: TimeGrid
+    max_iter: int
+
+
+def _solve_logistic(pending: list[_LogisticProblems]) -> None:
+    """Fit the pending logistic problems in place, with one ``irls_fit``
+    stack per regime count. The problems come from the M-steps of one fit,
+    so they share its grid and IRLS cap. Each stacked problem makes the
+    decisions a fit of its own would make, so its fit does not depend on
+    the other problems in the stack, bit for bit."""
+    stacks: dict[int, list[_LogisticProblems]] = {}
+    for problem in pending:
+        stacks.setdefault(problem.coef.shape[1], []).append(problem)
+    for stack in stacks.values():
+        fitted = irls_fit(
+            np.concatenate([p.coef[p.rows] for p in stack]),
+            stack[0].grid,
+            # (G, m, R) view of regime-first memory
+            np.concatenate([p.counts for p in stack]).transpose(0, 2, 1),
+            max_iter=stack[0].max_iter,
+        )
+        start = 0
+        for p in stack:
+            p.coef[p.rows] = fitted[start : start + len(p.rows)]
+            start += len(p.rows)
 
 
 def _m_step_impl(
@@ -578,7 +615,12 @@ def _m_step_impl(
     irls_max_iter: int,
     rescue: bool,
     prev_curve_loglik: np.ndarray | None,
+    pending: list[_LogisticProblems],
 ) -> tuple[_EmState, bool]:
+    """The candidate that updates ``prev`` from its statistics, and whether
+    a starved cluster was re-seeded. The closed-form updates are made here;
+    the logistic problems go to ``pending``, and the candidate's logistic
+    coefficients are final once ``_solve_logistic`` has fitted them."""
     n = values.shape[0]
     weights = stats.totals / n
     starved = stats.totals < _STARVED_FRACTION * n
@@ -588,18 +630,20 @@ def _m_step_impl(
         prev.groups, stats.sums, prev.coeffs, prev.variances, prev.logistic
     ):
         new = [a.copy() for a in arrays]  # a starved cluster keeps its row
+        coeffs, variances, logistic = new
         rows = [g for g, k in enumerate(group) if not starved[k]]
         if rows:
-            fitted = _fit_clusters(
+            coeffs[rows], variances[rows] = _fit_clusters(
                 sums[:, rows],
                 stats.totals[[group[g] for g in rows]],
                 design,
-                *(a[rows] for a in new),
+                coeffs[rows],
+                variances[rows],
                 floor,
-                irls_max_iter,
             )
-            for a, f in zip(new, fitted):
-                a[rows] = f
+            pending.append(
+                _LogisticProblems(sums[0, rows], logistic, rows, design.grid, irls_max_iter)
+            )
         groups.append(new)
 
     rescued = rescue and bool(starved.any())
@@ -637,7 +681,9 @@ def m_step(
         floor = variance_floor(values)
     state = _pack(prev)
     stats = _posterior_stats(posteriors, state.groups, values)
-    new, _ = _m_step_impl(stats, values, design, state, floor, irls_max_iter, True, None)
+    pending = []
+    new, _ = _m_step_impl(stats, values, design, state, floor, irls_max_iter, True, None, pending)
+    _solve_logistic(pending)
     return _unpack(new)
 
 
@@ -712,56 +758,87 @@ def _random_partition(
 # ---------------------------------------------------------------------------
 
 
-def _ascend(e_step, m_step, params, config: EmConfig) -> tuple[object, list[float], bool]:
-    """EM from ``params`` for either family: ``e_step(params)`` gives
-    (what the M-step reads, loglik, per-curve logliks), ``m_step(that,
-    params, rescue, per_curve)`` gives (candidate, whether a starved cluster
-    was re-seeded). Returns (last accepted params, loglik trace, converged).
+def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list[float], bool]]:
+    """EM from each of ``starts`` for either family, the restarts advancing
+    together one iteration at a time: ``e_step(params)`` gives (what the
+    M-step reads, loglik, per-curve logliks), and ``m_step(that, params,
+    rescue, per_curve, pending)`` gives (candidate, whether a starved
+    cluster was re-seeded) and leaves its logistic problems in the list
+    ``pending``. One ``_solve_logistic`` call fits the problems of every
+    live restart's M-step. Returns each restart's (last accepted params,
+    loglik trace, converged).
 
-    An E-step returns its own arrays (the MixRHLP statistics, or the
-    regression mixture's responsibilities), so the rescue fallback re-runs
-    the M-step from what the accepted iterate's E-step returned.
+    Each restart makes the decisions a run of its own would make, and
+    leaves the lockstep when it stops. An E-step returns its own arrays (the
+    MixRHLP statistics, or the regression mixture's responsibilities), so
+    the rescue fallback re-runs the M-step from what the accepted iterate's
+    E-step returned: a second round, for the restarts whose rescue lowered
+    the likelihood.
     """
-    stats, ll, per_curve = e_step(params)
-    trace = [ll]
-    converged = False
+    # each restart's accepted (params, E-step result, loglik, per-curve logliks)
+    runs = [(params, *e_step(params)) for params in starts]
+    traces = [[run[2]] for run in runs]
+    converged = [False] * len(runs)
+    live = list(range(len(runs)))
     for _ in range(config.max_iter):
-        cand, rescued = m_step(stats, params, True, per_curve)
-        cand_stats, cand_ll, cand_pc = e_step(cand)
-        if rescued and cand_ll < ll - _LOGLIK_SLACK:
-            # The rescue hurt the likelihood; fall back to the plain update,
-            # which is monotone by construction.
-            cand, _ = m_step(stats, params, False, per_curve)
-            cand_stats, cand_ll, cand_pc = e_step(cand)
-        if cand_ll < ll - _LOGLIK_SLACK:
-            # A degraded M-step (a ridge-regularized solve) lowered the
-            # likelihood: keep the previous iterate and stop unconverged.
+        if not live:
             break
-        params, stats, per_curve = cand, cand_stats, cand_pc
-        increment = cand_ll - ll
-        ll = cand_ll
-        trace.append(ll)
-        if increment < config.tol:
-            converged = True
-            break
-    return params, trace, converged
+        cands = _m_steps(m_step, [runs[r] for r in live], True)
+        evals = [e_step(cand) for cand, _ in cands]
+        # A rescue that hurt the likelihood falls back to the plain update,
+        # which is monotone by construction.
+        redo = [
+            i for i, r in enumerate(live)
+            if cands[i][1] and evals[i][1] < runs[r][2] - _LOGLIK_SLACK
+        ]
+        for i, cand in zip(redo, _m_steps(m_step, [runs[live[i]] for i in redo], False)):
+            cands[i], evals[i] = cand, e_step(cand[0])
+        still = []
+        for r, (cand, _), (cand_stats, cand_ll, cand_pc) in zip(live, cands, evals):
+            ll = runs[r][2]
+            if cand_ll < ll - _LOGLIK_SLACK:
+                # A degraded M-step (a ridge-regularized solve) lowered the
+                # likelihood: keep the previous iterate and stop unconverged.
+                continue
+            runs[r] = (cand, cand_stats, cand_ll, cand_pc)
+            traces[r].append(cand_ll)
+            if cand_ll - ll < config.tol:
+                converged[r] = True
+            else:
+                still.append(r)
+        live = still
+    return [(run[0], trace, conv) for run, trace, conv in zip(runs, traces, converged)]
+
+
+def _m_steps(m_step, runs, rescue: bool) -> list[tuple[object, bool]]:
+    """The M-steps of the accepted ``runs`` (params, E-step result, loglik,
+    per-curve logliks), their logistic problems fitted together."""
+    pending = []
+    cands = [
+        m_step(stats, params, rescue, per_curve, pending) for params, stats, _, per_curve in runs
+    ]
+    _solve_logistic(pending)
+    return cands
 
 
 def _fit_restarts(
-    run, init, config: EmConfig, n: int, degree: int
+    run, start, init, config: EmConfig, n: int, degree: int
 ) -> tuple[MixRhlpParams, FitReport]:
-    """Best of the EM runs ``run(init, rng) -> (params, trace, converged)``
-    of either family on n curves: the run from ``init`` if given, else one
-    per stream ``child_rng(config.seed, r)``. The highest final loglik wins,
-    ties to the smaller index. The BIC counts degree + 1 coefficients per regime."""
+    """Best of the EM restarts of either family on n curves: the run from
+    the start ``init`` if given, else one per stream ``child_rng(config.seed,
+    r)``, from ``start(rng)``. ``run(starts)`` runs them in lockstep and
+    gives each one's (params, trace, converged). The highest final loglik
+    wins, ties to the smaller index. The BIC counts degree + 1 coefficients
+    per regime."""
     if n < config.n_clusters:
         raise ValueError(
             f"infeasible clustering: {n} curves for {config.n_clusters} clusters"
         )
     if init is not None:
-        runs = [run(init, None)]
+        starts = [init]
     else:
-        runs = [run(None, child_rng(config.seed, r)) for r in range(config.n_restarts)]
+        starts = [start(child_rng(config.seed, r)) for r in range(config.n_restarts)]
+    runs = run(starts)
     best_idx = max(range(len(runs)), key=lambda idx: runs[idx][1][-1])
     params, trace, converged = runs[best_idx]
     report = FitReport(
@@ -776,28 +853,12 @@ def _fit_restarts(
 
 
 def _em_once(
-    values: np.ndarray,
-    design: DesignMatrix,
-    config: EmConfig,
-    floor: float,
-    init: MixRhlpParams | None,
-    rng: np.random.Generator | None,
+    state: _EmState, trace: list[float], converged: bool
 ) -> tuple[MixRhlpParams, list[float], bool]:
-    if init is None:
-        init = initial_params(
-            values, design, config.n_clusters, config.regimes(), rng, floor
-        )
-    start = _pack(init)
-    # the E-step's workspace: one (G, R, n, m) buffer per regime group
-    buffers = [np.empty(v.shape + values.shape) for v in start.variances]
-    state, trace, converged = _ascend(
-        lambda state: _e_step_full(state, values, design, buffers),
-        lambda stats, state, rescue, per_curve: _m_step_impl(
-            stats, values, design, state, floor, config.irls_max_iter, rescue, per_curve
-        ),
-        start,
-        config,
-    )
+    """The checked result of one finished MixRHLP restart: its parameters,
+    loglik trace and whether it converged. ``em_fit`` makes exactly one call
+    per restart, once the lockstep is over, and the benchmark's tracer counts
+    restarts and EM iterations from these calls."""
     return _unpack(state), trace, converged
 
 
@@ -810,8 +871,8 @@ def em_fit(
 ) -> tuple[MixRhlpParams, FitReport]:
     """Fit the cluster mixture by multi-restart EM.
 
-    Runs ``config.n_restarts`` independent EM runs from random
-    segment-based initializations (or a single run when ``init`` is
+    Runs ``config.n_restarts`` independent EM runs, in lockstep, from
+    random segment-based initializations (or a single run when ``init`` is
     given) and returns the parameters of the restart with the highest
     final log-likelihood, ties broken toward the smaller restart index.
     Raises ``ValueError`` for shapes the data cannot identify: fewer curves
@@ -833,9 +894,29 @@ def em_fit(
     if init is not None:
         _check_design(design, init)
     floor = variance_floor(values)
+
+    def run(starts):
+        # the E-step's workspace, one (G, R, n, m) buffer per regime group;
+        # the restarts share it, since their E-steps run one at a time and
+        # each takes its statistics from the buffer at once
+        buffers = [np.empty(v.shape + values.shape) for v in starts[0].variances]
+        runs = _ascend(
+            lambda state: _e_step_full(state, values, design, buffers),
+            lambda stats, state, rescue, per_curve, pending: _m_step_impl(
+                stats, values, design, state, floor, config.irls_max_iter, rescue,
+                per_curve, pending,
+            ),
+            starts,
+            config,
+        )
+        return [_em_once(*r) for r in runs]
+
     return _fit_restarts(
-        lambda start, rng: _em_once(values, design, config, floor, start, rng),
-        init,
+        run,
+        lambda rng: _pack(
+            initial_params(values, design, config.n_clusters, config.regimes(), rng, floor)
+        ),
+        None if init is None else _pack(init),
         config,
         n,
         config.degree,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regimix import logistic
+from regimix import core, logistic
 from regimix.core import TimeGrid
 from regimix.logistic import (
     LogisticWeights,
@@ -365,6 +365,48 @@ class TestIrlsFit:
             solo = irls_fit(starts[k], g, counts[k])
             np.testing.assert_allclose(stacked[k].coef, solo.coef, rtol=1e-12, atol=1e-12)
             assert not np.array_equal(solo.coef, starts[k].coef)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("max_iter", [1, 4, 50])
+    def test_concatenated_stacks_equal_their_own_fits(self, monkeypatch, max_iter):
+        # EM concatenates the (G, R, 2) stacks of several M-steps into one
+        # call; each stack must get, bit for bit, the result of its own call.
+        # The stacks include G = 1 stacks, a member whose Hessian needs the
+        # ridge, and a neighbour whose non-finite system sends the whole
+        # concatenation down the per-member solves.
+        rng = np.random.default_rng(67)
+        g = TimeGrid(np.linspace(0, 1, 12))
+        sizes = (1, 3, 1, 2, 1)
+        coefs = [
+            np.array([rand_weights(rng, 3, scale=s).coef for s in rng.uniform(0.1, 4, n)])
+            for n in sizes
+        ]
+        counts = [
+            rng.uniform(size=(n, 12, 3)) * rng.uniform(0.1, 10, size=(n, 1, 1)) for n in sizes
+        ]
+        counts[1][1] = 0.0
+        counts[1][1, 5] = (1.0, 2.0, 3.0)  # mass at one time point: a singular Hessian
+        counts[3][0, 2, 0] = np.inf  # a Newton system that cannot be solved
+        _, hess = qw_gradient_hessian(LogisticWeights(coefs[1][1]), g, counts[1][1])
+        eigvals = np.linalg.eigvalsh(-hess)
+        assert not (eigvals[0] > 0 and eigvals[-1] <= core.MAX_CONDITION * eigvals[0])
+
+        solves = []
+        real_solve = core.ridge_solve
+
+        def spy(gram, rhs):
+            solves.append(np.ndim(rhs))
+            return real_solve(gram, rhs)
+
+        monkeypatch.setattr(core, "ridge_solve", spy)
+        own = [irls_fit(c, g, k, max_iter=max_iter) for c, k in zip(coefs, counts)]
+        solves.clear()
+        joint = irls_fit(np.concatenate(coefs), g, np.concatenate(counts), max_iter=max_iter)
+        assert 1 in solves  # the per-member path ran
+        parts = np.split(joint, np.cumsum(sizes)[:-1])
+        for got, want in zip(parts, own, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(own[1][1], coefs[1][1])  # the ridge member moved
 
     def test_unmoved_problem_keeps_its_input_object(self):
         # the stack iterates on one coefficient array; only a problem that

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -15,7 +16,7 @@ from oracles import (
 )
 from regimix import mixrhlp
 from regimix.core import Curve, TimeGrid, ridge_solve, vandermonde, variance_floor
-from regimix.datagen import WaveformSpec, gen_waveform
+from regimix.datagen import WaveformSpec, default_piecewise_spec, gen_piecewise, gen_waveform
 from regimix.errors import NumericalError
 from regimix.logistic import LogisticWeights, irls_fit
 from regimix.mixrhlp import (
@@ -28,6 +29,7 @@ from regimix.mixrhlp import (
     _pack,
     _posterior_stats,
     _regime_stats,
+    _solve_logistic,
     _unpack,
     bic,
     e_step,
@@ -458,7 +460,9 @@ class TestMStep:
         floor = variance_floor(values)
         state = _pack(prev)
         stats = _posterior_stats(Posteriors(gamma, tuple(taus)), state.groups, values)
-        new, rescued = _m_step_impl(stats, values, design, state, floor, 50, False, None)
+        pending = []
+        new, rescued = _m_step_impl(stats, values, design, state, floor, 50, False, None, pending)
+        _solve_logistic(pending)
         new = _unpack(new)
         assert not rescued
         for field in ("coeffs", "variances"):
@@ -688,9 +692,11 @@ class TestEmFit:
             return point_w, xw, np.full_like(x2w, np.nan)
 
         monkeypatch.setattr(mixrhlp, "_regime_stats", nan_sum_of_squares)
-        cfg = EmConfig(n_clusters=2, n_regimes=2, degree=0, max_iter=20, n_restarts=1)
-        with pytest.raises(NumericalError, match="not finite"):
-            em_fit(values, g, cfg)
+        for n_restarts in (1, 3):  # a lone restart, and restarts in lockstep
+            cfg = EmConfig(n_clusters=2, n_regimes=2, degree=0, max_iter=20,
+                           n_restarts=n_restarts)
+            with pytest.raises(NumericalError, match="not finite"):
+                em_fit(values, g, cfg)
 
     def test_rescue_that_lowers_likelihood_falls_back(self, monkeypatch):
         # cluster 1 starts at the pooled fit of every curve, cluster 2 far
@@ -795,6 +801,63 @@ class TestEmFit:
         assert len(rescue_flags) >= 2
         assert (False in rescue_flags) == (case == "rescue_fallback")
 
+
+    @pytest.mark.parametrize("case", ["uniform", "ragged", "one_fallback"])
+    def test_lockstep_restarts_equal_their_own_fits(self, monkeypatch, case):
+        # the restarts of a fit advance together and share IRLS stacks; each
+        # must end, bit for bit, where a fit from its own start ends:
+        # parameters, trace and convergence. In the last case only one
+        # restart takes the rescue fallback.
+        if case == "one_fallback":
+            spec = dataclasses.replace(default_piecewise_spec(), curves_per_subclass=3,
+                                       n_points=30)
+            data = gen_piecewise(spec, 0)
+            cfg = EmConfig(n_clusters=4, n_regimes=2, degree=0, max_iter=30, tol=1e-2,
+                           n_restarts=3, seed=2)
+        else:
+            data = gen_waveform(WaveformSpec(40), 0)
+            regimes = 2 if case == "uniform" else (2, 3, 2)
+            cfg = EmConfig(n_clusters=3, n_regimes=regimes, degree=2, max_iter=30, tol=1.0,
+                           n_restarts=3, seed=3)
+        values = data.values[data.labels == 1]
+        starts, runs, rescue_flags = [], [], []
+        real_init, real_once, real_m_step = (
+            mixrhlp.initial_params, mixrhlp._em_once, mixrhlp._m_step_impl
+        )
+
+        def init_spy(*args):
+            starts.append(real_init(*args))
+            return starts[-1]
+
+        def once_spy(*args):
+            runs.append(real_once(*args))
+            return runs[-1]
+
+        def m_step_spy(*args):
+            rescue_flags.append(args[6])
+            return real_m_step(*args)
+
+        monkeypatch.setattr(mixrhlp, "initial_params", init_spy)
+        monkeypatch.setattr(mixrhlp, "_em_once", once_spy)
+        monkeypatch.setattr(mixrhlp, "_m_step_impl", m_step_spy)
+        em_fit(values, data.grid, cfg)
+        assert len(starts) == len(runs) == 3
+        fallbacks = []
+        for start, (params, trace, converged) in zip(starts, runs[:3]):
+            rescue_flags.clear()
+            solo, report = em_fit(values, data.grid, dataclasses.replace(cfg, n_restarts=1),
+                                  init=start)
+            fallbacks.append(rescue_flags.count(False))
+            assert list(report.loglik_trace) == trace
+            assert report.converged == converged
+            np.testing.assert_array_equal(params.weights, solo.weights)
+            for c1, c2 in zip(params.clusters, solo.clusters, strict=True):
+                np.testing.assert_array_equal(c1.coeffs, c2.coeffs)
+                np.testing.assert_array_equal(c1.variances, c2.variances)
+                np.testing.assert_array_equal(c1.logistic.coef, c2.logistic.coef)
+        assert sum(f > 0 for f in fallbacks) == (case == "one_fallback")
+        # the restarts leave the lockstep at different iterations
+        assert len({len(run[1]) for run in runs[:3]}) > 1
 
 class TestDegenerateInputs:
     """Inputs the model barely identifies fit without error, to a finite
