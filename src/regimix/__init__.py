@@ -17,7 +17,6 @@ from .core import (
     TimeGrid,
     bspline_basis,
     design_matrix,
-    gaussian_logpdf,
     logsumexp,
     read_curveset,
     vandermonde,
@@ -72,8 +71,6 @@ from .mixrhlp import (
     em_fit,
     m_step,
     mean_curves,
-    mixrhlp_curve_loglik,
-    rhlp_curve_loglik,
     select_model,
 )
 

@@ -4,8 +4,10 @@ Curves are real-valued functions sampled on one common strictly
 increasing time grid. Regression models act through a design matrix
 evaluated on that grid: a Vandermonde matrix for polynomial fits or a
 B-spline basis for spline fits. Everything downstream accumulates
-densities in the log domain; the helpers here are the only places where
-raw Gaussian densities and log-sum-exp reductions are spelled out.
+densities in the log domain, from the ``LOG_2PI`` constant and the
+``logsumexp`` reduction here; the Gaussian log-densities themselves are
+spelled out where they are evaluated, in the MixRHLP kernel and in the
+regression-mixture posterior of ``baselines``.
 """
 
 from __future__ import annotations
@@ -254,17 +256,6 @@ def design_matrix(grid: TimeGrid, basis: Basis) -> DesignMatrix:
     if basis.kind == "polynomial":
         return vandermonde(grid, basis.degree)
     return bspline_basis(grid, basis.order, basis.interior_knots)
-
-
-def gaussian_logpdf(x, mean, variance):
-    """Log density of N(mean, variance) at x; broadcasts over arrays."""
-    variance = np.asarray(variance, dtype=float)
-    if np.any(variance <= 0):
-        raise ValueError("variance must be positive")
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    out = -0.5 * (LOG_2PI + np.log(variance) + (x - mean) ** 2 / variance)
-    return float(out) if out.ndim == 0 else out
 
 
 def logsumexp(values, axis=None):

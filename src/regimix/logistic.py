@@ -17,23 +17,24 @@ line search; otherwise step-halving makes every accepted iterate at least
 as good as the previous one.
 
 ``irls_fit``, ``qw_value``, ``qw_gradient_hessian`` and
-``log_regime_probabilities`` also take a tuple of G processes with the same R,
-with one (m, R) count table each as a (G, m, R) array, and then work on
-all G problems at once: EM fits the logistic processes of the clusters
-of every live restart of a fit that share one R as one stack. The single
-process is the G = 1 case of the same code. Internally the tables are
-regime-first, (G, R, m), so that reductions over regimes run across slabs.
+``log_regime_probabilities`` take G processes with one R as a (G, R, 2)
+coefficient array and, where they take counts, one (m, R) count table
+each as a (G, m, R) array; a single process is the case G = 1. They work
+on all G problems at once: EM fits the logistic processes of the clusters
+of every live restart of a fit that share one R as one stack. Internally
+the tables are regime-first, (G, R, m), so that reductions over regimes
+run across slabs. ``LogisticWeights`` is the checked (R, 2) parameter of
+one process that models hold; ``weights.coef[None]`` is its G = 1 stack.
 
-``irls_fit`` prepares its problem once: it checks the counts, makes them
-regime-first and forms their positive mask and (G, m) totals over
-regimes. It hands that prepared problem to ``qw_value`` and
-``qw_gradient_hessian`` (called through their module names, once per
-round of candidates and once per Newton step) in place of the raw counts,
-so neither re-checks them. ``qw_value`` on a prepared problem also
-returns the regime probabilities its softmax formed, and the accepted
-candidate's probabilities go to the next gradient and Hessian instead of
-a second softmax. Given a (G, R, 2) coefficient array, ``irls_fit``
-returns the fitted array and builds no ``LogisticWeights``.
+A public call checks its raw coefficients and counts once, in
+``_Counts.prepare``, which also makes the counts regime-first and forms
+their positive mask and (G, m) totals over regimes. ``irls_fit`` hands
+that prepared problem to ``qw_value`` and ``qw_gradient_hessian`` (called
+through their module names, once per round of candidates and once per
+Newton step) in place of the raw counts, so neither re-checks them.
+``qw_value`` on a prepared problem also returns the regime probabilities
+its softmax formed, and the accepted candidate's probabilities go to the
+next gradient and Hessian instead of a second softmax.
 """
 
 from __future__ import annotations
@@ -82,20 +83,6 @@ class LogisticWeights:
         return LogisticWeights(raw - raw[-1])
 
 
-def _coef_stack(weights) -> tuple[np.ndarray, bool]:
-    """(G, R, 2) coefficients of one process, of a stack of G processes or
-    of a (G, R, 2) coefficient array, and whether a single process was
-    given."""
-    if isinstance(weights, LogisticWeights):
-        return weights.coef[None], True
-    if isinstance(weights, np.ndarray):
-        return weights, False
-    coefs = [w.coef for w in weights]
-    if not coefs or len({c.shape for c in coefs}) != 1:
-        raise ValueError("a stack of logistic processes needs one regime count")
-    return np.array(coefs), False
-
-
 def _scores(coef: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """(G, R, m) affine scores w_r0 + w_r1 * t_j of a (G, R, 2) stack,
     regime axis before time so that reductions over regimes run across
@@ -116,35 +103,16 @@ def _probs(coef: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def log_regime_probabilities(weights, grid: TimeGrid) -> np.ndarray:
-    """(m, R) log-probabilities, max-shifted per row; (G, m, R) for a
-    tuple of G processes with the same R."""
-    coef, single = _coef_stack(weights)
-    out = _log_probs(coef, grid).transpose(0, 2, 1)
-    return out[0] if single else out
+def log_regime_probabilities(coef: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """(G, m, R) log-probabilities of the G processes of a (G, R, 2)
+    coefficient array, max-shifted per row; the coefficients are not
+    checked."""
+    return _log_probs(coef, grid).transpose(0, 2, 1)
 
 
 def regime_probabilities(weights: LogisticWeights, grid: TimeGrid) -> np.ndarray:
     """(m, R) probabilities of each regime at each grid point; rows sum to 1."""
     return _probs(weights.coef[None], grid)[0].T
-
-
-def _aggregate_counts(soft_counts: np.ndarray, m: int, stack: int | None) -> np.ndarray:
-    """(G, R, m) soft counts, regime axis first. A single process (``stack``
-    None) takes an (n, m, R) table, summed over curves, or an (m, R) one; a
-    stack of G processes takes one (m, R) table each, as a (G, m, R) array."""
-    counts = np.asarray(soft_counts, dtype=float)
-    if stack is None:
-        if counts.ndim == 3:
-            counts = counts.sum(axis=0)
-        if counts.ndim != 2 or counts.shape[0] != m:
-            raise ValueError("soft counts must be (n, m, R) or (m, R) matching the grid")
-        counts = counts[None]
-    elif counts.ndim != 3 or counts.shape[:2] != (stack, m):
-        raise ValueError("stacked soft counts must be (G, m, R) matching the grid")
-    if not np.all(counts >= 0):  # NaN fails this test too
-        raise ValueError("soft counts must be non-negative and not NaN")
-    return counts.transpose(0, 2, 1)
 
 
 class _Counts(NamedTuple):
@@ -158,8 +126,22 @@ class _Counts(NamedTuple):
     probs: np.ndarray | None = None
 
     @staticmethod
-    def prepare(soft_counts, m: int, stack: int | None) -> "_Counts":
-        counts = _aggregate_counts(soft_counts, m, stack)
+    def prepare(coef, grid: TimeGrid, soft_counts) -> "_Counts":
+        """Check a public call's raw (G, R, 2) coefficients and (G, m, R)
+        counts, and prepare the counts."""
+        shape = coef.shape if isinstance(coef, np.ndarray) else ()
+        if len(shape) != 3 or shape[1] < 1 or shape[2] != 2:
+            raise ValueError("logistic coefficients must be a (G, R, 2) array with R >= 1")
+        if not np.all(np.isfinite(coef)):
+            raise ValueError("logistic weights must be finite")
+        if np.any(coef[:, -1] != 0.0):
+            raise ValueError("reference regime weights must be pinned to (0, 0)")
+        counts = np.asarray(soft_counts, dtype=float)
+        if counts.shape != (shape[0], len(grid), shape[1]):
+            raise ValueError("soft counts must be (G, m, R) matching the coefficients and grid")
+        if not np.all(counts >= 0):  # NaN fails this test too
+            raise ValueError("soft counts must be non-negative and not NaN")
+        counts = counts.transpose(0, 2, 1)
         return _Counts(counts, counts > 0, counts.sum(axis=1))
 
     def take(self, rows: np.ndarray, probs: np.ndarray | None = None) -> "_Counts":
@@ -170,10 +152,6 @@ class _Counts(NamedTuple):
         if probs is not None:
             probs = probs[rows]
         return _Counts(self.counts[rows], self.positive[rows], self.totals[rows], probs)
-
-
-def _unwrap(values, single: bool):
-    return tuple(v[0] for v in values) if single else values
 
 
 def _objective(coef: np.ndarray, grid: TimeGrid, prepared: _Counts):
@@ -192,20 +170,15 @@ def _objective(coef: np.ndarray, grid: TimeGrid, prepared: _Counts):
     return terms.reshape(len(coef), -1).sum(axis=1), np.divide(expd, sums, out=expd)
 
 
-def qw_value(weights, grid: TimeGrid, soft_counts: np.ndarray):
-    """The weighted log-probability objective Q(w).
-
-    One process gives a float. A tuple of G processes with the same R,
-    with a (G, m, R) count array, gives the (G,) values of the G problems.
-    ``irls_fit`` passes a (G, R, 2) array with its prepared counts and gets
-    the values with the regime probabilities.
+def qw_value(coef: np.ndarray, grid: TimeGrid, soft_counts):
+    """The (G,) values of the weighted log-probability objective Q(w) of
+    the G problems of a (G, R, 2) coefficient array and (G, m, R) counts.
+    ``irls_fit`` passes its prepared counts and gets the values with the
+    (G, R, m) regime probabilities.
     """
     if isinstance(soft_counts, _Counts):
-        return _objective(weights, grid, soft_counts)
-    coef, single = _coef_stack(weights)
-    prepared = _Counts.prepare(soft_counts, len(grid), None if single else len(coef))
-    q = _objective(coef, grid, prepared)[0]
-    return float(q[0]) if single else q
+        return _objective(coef, grid, soft_counts)
+    return _objective(coef, grid, _Counts.prepare(coef, grid, soft_counts))[0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -223,26 +196,26 @@ def _hessian_constants(points: bytes, n_free_regimes: int):
 
 
 def qw_gradient_hessian(
-    weights, grid: TimeGrid, soft_counts: np.ndarray
+    coef: np.ndarray, grid: TimeGrid, soft_counts
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of Q(w) in the 2(R-1) free parameters.
+    """(G, 2(R-1)) gradients and (G, 2(R-1), 2(R-1)) Hessians of Q(w) in
+    the free parameters of the G problems of a (G, R, 2) coefficient array
+    and (G, m, R) counts.
 
-    The free parameters are the rows 1..R-1 of the weight matrix,
+    The free parameters are the rows 1..R-1 of each weight matrix,
     flattened as (intercept, slope) pairs. The Hessian is the usual
     multinomial-logistic curvature, symmetric negative semi-definite.
-    A tuple of G processes with a (G, m, R) count array gives (G, 2(R-1))
-    gradients and (G, 2(R-1), 2(R-1)) Hessians. ``irls_fit`` passes its
-    prepared counts, with the probabilities at ``weights`` when known.
+    ``irls_fit`` passes its prepared counts, with the probabilities at
+    ``coef`` when known.
     """
-    coef, single = _coef_stack(weights)
-    G, R = coef.shape[:2]
-    m = len(grid)
     prepared = soft_counts
     if not isinstance(prepared, _Counts):
-        prepared = _Counts.prepare(soft_counts, m, None if single else G)
+        prepared = _Counts.prepare(coef, grid, soft_counts)
+    G, R = coef.shape[:2]
+    m = len(grid)
     n_free = 2 * (R - 1)
     if n_free == 0:
-        return _unwrap((np.zeros((G, 0)), np.zeros((G, 0, 0))), single)
+        return np.zeros((G, 0)), np.zeros((G, 0, 0))
 
     counts, totals = prepared.counts, prepared.totals  # (G, R, m), (G, m)
     probs = _probs(coef, grid) if prepared.probs is None else prepared.probs
@@ -257,7 +230,7 @@ def qw_gradient_hessian(
     cov = weighted[:, :, None] * (eye - pi[:, None])
     blocks = (cov.reshape(G, -1, m) @ outer).reshape(G, R - 1, R - 1, 2, 2)
     hess = -blocks.transpose(0, 1, 3, 2, 4).reshape(G, n_free, n_free)
-    return _unwrap((grad, hess), single)
+    return grad, hess
 
 
 def _newton_directions(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -277,13 +250,15 @@ def _newton_directions(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
 
 
 def irls_fit(
-    weights_init,
+    coef_init: np.ndarray,
     grid: TimeGrid,
-    soft_counts: np.ndarray,
+    soft_counts,
     max_iter: int = 50,
     tol: float = 1e-8,
-):
-    """Maximize Q(w) from ``weights_init`` by damped Newton (IRLS) steps.
+) -> np.ndarray:
+    """Maximize Q(w) from the (G, R, 2) coefficients ``coef_init`` by
+    damped Newton (IRLS) steps, with (G, m, R) counts; returns the fitted
+    coefficients as a new (G, R, 2) array and leaves ``coef_init`` as it is.
 
     Each iteration solves for the Newton direction d with
     ``core.ridge_solve(-hess, grad)`` and stops, before any line search,
@@ -294,32 +269,25 @@ def irls_fit(
     weights score at least as well as the initial ones. At most
     ``max_iter`` Newton steps; the gauge row stays pinned.
 
-    A tuple of G processes with the same R, with a (G, m, R) count array,
-    fits G independent problems as one stack and returns a tuple of G
-    fits. Each problem makes the decisions a fit of its own would make: it
-    stops on its own decrement, halves its own step and leaves the stack
-    when it stops. Each Newton step of the stack is one
-    ``qw_gradient_hessian`` call and one ``ridge_solve``, and each round of
-    candidates one ``qw_value`` call, over the problems still in it. So a
-    concatenation of stacks gives each stack, bit for bit, its own result;
-    EM concatenates the stacks of every live restart's M-step.
+    The G problems are independent and fitted as one stack. Each problem
+    makes the decisions a fit of its own would make: it stops on its own
+    decrement, halves its own step and leaves the stack when it stops.
+    Each Newton step of the stack is one ``qw_gradient_hessian`` call and
+    one ``ridge_solve``, and each round of candidates one ``qw_value``
+    call, over the problems still in it. So a concatenation of stacks
+    gives each stack, bit for bit, its own result; EM concatenates the
+    stacks of every live restart's M-step.
 
-    The iteration runs on one (G, R, 2) coefficient array, and every
-    candidate array has its gauge row at (0, 0) by construction; a
+    Every candidate array has its gauge row at (0, 0) by construction; a
     non-finite candidate raises ``ValueError``, as ``LogisticWeights``
-    does. ``LogisticWeights`` are built once, for the problems that moved;
-    a problem that did not keeps its input object. A (G, R, 2) array
-    ``weights_init`` gives the fitted (G, R, 2) array instead.
+    does.
     """
-    coef, single = _coef_stack(weights_init)
-    as_array = isinstance(weights_init, np.ndarray)
+    prepared = _Counts.prepare(coef_init, grid, soft_counts)
+    coef = coef_init.astype(float)  # a float copy, the iterate; its gauge row stays 0
     G, R = coef.shape[:2]
-    prepared = _Counts.prepare(soft_counts, len(grid), None if single else G)
     if R == 1 or max_iter <= 0:
-        return weights_init if single or as_array else tuple(weights_init)
+        return coef
 
-    coef = coef.copy()  # the iterate of every problem; the gauge row stays 0
-    moved = np.zeros(G, dtype=bool)
     q, probs = qw_value(coef, grid, prepared)  # probs: the softmax at coef
     live = np.arange(G)  # problems still iterating
     for _ in range(max_iter):
@@ -345,7 +313,6 @@ def irls_fit(
             accept = q_cand >= q[members]
             won = members[accept]
             coef[won], q[won], probs[won] = cands[accept], q_cand[accept], p_cand[accept]
-            moved[won] = True
             if won.size == members.size:
                 break
             members, free, direction = members[~accept], free[~accept], direction[~accept]
@@ -354,10 +321,4 @@ def irls_fit(
             live = live[~np.isin(live, members)]
             if not live.size:
                 break
-    if as_array:
-        return coef
-    starts = [weights_init] if single else weights_init
-    fitted = tuple(
-        LogisticWeights(c) if did else start for c, did, start in zip(coef, moved, starts)
-    )
-    return fitted[0] if single else fitted
+    return coef

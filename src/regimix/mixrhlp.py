@@ -353,11 +353,6 @@ def rhlp_loglik_set(
     return _regime_kernel(*(a[None] for a in arrays), values, design, False)[0][0]
 
 
-def rhlp_curve_loglik(rhlp: RhlpParams, curve, design: DesignMatrix) -> float:
-    values = curve.values if hasattr(curve, "values") else np.asarray(curve, dtype=float)
-    return float(rhlp_loglik_set(rhlp, values, design)[0])
-
-
 def _log_mix(params: MixRhlpParams, values: np.ndarray, design: DesignMatrix) -> np.ndarray:
     """(n, K) log weight plus log density of each curve under each cluster,
     scored one cluster at a time."""
@@ -374,11 +369,6 @@ def mixrhlp_loglik_set(
 ) -> np.ndarray:
     """Per-curve log-likelihood under the cluster mixture."""
     return logsumexp(_log_mix(params, values, design), axis=1)
-
-
-def mixrhlp_curve_loglik(params: MixRhlpParams, curve, design: DesignMatrix) -> float:
-    values = curve.values if hasattr(curve, "values") else np.asarray(curve, dtype=float)
-    return float(mixrhlp_loglik_set(params, values, design)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +926,7 @@ def mean_curves(
     _check_design(design, params)
     out = np.empty((params.n_clusters, len(grid)))
     for k, cluster in enumerate(params.clusters):
-        pi = np.exp(log_regime_probabilities(cluster.logistic, grid))
+        pi = np.exp(log_regime_probabilities(cluster.logistic.coef[None], grid)[0])
         out[k] = np.sum(pi * (design.matrix @ cluster.coeffs.T), axis=1)
     return out
 

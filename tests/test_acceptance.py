@@ -151,7 +151,7 @@ def test_criterion_3_irls_gradient_check():
         grid = TimeGrid(np.sort(rng.uniform(-1.0, 1.0, size=m)))
         counts = rng.uniform(0.0, 1.0, size=(n, m, R))
         weights = LogisticWeights.gauge_fixed(rng.normal(size=(R, 2)))
-        grad, hess = qw_gradient_hessian(weights, grid, counts)
+        (grad,), (hess,) = qw_gradient_hessian(weights.coef[None], grid, counts.sum(axis=0)[None])
 
         step = 1e-6
         fd = np.zeros_like(grad)
@@ -164,7 +164,7 @@ def test_criterion_3_irls_gradient_check():
             def q_at(v):
                 coef = np.zeros_like(weights.coef)
                 coef[:-1] = v.reshape(-1, 2)
-                return qw_value(LogisticWeights(coef), grid, counts)
+                return qw_value(coef[None], grid, counts.sum(axis=0)[None])[0]
 
             fd[idx] = (q_at(up) - q_at(down)) / (2 * step)
         denom = max(float(np.max(np.abs(fd))), 1e-12)

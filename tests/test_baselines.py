@@ -15,9 +15,8 @@ from regimix.mixrhlp import (
     RhlpParams,
     e_step,
     em_fit,
-    mixrhlp_curve_loglik,
     mixrhlp_loglik_set,
-    rhlp_curve_loglik,
+    rhlp_loglik_set,
 )
 
 
@@ -83,15 +82,15 @@ class TestSingleRegressionLoglik:
         g = grid_of(0.0, 1.0)
         design = vandermonde(g, 0)
         params = one_regime([1.0], ([3.0], 1.0))
-        got = mixrhlp_curve_loglik(params, Curve(np.full(2, 3.0), g), design)
+        got = mixrhlp_loglik_set(params, Curve(np.full(2, 3.0), g).values, design)[0]
         assert got == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
     def test_variance_scaling(self):
         g = grid_of(0.0, 1.0, 2.0)
         design = vandermonde(g, 0)
         curve = Curve(np.full(3, 1.0), g)
-        base = mixrhlp_curve_loglik(one_regime([1.0], ([1.0], 1.0)), curve, design)
-        scaled = mixrhlp_curve_loglik(one_regime([1.0], ([1.0], 4.0)), curve, design)
+        base = mixrhlp_loglik_set(one_regime([1.0], ([1.0], 1.0)), curve.values, design)[0]
+        scaled = mixrhlp_loglik_set(one_regime([1.0], ([1.0], 4.0)), curve.values, design)[0]
         assert base - scaled == pytest.approx(3 * math.log(2), rel=1e-12)
 
     def test_matches_direct_formula(self):
@@ -106,7 +105,7 @@ class TestSingleRegressionLoglik:
                 mp.log(mp_gauss(values[j], mean[j], 0.8)) for j in range(3)
             )
         )
-        got = mixrhlp_curve_loglik(params, Curve(values, g), design)
+        got = mixrhlp_loglik_set(params, Curve(values, g).values, design)[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -118,8 +117,8 @@ class TestRegressionMixtureLoglik:
         comp = (rng.normal(size=2), 1.3)
         mixture = one_regime([1.0], comp)
         curve = Curve(rng.normal(size=3), g)
-        assert mixrhlp_curve_loglik(mixture, curve, design) == pytest.approx(
-            rhlp_curve_loglik(mixture.clusters[0], curve, design), rel=1e-12
+        assert mixrhlp_loglik_set(mixture, curve.values, design)[0] == pytest.approx(
+            rhlp_loglik_set(mixture.clusters[0], curve.values, design)[0], rel=1e-12
         )
 
     def test_duplicate_components_collapse(self):
@@ -129,8 +128,8 @@ class TestRegressionMixtureLoglik:
         comp = (rng.normal(size=2), 0.9)
         mixture = one_regime([0.5, 0.5], comp, comp)
         curve = Curve(rng.normal(size=3), g)
-        assert mixrhlp_curve_loglik(mixture, curve, design) == pytest.approx(
-            mixrhlp_curve_loglik(one_regime([1.0], comp), curve, design), rel=1e-12
+        assert mixrhlp_loglik_set(mixture, curve.values, design)[0] == pytest.approx(
+            mixrhlp_loglik_set(one_regime([1.0], comp), curve.values, design)[0], rel=1e-12
         )
 
     def test_matches_linear_domain_brute_force(self):
@@ -150,7 +149,7 @@ class TestRegressionMixtureLoglik:
             for j in range(3):
                 dens *= mp_gauss(values[j], mean[j], variance)
             total += mp.mpf(float(w)) * dens
-        got = mixrhlp_curve_loglik(mixture, Curve(values, g), design)
+        got = mixrhlp_loglik_set(mixture, Curve(values, g).values, design)[0]
         assert got == pytest.approx(float(mp.log(total)), rel=1e-10)
 
 

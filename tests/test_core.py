@@ -12,7 +12,6 @@ from regimix.core import (
     TimeGrid,
     bspline_basis,
     design_matrix,
-    gaussian_logpdf,
     logsumexp,
     read_curveset,
     ridge_solve,
@@ -161,30 +160,6 @@ class TestBsplineBasis:
         assert poly.matrix.shape == (12, 3)
         spl = design_matrix(g, Basis.bspline(4, 2))
         assert spl.matrix.shape == (12, 6)
-
-
-class TestGaussianLogpdf:
-    def test_standard_normal_at_mode(self):
-        assert gaussian_logpdf(0.0, 0.0, 1.0) == pytest.approx(
-            -0.5 * math.log(2 * math.pi), abs=1e-12
-        )
-
-    def test_zero_residual_any_variance(self):
-        for v in (0.25, 1.0, 7.5):
-            assert gaussian_logpdf(3.0, 3.0, v) == pytest.approx(
-                -0.5 * math.log(2 * math.pi * v), abs=1e-12
-            )
-
-    def test_direct_formula(self):
-        assert gaussian_logpdf(1.0, 0.0, 2.0) == pytest.approx(
-            -0.5 * math.log(4 * math.pi) - 0.25, abs=1e-12
-        )
-
-    def test_nonpositive_variance_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_logpdf(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            gaussian_logpdf(0.0, 0.0, -1.0)
 
 
 class TestLogsumexp:

@@ -75,16 +75,16 @@ def rand_counts(rng, n, m, R):
 class TestGradientHessian:
     def test_zero_gradient_at_symmetric_optimum(self):
         g = grid(0.0, 1.0, 2.0)
-        counts = np.full((2, 3, 3), 1.0 / 3.0)
-        grad, _ = qw_gradient_hessian(LogisticWeights.zeros(3), g, counts)
+        counts = np.full((2, 3, 3), 1.0 / 3.0).sum(axis=0)[None]
+        grad, _ = qw_gradient_hessian(LogisticWeights.zeros(3).coef[None], g, counts)
         np.testing.assert_allclose(grad, 0.0, atol=1e-14)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         g = grid(0.0, 0.7, 1.9)
-        counts = rand_counts(rng, 2, 3, 2)
+        counts = rand_counts(rng, 2, 3, 2).sum(axis=0)[None]
         w = rand_weights(rng, 2)
-        grad, _ = qw_gradient_hessian(w, g, counts)
+        (grad,), _ = qw_gradient_hessian(w.coef[None], g, counts)
         step = 1e-6
         for idx in range(grad.size):
             free = w.coef[:-1].reshape(-1).copy()
@@ -95,7 +95,7 @@ class TestGradientHessian:
             def q_at(v):
                 coef = np.zeros_like(w.coef)
                 coef[:-1] = v.reshape(-1, 2)
-                return qw_value(LogisticWeights(coef), g, counts)
+                return qw_value(coef[None], g, counts)[0]
 
             fd = (q_at(up) - q_at(down)) / (2 * step)
             assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
@@ -106,9 +106,9 @@ class TestGradientHessian:
             R = int(rng.integers(2, 5))
             m = int(rng.integers(3, 9))
             g = TimeGrid(np.sort(rng.uniform(-2, 2, size=m)))
-            counts = rand_counts(rng, 3, m, R)
+            counts = rand_counts(rng, 3, m, R).sum(axis=0)[None]
             w = rand_weights(rng, R, scale=2.0)
-            _, hess = qw_gradient_hessian(w, g, counts)
+            _, (hess,) = qw_gradient_hessian(w.coef[None], g, counts)
             np.testing.assert_allclose(hess, hess.T, atol=1e-10)
             eig = np.linalg.eigvalsh(hess)
             assert np.all(eig <= 1e-10)
@@ -116,31 +116,31 @@ class TestGradientHessian:
     def test_stack_matches_single_processes(self):
         rng = np.random.default_rng(41)
         g = TimeGrid(np.linspace(-1, 2, 9))
-        weights = tuple(rand_weights(rng, 3, scale=2.0) for _ in range(4))
+        coef = np.array([rand_weights(rng, 3, scale=2.0).coef for _ in range(4)])
         counts = rng.uniform(size=(4, 9, 3))
-        q = qw_value(weights, g, counts)
-        grad, hess = qw_gradient_hessian(weights, g, counts)
+        q = qw_value(coef, g, counts)
+        grad, hess = qw_gradient_hessian(coef, g, counts)
         assert q.shape == (4,) and grad.shape == (4, 4) and hess.shape == (4, 4, 4)
-        for k, w in enumerate(weights):
-            assert q[k] == pytest.approx(qw_value(w, g, counts[k]), rel=1e-14)
-            g1, h1 = qw_gradient_hessian(w, g, counts[k])
+        for k in range(4):
+            one = (coef[k:k + 1], g, counts[k:k + 1])
+            assert q[k] == pytest.approx(qw_value(*one)[0], rel=1e-14)
+            (g1,), (h1,) = qw_gradient_hessian(*one)
             np.testing.assert_allclose(grad[k], g1, rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(hess[k], h1, rtol=1e-13, atol=1e-13)
-        log_pi = log_regime_probabilities(weights, g)
+        log_pi = log_regime_probabilities(coef, g)
         assert log_pi.shape == (4, 9, 3)
-        np.testing.assert_array_equal(log_pi[1], log_regime_probabilities(weights[1], g))
+        np.testing.assert_array_equal(log_pi[1], log_regime_probabilities(coef[1:2], g)[0])
 
     def test_stack_needs_one_regime_count(self):
         g = grid(0.0, 1.0)
+        with pytest.raises(ValueError):  # counts of another regime count
+            qw_value(np.zeros((2, 2, 2)), g, np.ones((2, 2, 3)))
         with pytest.raises(ValueError):
-            qw_value((LogisticWeights.zeros(2), LogisticWeights.zeros(3)), g,
-                     np.ones((2, 2, 2)))
-        with pytest.raises(ValueError):
-            qw_value((LogisticWeights.zeros(2),), g, np.ones((2, 2)))
+            qw_value(LogisticWeights.zeros(2).coef[None], g, np.ones((2, 2)))
 
     def test_single_regime_is_empty(self):
-        grad, hess = qw_gradient_hessian(
-            LogisticWeights.zeros(1), grid(0.0, 1.0), np.ones((1, 2, 1))
+        (grad,), (hess,) = qw_gradient_hessian(
+            LogisticWeights.zeros(1).coef[None], grid(0.0, 1.0), np.ones((1, 2, 1))
         )
         assert grad.shape == (0,)
         assert hess.shape == (0, 0)
@@ -157,30 +157,15 @@ class TestPreparedProblem:
         g = TimeGrid(np.sort(rng.uniform(-2.0, 5.0, size=17)))
         counts = rng.uniform(size=(G, 17, R))
         counts[0, :5, 0] = 0.0  # zero counts score 0
-        weights = tuple(rand_weights(rng, R, scale=3.0) for _ in range(G))
-        coef = np.array([w.coef for w in weights])
-        prepared = logistic._Counts.prepare(counts, len(g), G)
+        coef = np.array([rand_weights(rng, R, scale=3.0).coef for _ in range(G)])
+        prepared = logistic._Counts.prepare(coef, g, counts)
         q, probs = qw_value(coef, g, prepared)
-        np.testing.assert_array_equal(q, qw_value(weights, g, counts))
-        public = qw_gradient_hessian(weights, g, counts)
+        np.testing.assert_array_equal(q, qw_value(coef, g, counts))
+        public = qw_gradient_hessian(coef, g, counts)
         for given in (None, probs):
             got = qw_gradient_hessian(coef, g, prepared._replace(probs=given))
             for a, b in zip(got, public):
                 np.testing.assert_array_equal(a, b)
-
-    def test_single_process_counts_prepare_alike(self):
-        # an (n, m, R) table of one process is summed over curves, as the
-        # public calls sum it
-        rng = np.random.default_rng(109)
-        g = TimeGrid(np.linspace(0, 3, 11))
-        counts = rand_counts(rng, 6, 11, 3)
-        w = rand_weights(rng, 3)
-        prepared = logistic._Counts.prepare(counts, len(g), None)
-        q, probs = qw_value(w.coef[None], g, prepared)
-        assert q[0] == qw_value(w, g, counts)
-        got = qw_gradient_hessian(w.coef[None], g, prepared._replace(probs=probs))
-        for a, b in zip(got, qw_gradient_hessian(w, g, counts)):
-            np.testing.assert_array_equal(a[0], b)
 
     def test_reused_probabilities_equal_regime_probabilities(self):
         rng = np.random.default_rng(111)
@@ -189,37 +174,25 @@ class TestPreparedProblem:
             for R in range(2, 5):
                 weights = [rand_weights(rng, R, scale=s) for s in rng.uniform(0.1, 30, G)]
                 coef = np.array([w.coef for w in weights])
-                prepared = logistic._Counts.prepare(rng.uniform(size=(G, 23, R)), 23, G)
+                prepared = logistic._Counts.prepare(coef, g, rng.uniform(size=(G, 23, R)))
                 _, probs = qw_value(coef, g, prepared)
                 for k, w in enumerate(weights):
                     np.testing.assert_array_equal(probs[k].T, regime_probabilities(w, g))
-
-    def test_coefficient_array_fit_equals_weights_fit(self):
-        # the EM passes a (G, R, 2) array and gets the fitted array back
-        rng = np.random.default_rng(113)
-        g = TimeGrid(np.linspace(0, 1, 15))
-        counts = rng.uniform(size=(3, 15, 3)) * rng.uniform(0.1, 10, size=(3, 1, 1))
-        starts = tuple(rand_weights(rng, 3, scale=s) for s in (0.5, 2.0, 4.0))
-        coef = np.array([w.coef for w in starts])
-        fitted = irls_fit(coef, g, counts)
-        assert isinstance(fitted, np.ndarray) and fitted.shape == (3, 3, 2)
-        np.testing.assert_array_equal(fitted, [w.coef for w in irls_fit(starts, g, counts)])
-        np.testing.assert_array_equal(coef, [w.coef for w in starts])  # input untouched
 
 
 class TestIrlsFit:
     def test_uniform_counts_keep_zero_weights(self):
         g = grid(0.0, 0.5, 1.0)
-        counts = np.full((4, 3, 3), 1.0 / 3.0)
-        fitted = irls_fit(LogisticWeights.zeros(3), g, counts)
-        np.testing.assert_allclose(fitted.coef, 0.0, atol=1e-9)
+        counts = np.full((4, 3, 3), 1.0 / 3.0).sum(axis=0)[None]
+        fitted = irls_fit(LogisticWeights.zeros(3).coef[None], g, counts)
+        np.testing.assert_allclose(fitted, 0.0, atol=1e-9)
 
     def test_nan_counts_rejected(self):
         # a NaN count passes a ``counts < 0`` test; it must not be scored as 0
         g = TimeGrid(np.linspace(0.0, 1.0, 5))
-        w = LogisticWeights(np.array([[1.0, -2.0], [0.0, 0.0]]))
-        counts = np.ones((5, 2))
-        counts[2, 1] = np.nan
+        w = LogisticWeights(np.array([[1.0, -2.0], [0.0, 0.0]])).coef[None]
+        counts = np.ones((1, 5, 2))
+        counts[0, 2, 1] = np.nan
         with pytest.raises(ValueError):
             qw_value(w, g, counts)
         with pytest.raises(ValueError):
@@ -228,8 +201,9 @@ class TestIrlsFit:
     def test_max_iter_zero_is_noop(self):
         rng = np.random.default_rng(5)
         w = rand_weights(rng, 3)
-        fitted = irls_fit(w, grid(0.0, 1.0), rand_counts(rng, 2, 2, 3), max_iter=0)
-        np.testing.assert_array_equal(fitted.coef, w.coef)
+        counts = rand_counts(rng, 2, 2, 3).sum(axis=0)[None]
+        fitted = irls_fit(w.coef[None], grid(0.0, 1.0), counts, max_iter=0)
+        np.testing.assert_array_equal(fitted[0], w.coef)
 
     def test_hard_split_crosses_threshold(self):
         # counts: regime 1 before t=0, regime 2 after; fitted probabilities
@@ -240,7 +214,9 @@ class TestIrlsFit:
         counts = np.zeros((1, m, 2))
         counts[0, g.points < 0.0, 0] = 1.0
         counts[0, g.points >= 0.0, 1] = 1.0
-        fitted = irls_fit(LogisticWeights.zeros(2), g, counts, max_iter=200)
+        fitted = LogisticWeights(
+            irls_fit(LogisticWeights.zeros(2).coef[None], g, counts, max_iter=200)[0]
+        )
         probs = regime_probabilities(fitted, g)
         late = probs[:, 1]
         assert late[0] < 0.5 < late[-1]
@@ -254,17 +230,17 @@ class TestIrlsFit:
         rng = np.random.default_rng(17)
         m, R = 6, 3
         g = TimeGrid(np.sort(rng.uniform(-1, 1, size=m)))
-        counts = rand_counts(rng, 4, m, R)
-        init = LogisticWeights.zeros(R)
+        counts = rand_counts(rng, 4, m, R).sum(axis=0)[None]
+        init = LogisticWeights.zeros(R).coef[None]
         fitted = irls_fit(init, g, counts, max_iter=300, tol=1e-13)
 
         free = np.zeros(2 * (R - 1))
         step = 0.05
-        q = qw_value(init, g, counts)
+        q = qw_value(init, g, counts)[0]
         for _ in range(60000):
-            grad, _ = qw_gradient_hessian(_from_free(free, R), g, counts)
+            (grad,), _ = qw_gradient_hessian(_from_free(free, R), g, counts)
             cand = free + step * grad
-            q_cand = qw_value(_from_free(cand, R), g, counts)
+            q_cand = qw_value(_from_free(cand, R), g, counts)[0]
             if q_cand <= q:
                 step *= 0.5
                 if step < 1e-12:
@@ -274,25 +250,27 @@ class TestIrlsFit:
                 free, q = cand, q_cand
                 break
             free, q = cand, q_cand
-        assert qw_value(fitted, g, counts) == pytest.approx(q, rel=1e-8, abs=1e-6)
+        assert qw_value(fitted, g, counts)[0] == pytest.approx(q, rel=1e-8, abs=1e-6)
 
     def test_monotone_objective_per_iteration(self):
         rng = np.random.default_rng(29)
         g = TimeGrid(np.linspace(0, 1, 8))
-        counts = rand_counts(rng, 3, 8, 3)
-        w = rand_weights(rng, 3, scale=3.0)
-        q_prev = qw_value(w, g, counts)
+        counts = rand_counts(rng, 3, 8, 3).sum(axis=0)[None]
+        w = rand_weights(rng, 3, scale=3.0).coef[None]
+        q_prev = qw_value(w, g, counts)[0]
         for _ in range(12):
             w_next = irls_fit(w, g, counts, max_iter=1)
-            q_next = qw_value(w_next, g, counts)
+            q_next = qw_value(w_next, g, counts)[0]
             assert q_next >= q_prev - 1e-10
             w, q_prev = w_next, q_next
 
     def test_stationary_start_stops_before_line_search(self, monkeypatch):
         rng = np.random.default_rng(31)
         g = TimeGrid(np.linspace(0, 1, 8))
-        counts = rand_counts(rng, 3, 8, 3)
-        fitted = irls_fit(LogisticWeights.zeros(3), g, counts, max_iter=300, tol=1e-13)
+        counts = rand_counts(rng, 3, 8, 3).sum(axis=0)[None]
+        fitted = irls_fit(
+            LogisticWeights.zeros(3).coef[None], g, counts, max_iter=300, tol=1e-13
+        )
 
         calls = {"q": 0, "newton": 0}
 
@@ -309,7 +287,7 @@ class TestIrlsFit:
         )
         refitted = irls_fit(fitted, g, counts)
         assert calls == {"q": 1, "newton": 1}
-        np.testing.assert_array_equal(refitted.coef, fitted.coef)
+        np.testing.assert_array_equal(refitted, fitted)
 
     def test_stacked_fit_equals_solo_fits(self, monkeypatch):
         # G problems with different starts, counts and stopping points: the
@@ -319,8 +297,9 @@ class TestIrlsFit:
         g = TimeGrid(np.linspace(0, 1, 12))
         counts = rng.uniform(size=(5, 12, 3)) * rng.uniform(0.1, 10, size=(5, 1, 1))
         counts[3, :, 0] = 0.0  # a regime with no mass pushes its weights out
-        starts = [rand_weights(rng, 3, scale=s) for s in (0.5, 3.0, 1.0, 2.0, 0.1)]
-        starts[4] = irls_fit(starts[4], g, counts[4], max_iter=300, tol=1e-13)
+        scales = (0.5, 3.0, 1.0, 2.0, 0.1)
+        starts = np.array([rand_weights(rng, 3, scale=s).coef for s in scales])
+        starts[4] = irls_fit(starts[4:], g, counts[4:], max_iter=300, tol=1e-13)[0]
 
         steps = {"n": 0}
 
@@ -333,18 +312,16 @@ class TestIrlsFit:
             solo, solo_steps = [], []
             for k in range(5):
                 steps["n"] = 0
-                solo.append(irls_fit(starts[k], g, counts[k], max_iter=max_iter))
+                solo.append(irls_fit(starts[k:k + 1], g, counts[k:k + 1], max_iter=max_iter))
                 solo_steps.append(steps["n"])
             steps["n"] = 0
-            stacked = irls_fit(tuple(starts), g, counts, max_iter=max_iter)
-            assert isinstance(stacked, tuple) and len(stacked) == 5
+            stacked = irls_fit(starts, g, counts, max_iter=max_iter)
+            assert isinstance(stacked, np.ndarray) and len(stacked) == 5
             assert steps["n"] == max(solo_steps)
             for k in range(5):
-                np.testing.assert_allclose(
-                    stacked[k].coef, solo[k].coef, rtol=1e-12, atol=1e-12
-                )
-                assert qw_value(stacked[k], g, counts[k]) == pytest.approx(
-                    qw_value(solo[k], g, counts[k]), rel=1e-12
+                np.testing.assert_allclose(stacked[k], solo[k][0], rtol=1e-12, atol=1e-12)
+                assert qw_value(stacked[k:k + 1], g, counts[k:k + 1])[0] == pytest.approx(
+                    qw_value(solo[k], g, counts[k:k + 1])[0], rel=1e-12
                 )
         assert len(set(solo_steps)) > 1  # the problems stop at different steps
 
@@ -357,14 +334,14 @@ class TestIrlsFit:
         g = TimeGrid(np.linspace(0, 1, 6))
         counts = rng.uniform(size=(3, 6, 2))
         counts[1, 2, 0] = np.inf
-        starts = tuple(rand_weights(rng, 2) for _ in range(3))
+        starts = np.array([rand_weights(rng, 2).coef for _ in range(3)])
         stacked = irls_fit(starts, g, counts)
-        np.testing.assert_array_equal(stacked[1].coef, starts[1].coef)
-        np.testing.assert_array_equal(stacked[1].coef, irls_fit(starts[1], g, counts[1]).coef)
+        np.testing.assert_array_equal(stacked[1], starts[1])
+        np.testing.assert_array_equal(stacked[1], irls_fit(starts[1:2], g, counts[1:2])[0])
         for k in (0, 2):
-            solo = irls_fit(starts[k], g, counts[k])
-            np.testing.assert_allclose(stacked[k].coef, solo.coef, rtol=1e-12, atol=1e-12)
-            assert not np.array_equal(solo.coef, starts[k].coef)
+            solo = irls_fit(starts[k:k + 1], g, counts[k:k + 1])[0]
+            np.testing.assert_allclose(stacked[k], solo, rtol=1e-12, atol=1e-12)
+            assert not np.array_equal(solo, starts[k])
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("max_iter", [1, 4, 50])
@@ -387,7 +364,7 @@ class TestIrlsFit:
         counts[1][1] = 0.0
         counts[1][1, 5] = (1.0, 2.0, 3.0)  # mass at one time point: a singular Hessian
         counts[3][0, 2, 0] = np.inf  # a Newton system that cannot be solved
-        _, hess = qw_gradient_hessian(LogisticWeights(coefs[1][1]), g, counts[1][1])
+        _, (hess,) = qw_gradient_hessian(coefs[1][1:2], g, counts[1][1:2])
         eigvals = np.linalg.eigvalsh(-hess)
         assert not (eigvals[0] > 0 and eigvals[-1] <= core.MAX_CONDITION * eigvals[0])
 
@@ -408,28 +385,15 @@ class TestIrlsFit:
             np.testing.assert_array_equal(got, want)
         assert not np.array_equal(own[1][1], coefs[1][1])  # the ridge member moved
 
-    def test_unmoved_problem_keeps_its_input_object(self):
-        # the stack iterates on one coefficient array; only a problem that
-        # moved gets a new LogisticWeights, gauge row pinned
-        rng = np.random.default_rng(53)
-        g = TimeGrid(np.linspace(0, 1, 9))
-        counts = rand_counts(rng, 2, 9, 3)
-        settled = irls_fit(LogisticWeights.zeros(3), g, counts[0], max_iter=300, tol=1e-13)
-        starts = (settled, rand_weights(rng, 3, scale=2.0))
-        fitted = irls_fit(starts, g, counts)
-        assert fitted[0] is starts[0]
-        assert fitted[1] is not starts[1]
-        np.testing.assert_array_equal(fitted[1].coef[-1], [0.0, 0.0])
-
     def test_non_finite_candidate_rejected(self, monkeypatch):
         # a step that overflows raises the error LogisticWeights raises
         g = TimeGrid(np.linspace(0, 1, 6))
-        counts = rand_counts(np.random.default_rng(59), 2, 6, 2)
+        counts = rand_counts(np.random.default_rng(59), 2, 6, 2).sum(axis=0)[None]
         monkeypatch.setattr(
             logistic, "_newton_directions", lambda grad, hess: np.sign(grad) * np.inf
         )
         with pytest.raises(ValueError, match="finite"):
-            irls_fit(LogisticWeights.zeros(2), g, counts)
+            irls_fit(LogisticWeights.zeros(2).coef[None], g, counts)
 
     def test_degenerate_all_mass_one_regime(self):
         # objective is maximized by pushing probabilities to 1; must not
@@ -437,12 +401,78 @@ class TestIrlsFit:
         g = TimeGrid(np.linspace(0, 1, 5))
         counts = np.zeros((1, 5, 2))
         counts[0, :, 0] = 1.0
-        init = LogisticWeights.zeros(2)
+        init = LogisticWeights.zeros(2).coef[None]
         fitted = irls_fit(init, g, counts, max_iter=50)
-        assert qw_value(fitted, g, counts) >= qw_value(init, g, counts)
+        assert qw_value(fitted, g, counts)[0] >= qw_value(init, g, counts)[0]
+
+
+def _faulty_input(fault):
+    """A valid G = 1, R = 2 problem on a 4-point grid, with one fault."""
+    coef, counts = np.zeros((1, 2, 2)), np.ones((1, 4, 2))
+    if fault == "weights object":
+        coef = LogisticWeights.zeros(2)
+    elif fault == "(R, 2) array":
+        coef = coef[0]
+    elif fault == "non-finite coefficient":
+        coef[0, 0, 1] = np.inf
+    elif fault == "non-zero gauge row":
+        coef[0, -1, 0] = 0.5
+    elif fault == "(n, m, R) counts":
+        counts = np.ones((3, 4, 2))
+    elif fault == "NaN counts":
+        counts[0, 1, 0] = np.nan
+    return coef, TimeGrid(np.linspace(0, 1, 4)), counts
+
+
+FAULTS = [
+    "weights object",
+    "(R, 2) array",
+    "non-finite coefficient",
+    "non-zero gauge row",
+    "(n, m, R) counts",
+    "NaN counts",
+]
+
+
+class TestBoundaryCheck:
+    """The public calls take a (G, R, 2) coefficient array and (G, m, R)
+    counts only, and check both once, on the raw input."""
+
+    @pytest.mark.parametrize("fn", [irls_fit, qw_value, qw_gradient_hessian])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_faulty_input_rejected(self, fn, fault):
+        fn(*_faulty_input(None))  # the problem without its fault is valid
+        with pytest.raises(ValueError):
+            fn(*_faulty_input(fault))
+
+    @pytest.mark.parametrize("R,max_iter", [(1, 50), (3, 0), (3, 50)])
+    def test_fit_is_a_new_array_and_leaves_its_input(self, R, max_iter):
+        rng = np.random.default_rng(61)
+        g = TimeGrid(np.linspace(0, 1, 9))
+        coef = np.array([rand_weights(rng, R, scale=2.0).coef for _ in range(2)])
+        counts = rng.uniform(size=(2, 9, R))
+        before = coef.copy()
+        fitted = irls_fit(coef, g, counts, max_iter=max_iter)
+        assert fitted is not coef and not np.shares_memory(fitted, coef)
+        np.testing.assert_array_equal(coef, before)
+        np.testing.assert_array_equal(fitted[:, -1], 0.0)
+        if R > 1 and max_iter:
+            assert not np.array_equal(fitted, coef)  # the fit moved
+        else:
+            np.testing.assert_array_equal(fitted, coef)
+
+    def test_integer_coefficients_fit_as_floats(self):
+        # an integer start must not truncate the accepted iterates
+        g = TimeGrid(np.linspace(-1.0, 1.0, 21))
+        counts = np.zeros((1, 21, 2))
+        counts[0, g.points < 0.0, 0] = 1.0
+        counts[0, g.points >= 0.0, 1] = 1.0
+        fitted = irls_fit(np.zeros((1, 2, 2), dtype=int), g, counts)
+        assert fitted.dtype == float
+        np.testing.assert_array_equal(fitted, irls_fit(np.zeros((1, 2, 2)), g, counts))
 
 
 def _from_free(free, R):
-    coef = np.zeros((R, 2))
-    coef[:-1] = free.reshape(-1, 2)
-    return LogisticWeights(coef)
+    coef = np.zeros((1, R, 2))
+    coef[0, :-1] = free.reshape(-1, 2)
+    return coef

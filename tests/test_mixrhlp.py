@@ -36,12 +36,11 @@ from regimix.mixrhlp import (
     em_fit,
     m_step,
     mean_curves,
-    mixrhlp_curve_loglik,
     mixrhlp_loglik_set,
     n_free_parameters,
     params_from_dict,
     params_to_dict,
-    rhlp_curve_loglik,
+    rhlp_loglik_set,
     select_model,
 )
 
@@ -72,7 +71,7 @@ class TestRhlpLoglik:
             LogisticWeights.zeros(1), np.zeros((1, 1)), np.ones(1)
         )
         expected = 2 * (-0.5 * math.log(2 * math.pi))
-        got = rhlp_curve_loglik(params, Curve(np.zeros(2), g), design)
+        got = rhlp_loglik_set(params, Curve(np.zeros(2), g).values, design)[0]
         assert got == pytest.approx(expected, abs=1e-9)
         assert got == pytest.approx(-1.837877, abs=1e-6)
 
@@ -88,8 +87,8 @@ class TestRhlpLoglik:
             np.array([0.7, 0.7]),
         )
         curve = Curve(rng.normal(size=4), g)
-        assert rhlp_curve_loglik(double, curve, design) == pytest.approx(
-            rhlp_curve_loglik(single, curve, design), rel=1e-12
+        assert rhlp_loglik_set(double, curve.values, design)[0] == pytest.approx(
+            rhlp_loglik_set(single, curve.values, design)[0], rel=1e-12
         )
 
     def test_matches_linear_domain_oracle(self):
@@ -111,7 +110,7 @@ class TestRhlpLoglik:
                     )
                 )
             )
-            got = rhlp_curve_loglik(params, Curve(values, g), design)
+            got = rhlp_loglik_set(params, Curve(values, g).values, design)[0]
             assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -122,8 +121,8 @@ class TestMixLoglik:
         design = vandermonde(g, 1)
         params = rand_params(rng, 1, 2, 1)
         curve = Curve(rng.normal(size=3), g)
-        assert mixrhlp_curve_loglik(params, curve, design) == pytest.approx(
-            rhlp_curve_loglik(params.clusters[0], curve, design), rel=1e-12
+        assert mixrhlp_loglik_set(params, curve.values, design)[0] == pytest.approx(
+            rhlp_loglik_set(params.clusters[0], curve.values, design)[0], rel=1e-12
         )
 
     def test_duplicate_clusters_collapse(self):
@@ -134,8 +133,8 @@ class TestMixLoglik:
         mixed = MixRhlpParams(np.array([0.5, 0.5]), (cluster, cluster))
         single = MixRhlpParams(np.array([1.0]), (cluster,))
         curve = Curve(rng.normal(size=3), g)
-        assert mixrhlp_curve_loglik(mixed, curve, design) == pytest.approx(
-            mixrhlp_curve_loglik(single, curve, design), rel=1e-12
+        assert mixrhlp_loglik_set(mixed, curve.values, design)[0] == pytest.approx(
+            mixrhlp_loglik_set(single, curve.values, design)[0], rel=1e-12
         )
 
     def test_matches_brute_force(self):
@@ -152,7 +151,7 @@ class TestMixLoglik:
                     )
                 )
             )
-            got = mixrhlp_curve_loglik(params, Curve(values, g), design)
+            got = mixrhlp_loglik_set(params, Curve(values, g).values, design)[0]
             assert got == pytest.approx(expected, rel=1e-10)
 
     def test_cluster_permutation_symmetry(self):
@@ -165,8 +164,8 @@ class TestMixLoglik:
             (params.clusters[2], params.clusters[0], params.clusters[1]),
         )
         curve = Curve(rng.normal(size=4), g)
-        assert mixrhlp_curve_loglik(params, curve, design) == pytest.approx(
-            mixrhlp_curve_loglik(permuted, curve, design), rel=1e-12
+        assert mixrhlp_loglik_set(params, curve.values, design)[0] == pytest.approx(
+            mixrhlp_loglik_set(permuted, curve.values, design)[0], rel=1e-12
         )
 
 
@@ -483,11 +482,12 @@ class TestMStep:
                 coeffs[r] = ridge_solve(T.T @ (pw[:, None] * T), T.T @ xw)
                 resid = values - T @ coeffs[r]
                 variances[r] = max((w[:, :, r] * resid**2).sum() / mass, floor)
-            logistic = irls_fit(old.logistic, g, w, max_iter=50)
+            counts = w.sum(axis=0)[None]
+            logistic = irls_fit(old.logistic.coef[None], g, counts, max_iter=50)[0]
             got = new.clusters[k]
             np.testing.assert_allclose(got.coeffs, coeffs, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(got.variances, variances, rtol=1e-12)
-            np.testing.assert_allclose(got.logistic.coef, logistic.coef, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got.logistic.coef, logistic, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(new.clusters[0].coeffs[1], prev.clusters[0].coeffs[1])
         np.testing.assert_array_equal(new.clusters[0].variances[1], prev.clusters[0].variances[1])
 
