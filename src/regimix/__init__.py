@@ -64,6 +64,7 @@ from .mixrhlp import (
     FitReport,
     MixRhlpParams,
     Posteriors,
+    RestartRecord,
     RhlpParams,
     SelectionCell,
     bic,

@@ -176,7 +176,7 @@ def fit_regression_mixture(
             starts,
             config,
         )
-        return [(_one_regime_params(*state), trace, conv) for state, trace, conv in runs]
+        return [(_one_regime_params(*state), trace, stop) for state, trace, stop in runs]
 
     return _fit_restarts(
         run,

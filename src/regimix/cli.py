@@ -109,18 +109,22 @@ _MODEL_KEYS = {
 }
 
 
+def _exact_int(cfg: dict, key: str) -> int:
+    """``cfg[key]``, which must be an ``int`` exactly: ``1.5``, ``1.0``,
+    ``true`` or ``"3"`` in a config file is no count."""
+    value = cfg[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _train_config(cfg: dict) -> TrainConfig:
+    ints = ("degree", "n_clusters", "n_regimes", "spline_order", "interior_knots",
+            "max_iter", "n_restarts", "seed")
     return TrainConfig(
         variant=cfg["variant"],
-        degree=int(cfg["degree"]),
-        n_clusters=int(cfg["n_clusters"]),
-        n_regimes=int(cfg["n_regimes"]),
-        spline_order=int(cfg["spline_order"]),
-        interior_knots=int(cfg["interior_knots"]),
-        max_iter=int(cfg["max_iter"]),
         tol=float(cfg["tol"]),
-        n_restarts=int(cfg["n_restarts"]),
-        seed=int(cfg["seed"]),
+        **{key: _exact_int(cfg, key) for key in ints},
     )
 
 
@@ -218,7 +222,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         if rep is not None and not rep.converged:
             print(
                 f"regimix: warning: class {label} fit stopped after {rep.iterations} "
-                "iterations without converging",
+                f"iterations without converging (stop reason: {rep.stop_reason})",
                 file=sys.stderr,
             )
     atomic_write_text(args.out, model_to_json(model) + "\n")
@@ -235,6 +239,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 "bic": rep.bic,
                 "restarts_tried": rep.restarts_tried,
                 "best_restart": rep.best_restart,
+                "restarts": [
+                    {"loglik": r.loglik, "iterations": r.iterations,
+                     "stop_reason": r.stop_reason}
+                    for r in rep.restarts
+                ],
             }
             for rep in reports
         ],
@@ -274,7 +283,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _effective(args, file_config, {**_MODEL_KEYS, "k_folds": 5})
     data = _read_dataset(args.data)
     config = _train_config(cfg)
-    k = int(cfg["k_folds"])
+    k = _exact_int(cfg, "k_folds")
     if k < 2:
         raise ValueError("k_folds must be >= 2")
     report = evaluate_variant(data, config, k=k, seed=int(cfg["seed"]))
@@ -320,12 +329,12 @@ def _cmd_select(args: argparse.Namespace) -> int:
     data = _read_dataset(args.data)
     k_range = _parse_range(cfg["k_range"])
     r_range = _parse_range(cfg["r_range"])
-    degree = int(cfg["degree"])
+    degree = _exact_int(cfg, "degree")
     base = mixrhlp.EmConfig(
-        max_iter=int(cfg["max_iter"]),
+        max_iter=_exact_int(cfg, "max_iter"),
         tol=float(cfg["tol"]),
-        n_restarts=int(cfg["n_restarts"]),
-        seed=int(cfg["seed"]),
+        n_restarts=_exact_int(cfg, "n_restarts"),
+        seed=_exact_int(cfg, "seed"),
     )
 
     rows = ["class,n_clusters,n_regimes,loglik,n_params,bic,selected"]

@@ -188,10 +188,6 @@ class DesignMatrix:
         object.__setattr__(self, "matrix", mat)
 
     @property
-    def n_rows(self) -> int:
-        return int(self.matrix.shape[0])
-
-    @property
     def n_cols(self) -> int:
         return int(self.matrix.shape[1])
 

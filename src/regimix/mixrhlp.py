@@ -66,9 +66,12 @@ masses and starting (G, R, 2) coefficients of the clusters they fit. The
 driver stacks the problems of every live restart by regime count, so that
 one ``irls_fit`` call per count, and per round of M-steps, fits up to
 ``n_restarts`` x K processes. Each stacked problem makes the decisions a
-fit of its own would make, so every restart ends, bit for bit, where a
-fit from its start alone ends. The regression mixture's M-step has no
-logistic problems.
+fit of its own would make. After ``_SCREEN_AT`` iterations only the live
+restart with the highest log-likelihood goes on (short runs, then the
+leader), and the others stop as ``screened``. So every restart that is
+not screened ends, bit for bit, where a fit from its start alone ends,
+and a screened one ends where that fit stood after ``_SCREEN_AT``
+iterations. The regression mixture's M-step has no logistic problems.
 """
 
 from __future__ import annotations
@@ -102,6 +105,14 @@ _WEIGHT_FLOOR = 1e-12
 _INIT_SLOPE_SCALE = 10.0
 #: Round-off allowance below which a drop in log-likelihood counts as none.
 _LOGLIK_SLACK = 1e-9
+#: EM iterations after which only the leading live restart of a fit goes on
+#: (the short-runs strategy of Biernacki, Celeux & Govaert, 2003).
+_SCREEN_AT = 20
+
+#: Why an EM run stopped: it met ``tol``; it ran ``max_iter`` iterations; an
+#: update lowered the likelihood, so it kept the previous iterate; or it
+#: trailed the leading restart after ``_SCREEN_AT`` iterations.
+STOP_REASONS = ("tol", "max_iter", "likelihood_drop", "screened")
 
 MODEL_FORMAT_VERSION = 1
 
@@ -145,7 +156,8 @@ def _mixing_proportions(weights, n_parts: int) -> np.ndarray:
     weights = np.array(weights, dtype=float)
     if weights.ndim != 1 or weights.size != n_parts or not n_parts:
         raise ValueError("one mixing proportion per part is required")
-    if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
+    # written so that a NaN fails every test
+    if not (np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-12):
         raise ValueError("mixing proportions must be positive and sum to 1")
     weights.flags.writeable = False
     return weights
@@ -211,8 +223,19 @@ class Posteriors:
 
 
 @dataclass(frozen=True)
+class RestartRecord:
+    """How one EM restart of a fit ended: its final log-likelihood, the EM
+    iterations it accepted and one of ``STOP_REASONS``."""
+
+    loglik: float
+    iterations: int
+    stop_reason: str
+
+
+@dataclass(frozen=True)
 class FitReport:
-    """Trace and bookkeeping of one fit (the best restart)."""
+    """Trace and bookkeeping of one fit (the best restart), and the record
+    of every restart, in restart order."""
 
     loglik_trace: tuple[float, ...]
     iterations: int
@@ -220,6 +243,12 @@ class FitReport:
     bic: float
     restarts_tried: int
     best_restart: int
+    restarts: tuple[RestartRecord, ...]
+
+    @property
+    def stop_reason(self) -> str:
+        """Why the best restart stopped."""
+        return self.restarts[self.best_restart].stop_reason
 
 
 @dataclass(frozen=True)
@@ -748,7 +777,7 @@ def _random_partition(
 # ---------------------------------------------------------------------------
 
 
-def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list[float], bool]]:
+def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list[float], str]]:
     """EM from each of ``starts`` for either family, the restarts advancing
     together one iteration at a time: ``e_step(params)`` gives (what the
     M-step reads, loglik, per-curve logliks), and ``m_step(that, params,
@@ -756,7 +785,7 @@ def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list
     cluster was re-seeded) and leaves its logistic problems in the list
     ``pending``. One ``_solve_logistic`` call fits the problems of every
     live restart's M-step. Returns each restart's (last accepted params,
-    loglik trace, converged).
+    loglik trace, stop reason).
 
     Each restart makes the decisions a run of its own would make, and
     leaves the lockstep when it stops. An E-step returns its own arrays (the
@@ -764,13 +793,19 @@ def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list
     the rescue fallback re-runs the M-step from what the accepted iterate's
     E-step returned: a second round, for the restarts whose rescue lowered
     the likelihood.
+
+    Once the live restarts have taken ``_SCREEN_AT`` iterations, and more
+    are allowed, only the one with the highest log-likelihood goes on, ties
+    to the smaller index; the others stop as ``screened``. The leader goes
+    on from its exact state, so it ends, bit for bit, where a run of its own
+    ends.
     """
     # each restart's accepted (params, E-step result, loglik, per-curve logliks)
     runs = [(params, *e_step(params)) for params in starts]
     traces = [[run[2]] for run in runs]
-    converged = [False] * len(runs)
+    stops = ["max_iter"] * len(runs)
     live = list(range(len(runs)))
-    for _ in range(config.max_iter):
+    for it in range(1, config.max_iter + 1):
         if not live:
             break
         cands = _m_steps(m_step, [runs[r] for r in live], True)
@@ -789,15 +824,22 @@ def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list
             if cand_ll < ll - _LOGLIK_SLACK:
                 # A degraded M-step (a ridge-regularized solve) lowered the
                 # likelihood: keep the previous iterate and stop unconverged.
+                stops[r] = "likelihood_drop"
                 continue
             runs[r] = (cand, cand_stats, cand_ll, cand_pc)
             traces[r].append(cand_ll)
             if cand_ll - ll < config.tol:
-                converged[r] = True
+                stops[r] = "tol"
             else:
                 still.append(r)
         live = still
-    return [(run[0], trace, conv) for run, trace, conv in zip(runs, traces, converged)]
+        if it == _SCREEN_AT and it < config.max_iter and len(live) > 1:
+            leader = max(live, key=lambda r: runs[r][2])  # the first of equals
+            for r in live:
+                if r != leader:
+                    stops[r] = "screened"
+            live = [leader]
+    return [(run[0], trace, stop) for run, trace, stop in zip(runs, traces, stops)]
 
 
 def _m_steps(m_step, runs, rescue: bool) -> list[tuple[object, bool]]:
@@ -817,7 +859,7 @@ def _fit_restarts(
     """Best of the EM restarts of either family on n curves: the run from
     the start ``init`` if given, else one per stream ``child_rng(config.seed,
     r)``, from ``start(rng)``. ``run(starts)`` runs them in lockstep and
-    gives each one's (params, trace, converged). The highest final loglik
+    gives each one's (params, trace, stop reason). The highest final loglik
     wins, ties to the smaller index. The BIC counts degree + 1 coefficients
     per regime."""
     if n < config.n_clusters:
@@ -830,14 +872,15 @@ def _fit_restarts(
         starts = [start(child_rng(config.seed, r)) for r in range(config.n_restarts)]
     runs = run(starts)
     best_idx = max(range(len(runs)), key=lambda idx: runs[idx][1][-1])
-    params, trace, converged = runs[best_idx]
+    params, trace, stop = runs[best_idx]
     report = FitReport(
         loglik_trace=tuple(trace),
         iterations=len(trace) - 1,
-        converged=converged,
+        converged=stop == "tol",
         bic=bic(params, trace[-1], n, degree),
         restarts_tried=len(runs),
         best_restart=best_idx,
+        restarts=tuple(RestartRecord(t[-1], len(t) - 1, s) for _, t, s in runs),
     )
     return params, report
 
@@ -847,8 +890,8 @@ def _em_once(
 ) -> tuple[MixRhlpParams, list[float], bool]:
     """The checked result of one finished MixRHLP restart: its parameters,
     loglik trace and whether it converged. ``em_fit`` makes exactly one call
-    per restart, once the lockstep is over, and the benchmark's tracer counts
-    restarts and EM iterations from these calls."""
+    per restart, screened ones included, once the lockstep is over, and the
+    benchmark's tracer counts restarts and EM iterations from these calls."""
     return _unpack(state), trace, converged
 
 
@@ -865,6 +908,8 @@ def em_fit(
     random segment-based initializations (or a single run when ``init`` is
     given) and returns the parameters of the restart with the highest
     final log-likelihood, ties broken toward the smaller restart index.
+    After ``_SCREEN_AT`` iterations only the leading live restart goes on;
+    ``FitReport.restarts`` records how each one stopped.
     Raises ``ValueError`` for shapes the data cannot identify: fewer curves
     than clusters, more regimes than grid points, or a degree + 1 above
     the number of grid points.
@@ -899,7 +944,11 @@ def em_fit(
             starts,
             config,
         )
-        return [_em_once(*r) for r in runs]
+        # one _em_once call per restart, screened ones included
+        return [
+            (_em_once(state, trace, stop == "tol")[0], trace, stop)
+            for state, trace, stop in runs
+        ]
 
     return _fit_restarts(
         run,

@@ -8,7 +8,9 @@ from oracles import explicit_wls_beta, mp_gauss
 from regimix import baselines
 from regimix.baselines import fit_regression_mixture, fit_single_regression
 from regimix.core import Basis, Curve, TimeGrid, design_matrix, vandermonde
+from regimix.datagen import WaveformSpec, gen_waveform
 from regimix.logistic import LogisticWeights
+from regimix import mixrhlp
 from regimix.mixrhlp import (
     EmConfig,
     MixRhlpParams,
@@ -313,6 +315,7 @@ class TestFitRegressionMixture:
         assert np.all(np.diff(report.loglik_trace) >= 0.0)
         assert report.iterations == 1
         assert report.converged is False
+        assert report.stop_reason == "likelihood_drop"
         np.testing.assert_array_equal([c.coeffs[0] for c in params.clusters], calls[0][1])
 
     @pytest.mark.parametrize(
@@ -331,3 +334,78 @@ class TestFitRegressionMixture:
         cfg = EmConfig(n_clusters=init.n_clusters, n_restarts=1)
         with pytest.raises(ValueError):
             fit_regression_mixture(np.zeros((4, 5)), design, cfg, init=init)
+
+
+class TestScreening:
+    """The regression mixture shares the EM driver, and so its screening:
+    after ``_SCREEN_AT`` lockstep iterations only the leading live restart
+    goes on."""
+
+    @staticmethod
+    def _problem(**kw):
+        data = gen_waveform(WaveformSpec(40), 0)
+        base = dict(n_clusters=3, max_iter=40, tol=1e-8, n_restarts=3, seed=0)
+        return (data.values[data.labels == 1], vandermonde(data.grid, 2),
+                EmConfig(**{**base, **kw}))
+
+    @staticmethod
+    def _spy_starts(monkeypatch, first=None):
+        """Record the (weights, coefficients, variances) start of each
+        restart; with ``first``, restart 0 starts there instead."""
+        starts = []
+        real_start = baselines._mixture_start
+
+        def start_spy(*args):
+            starts.append(first if first is not None and not starts else real_start(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(baselines, "_mixture_start", start_spy)
+        return starts
+
+    def test_leader_equals_its_own_fit_and_the_others_are_screened(self, monkeypatch):
+        values, design, cfg = self._problem()
+        starts = self._spy_starts(monkeypatch)
+        params, report = fit_regression_mixture(values, design, cfg)
+        assert mixrhlp._SCREEN_AT == 20 < cfg.max_iter
+        assert len(starts) == len(report.restarts) == 3
+        assert report.best_restart == 1
+        assert report.iterations > mixrhlp._SCREEN_AT
+        monkeypatch.undo()
+        single = EmConfig(n_clusters=3, max_iter=40, tol=1e-8, n_restarts=1)
+        for r, ((weights, coeffs, variances), record) in enumerate(zip(starts, report.restarts)):
+            init = one_regime(weights, *zip(coeffs, variances))
+            solo, solo_report = fit_regression_mixture(values, design, single, init=init)
+            if r == report.best_restart:
+                assert list(report.loglik_trace) == list(solo_report.loglik_trace)
+                assert record.stop_reason == solo_report.stop_reason == "max_iter"
+                np.testing.assert_array_equal(params.weights, solo.weights)
+                for c1, c2 in zip(params.clusters, solo.clusters, strict=True):
+                    np.testing.assert_array_equal(c1.coeffs, c2.coeffs)
+                    np.testing.assert_array_equal(c1.variances, c2.variances)
+            else:
+                assert record.stop_reason == "screened"
+                assert record.iterations == mixrhlp._SCREEN_AT
+                assert record.loglik == solo_report.loglik_trace[mixrhlp._SCREEN_AT]
+            assert solo_report.restarts[0].stop_reason != "screened"
+
+    def test_restart_that_met_tol_early_still_wins(self, monkeypatch):
+        values, design, cfg = self._problem(tol=1e-6)
+        converged, _ = fit_regression_mixture(values, design, EmConfig(
+            n_clusters=3, max_iter=500, tol=1e-12, n_restarts=1, seed=2))
+        first = (converged.weights, np.array([c.coeffs[0] for c in converged.clusters]),
+                 np.array([c.variances[0] for c in converged.clusters]))
+        self._spy_starts(monkeypatch, first=first)
+        _, report = fit_regression_mixture(values, design, cfg)
+        first, *others = report.restarts
+        assert first.stop_reason == "tol" and first.iterations < mixrhlp._SCREEN_AT
+        assert "screened" in [r.stop_reason for r in others]
+        assert report.best_restart == 0 and report.converged
+        assert report.loglik_trace[-1] == first.loglik > max(r.loglik for r in others)
+
+    def test_single_runs_are_not_screened(self):
+        values, design, cfg = self._problem(n_restarts=1)
+        params, report = fit_regression_mixture(values, design, cfg)
+        assert [r.stop_reason for r in report.restarts] == ["max_iter"]
+        _, from_init = fit_regression_mixture(values, design, self._problem()[2], init=params)
+        assert len(from_init.restarts) == 1
+        assert from_init.restarts[0].stop_reason != "screened"

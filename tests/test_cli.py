@@ -144,12 +144,19 @@ class TestFit:
             assert [c["converged"] for c in per_class] == [False, False]
         else:
             assert any(c["converged"] for c in per_class)
+        # the warning names the best restart's stop reason from the record
         assert capsys.readouterr().err.splitlines() == [
             f"regimix: warning: class {label} fit stopped after {c['iterations']} "
-            "iterations without converging"
+            "iterations without converging (stop reason: "
+            f"{c['restarts'][c['best_restart']]['stop_reason']})"
             for label, c in enumerate(per_class, start=1)
             if not c["converged"]
         ]
+        if max_iter == "2":
+            assert [c["restarts"] for c in per_class] == [
+                [{"loglik": c["loglik_trace"][-1], "iterations": 2, "stop_reason": "max_iter"}]
+                for c in per_class
+            ]
 
     def test_infeasible_clustering_is_config_error(self, tmp_path, dataset_dir):
         code = run(
@@ -188,6 +195,33 @@ class TestFit:
         assert effective["variant"] == "flda-pr"  # from file
         assert effective["degree"] == 1  # flag wins
         assert effective["seed"] == 8
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_iter", 1.5), ("max_iter", True), ("n_restarts", 2.0), ("seed", "3"),
+         ("n_clusters", False), ("degree", None)],
+    )
+    def test_count_not_an_int_is_config_error(self, tmp_path, dataset_dir, capsys, key, value):
+        # int() would take 1.5 for 1 and true for 1; a count in a config
+        # file must be an integer exactly
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variant": "flda-pr", key: value}))
+        capsys.readouterr()
+        code = run("fit", "--data", dataset_dir, "--config", str(cfg),
+                   "--out", str(tmp_path / "m.json"))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"regimix: configuration error: {key} must be an integer, got {value!r}"
+        ]
+        assert not (tmp_path / "m.json").exists()
+
+    def test_fold_count_not_an_int_is_config_error(self, tmp_path, dataset_dir):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_folds": 2.5}))
+        code = run("evaluate", "--data", dataset_dir, "--variant", "flda-pr",
+                   "--config", str(cfg), "--out", str(tmp_path / "e.json"))
+        assert code == 2
 
 
 class TestClassify:
@@ -246,6 +280,21 @@ class TestClassify:
             assert code == 3
             assert f"format version: {json.loads(version)!r}" in capsys.readouterr().err
             assert not (tmp_path / "p.csv").exists()
+
+    def test_null_prior_is_data_error(self, tmp_path, dataset_dir, capsys):
+        # a null prior used to load as NaN and give NaN posteriors, exit 0
+        model_path = tmp_path / "model.json"
+        assert run("fit", "--data", dataset_dir, "--variant", "flda-pr",
+                   "--out", str(model_path)) == 0
+        doc = json.loads(model_path.read_text())
+        doc["priors"][0] = None
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("classify", "--model", str(model_path), "--data", dataset_dir,
+                   "--out", str(tmp_path / "p.csv"))
+        assert code == 3
+        assert "mixing proportions" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_curve_outside_every_class_is_data_error(self, tmp_path, dataset_dir):

@@ -289,6 +289,24 @@ class TestClassifierSerialization:
                 model_from_json(json.dumps({**doc, "format_version": version}))
 
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_nan_proportions_rejected(self, version):
+        # a null prior or mixing proportion reads as NaN, which every test of
+        # positive proportions summing to 1 must fail
+        if version == 1:
+            text = (DATA / "v1_fmda-mixrhlp.model.json").read_text()
+        else:
+            cfg = TrainConfig(variant="fmda-prm", degree=1, n_clusters=2, n_restarts=1,
+                              max_iter=8, seed=0)
+            text = model_to_json(train(toy_dataset(np.random.default_rng(65)), cfg))
+        model_from_json(text)
+        for edit in ("priors", "alphas"):
+            doc = json.loads(text)
+            (doc["priors"] if edit == "priors" else doc["classes"][0]["alphas"])[0] = None
+            with pytest.raises(DataError, match="mixing proportions"):
+                model_from_json(json.dumps(doc))
+
+
 def _written_clusters(class_doc):
     """(coefficients, variances) of each cluster of a version-1 class
     document; a regression component is one regime."""

@@ -17,7 +17,7 @@ from oracles import (
 from regimix import mixrhlp
 from regimix.core import Curve, TimeGrid, ridge_solve, vandermonde, variance_floor
 from regimix.datagen import WaveformSpec, default_piecewise_spec, gen_piecewise, gen_waveform
-from regimix.errors import NumericalError
+from regimix.errors import DataError, NumericalError
 from regimix.logistic import LogisticWeights, irls_fit
 from regimix.mixrhlp import (
     EmConfig,
@@ -649,6 +649,7 @@ class TestEmFit:
         assert np.all(np.diff(report.loglik_trace) >= 0.0)
         assert report.iterations == len(report.loglik_trace) - 1
         assert report.converged is False
+        assert report.stop_reason == "likelihood_drop"
 
     def test_worse_m_step_is_not_convergence(self, monkeypatch):
         # an M-step that lowers the likelihood (every mean moved far off from
@@ -675,6 +676,9 @@ class TestEmFit:
         assert np.all(np.diff(report.loglik_trace) >= 0.0)
         assert report.iterations == 1
         assert report.converged is False
+        assert report.restarts == (
+            mixrhlp.RestartRecord(report.loglik_trace[-1], 1, "likelihood_drop"),
+        )
         np.testing.assert_array_equal(
             [c.coeffs for c in params.clusters], [c.coeffs for c in _unpack(calls[0]).clusters]
         )
@@ -858,6 +862,112 @@ class TestEmFit:
         assert sum(f > 0 for f in fallbacks) == (case == "one_fallback")
         # the restarts leave the lockstep at different iterations
         assert len({len(run[1]) for run in runs[:3]}) > 1
+
+class TestScreening:
+    """After ``_SCREEN_AT`` lockstep iterations only the leading live restart
+    goes on; the others stop as ``screened``."""
+
+    @staticmethod
+    def _data():
+        data = gen_waveform(WaveformSpec(40), 0)
+        return data.values[data.labels == 1], data.grid
+
+    @staticmethod
+    def _config(**kw):
+        base = dict(n_clusters=3, n_regimes=2, degree=2, max_iter=40, tol=1e-8,
+                    n_restarts=3, seed=0)
+        return EmConfig(**{**base, **kw})
+
+    @staticmethod
+    def _spy_starts(monkeypatch, first=None):
+        """Record the start of each restart; with ``first``, restart 0
+        starts there instead."""
+        starts = []
+        real_init = mixrhlp.initial_params
+
+        def init_spy(*args):
+            starts.append(first if first is not None and not starts else real_init(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(mixrhlp, "initial_params", init_spy)
+        return starts
+
+    def test_leader_equals_its_own_fit_and_the_others_are_screened(self, monkeypatch):
+        values, grid = self._data()
+        cfg = self._config()
+        starts = self._spy_starts(monkeypatch)
+        params, report = em_fit(values, grid, cfg)
+        assert mixrhlp._SCREEN_AT == 20 < cfg.max_iter
+        assert len(starts) == len(report.restarts) == 3
+        # the leader here is not restart 0, so ties play no part
+        assert report.best_restart == 1
+        assert report.iterations > mixrhlp._SCREEN_AT
+        monkeypatch.undo()
+        for r, (start, record) in enumerate(zip(starts, report.restarts)):
+            solo, solo_report = em_fit(values, grid, dataclasses.replace(cfg, n_restarts=1),
+                                       init=start)
+            if r == report.best_restart:
+                # the kept restart goes on from its exact state
+                assert list(report.loglik_trace) == list(solo_report.loglik_trace)
+                assert record.stop_reason == solo_report.stop_reason == "max_iter"
+                assert report.converged == solo_report.converged
+                np.testing.assert_array_equal(params.weights, solo.weights)
+                for c1, c2 in zip(params.clusters, solo.clusters, strict=True):
+                    np.testing.assert_array_equal(c1.coeffs, c2.coeffs)
+                    np.testing.assert_array_equal(c1.variances, c2.variances)
+                    np.testing.assert_array_equal(c1.logistic.coef, c2.logistic.coef)
+            else:
+                # a screened restart stops where its own fit stood after 20
+                assert record.stop_reason == "screened"
+                assert record.iterations == mixrhlp._SCREEN_AT
+                assert record.loglik == solo_report.loglik_trace[mixrhlp._SCREEN_AT]
+                assert record.loglik < report.loglik_trace[mixrhlp._SCREEN_AT]
+            assert solo_report.restarts[0].stop_reason != "screened"
+
+    def test_restart_that_met_tol_early_still_wins(self, monkeypatch):
+        # restart 0 starts at a converged fit, so it meets tol at once and
+        # leaves the lockstep long before the screening; the screening
+        # picks a leader among the others, and restart 0 still wins the
+        # best-of
+        values, grid = self._data()
+        cfg = self._config(tol=1e-6)
+        converged, _ = em_fit(values, grid, dataclasses.replace(
+            cfg, max_iter=500, tol=1e-10, n_restarts=1, seed=1))
+        self._spy_starts(monkeypatch, first=converged)
+        params, report = em_fit(values, grid, cfg)
+        first, *others = report.restarts
+        assert first.stop_reason == "tol" and first.iterations < mixrhlp._SCREEN_AT
+        assert sorted(r.stop_reason for r in others)[-1] == "screened"
+        assert report.best_restart == 0 and report.converged
+        assert report.loglik_trace[-1] == first.loglik > max(r.loglik for r in others)
+
+    def test_single_runs_are_not_screened(self):
+        values, grid = self._data()
+        cfg = self._config(n_restarts=1)
+        params, report = em_fit(values, grid, cfg)
+        assert [r.stop_reason for r in report.restarts] == ["max_iter"]
+        assert report.restarts[0].iterations == cfg.max_iter
+        _, from_init = em_fit(values, grid, self._config(), init=params)
+        assert len(from_init.restarts) == 1
+        assert from_init.restarts[0].stop_reason != "screened"
+        assert from_init.iterations > mixrhlp._SCREEN_AT
+
+    def test_no_screening_at_the_last_iteration(self):
+        # with max_iter = 20 nothing would follow the screening, so every
+        # live restart stops at the cap
+        values, grid = self._data()
+        _, report = em_fit(values, grid, self._config(max_iter=mixrhlp._SCREEN_AT))
+        assert [r.stop_reason for r in report.restarts] == ["max_iter"] * 3
+
+    def test_record_matches_the_report(self):
+        values, grid = self._data()
+        _, report = em_fit(values, grid, self._config())
+        best = report.restarts[report.best_restart]
+        assert best.loglik == report.loglik_trace[-1]
+        assert best.iterations == report.iterations
+        assert report.stop_reason == best.stop_reason
+        assert all(r.stop_reason in mixrhlp.STOP_REASONS for r in report.restarts)
+
 
 class TestDegenerateInputs:
     """Inputs the model barely identifies fit without error, to a finite
@@ -1046,6 +1156,22 @@ class TestSerialization:
             doc["format_version"] = version
             with pytest.raises(DataError, match="format version"):
                 params_from_dict(json.loads(json.dumps(doc)))
+
+
+class TestMixingProportions:
+    @pytest.mark.parametrize(
+        "weights", [[np.nan, 1.0], [np.nan, np.nan], [0.5, np.inf], [0.0, 1.0], [0.5, 0.4]]
+    )
+    def test_rejected(self, weights):
+        clusters = tuple(RhlpParams(LogisticWeights.zeros(1), [[0.0]], [1.0]) for _ in weights)
+        with pytest.raises(ValueError, match="mixing proportions"):
+            MixRhlpParams(np.array(weights), clusters)
+
+    def test_null_alpha_in_document_rejected(self):
+        doc = params_to_dict(rand_params(np.random.default_rng(3), 2, 2, 1))
+        doc["alphas"][1] = None
+        with pytest.raises(DataError, match="mixing proportions"):
+            params_from_dict(doc)
 
 
 class TestPosteriorsValidation:
