@@ -161,7 +161,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             "spec_json": None,
         },
     )
-    seed = int(cfg["seed"])
+    seed = _exact_int(cfg, "seed")
 
     if cfg["spec_json"] is not None:
         with open(cfg["spec_json"], encoding="utf-8") as fh:
@@ -171,13 +171,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         spec = datagen.PiecewiseSpec(
             class_profiles=base.class_profiles,
             noise_sd=float(cfg["noise_sd"]) if cfg["noise_sd"] is not None else base.noise_sd,
-            curves_per_subclass=int(cfg["per_subclass"]),
+            curves_per_subclass=_exact_int(cfg, "per_subclass"),
             n_points=base.n_points,
             span=base.span,
         )
     elif cfg["benchmark"] == "waveform":
         spec = datagen.WaveformSpec(
-            curves_per_class=int(cfg["per_class"]),
+            curves_per_class=_exact_int(cfg, "per_class"),
             noise_sd=float(cfg["noise_sd"]) if cfg["noise_sd"] is not None else 1.0,
             merge=bool(cfg["merge"]),
         )
@@ -286,7 +286,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     k = _exact_int(cfg, "k_folds")
     if k < 2:
         raise ValueError("k_folds must be >= 2")
-    report = evaluate_variant(data, config, k=k, seed=int(cfg["seed"]))
+    report = evaluate_variant(data, config, k=k, seed=config.seed)
     doc = {"command": "evaluate", "k_folds": k, **report.to_dict(),
            "config_hash": report.config_hash()}
     atomic_write_text(args.out, _dump_json(doc))

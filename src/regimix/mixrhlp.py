@@ -68,10 +68,12 @@ one ``irls_fit`` call per count, and per round of M-steps, fits up to
 ``n_restarts`` x K processes. Each stacked problem makes the decisions a
 fit of its own would make. After ``_SCREEN_AT`` iterations only the live
 restart with the highest log-likelihood goes on (short runs, then the
-leader), and the others stop as ``screened``. So every restart that is
-not screened ends, bit for bit, where a fit from its start alone ends,
-and a screened one ends where that fit stood after ``_SCREEN_AT``
-iterations. The regression mixture's M-step has no logistic problems.
+leader), and the others wait as ``screened``. If the leader stops without
+converging, the best waiting restart goes on from where it was screened,
+and so on. So every restart that is not left screened ends, bit for bit,
+where a fit from its start alone ends, and a screened one ends where that
+fit stood after ``_SCREEN_AT`` iterations. The regression mixture's M-step
+has no logistic problems.
 """
 
 from __future__ import annotations
@@ -106,12 +108,14 @@ _INIT_SLOPE_SCALE = 10.0
 #: Round-off allowance below which a drop in log-likelihood counts as none.
 _LOGLIK_SLACK = 1e-9
 #: EM iterations after which only the leading live restart of a fit goes on
-#: (the short-runs strategy of Biernacki, Celeux & Govaert, 2003).
+#: (the short-runs strategy of Biernacki, Celeux & Govaert, 2003), the
+#: others waiting in case it stops without converging.
 _SCREEN_AT = 20
 
 #: Why an EM run stopped: it met ``tol``; it ran ``max_iter`` iterations; an
 #: update lowered the likelihood, so it kept the previous iterate; or it
-#: trailed the leading restart after ``_SCREEN_AT`` iterations.
+#: trailed the leading restart after ``_SCREEN_AT`` iterations, and every
+#: restart that went on after it converged.
 STOP_REASONS = ("tol", "max_iter", "likelihood_drop", "screened")
 
 MODEL_FORMAT_VERSION = 1
@@ -239,7 +243,6 @@ class FitReport:
 
     loglik_trace: tuple[float, ...]
     iterations: int
-    converged: bool
     bic: float
     restarts_tried: int
     best_restart: int
@@ -249,6 +252,11 @@ class FitReport:
     def stop_reason(self) -> str:
         """Why the best restart stopped."""
         return self.restarts[self.best_restart].stop_reason
+
+    @property
+    def converged(self) -> bool:
+        """Whether the best restart met ``tol``."""
+        return self.stop_reason == "tol"
 
 
 @dataclass(frozen=True)
@@ -796,18 +804,19 @@ def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list
 
     Once the live restarts have taken ``_SCREEN_AT`` iterations, and more
     are allowed, only the one with the highest log-likelihood goes on, ties
-    to the smaller index; the others stop as ``screened``. The leader goes
-    on from its exact state, so it ends, bit for bit, where a run of its own
-    ends.
+    to the smaller index; the others wait as ``screened``. When the restart
+    that goes on stops without converging (``max_iter`` or the drop guard),
+    the waiting restart with the highest log-likelihood goes on instead. A
+    restart goes on from its exact state, so it ends, bit for bit, where a
+    run of its own ends; one still waiting at the end stays ``screened``.
     """
     # each restart's accepted (params, E-step result, loglik, per-curve logliks)
     runs = [(params, *e_step(params)) for params in starts]
     traces = [[run[2]] for run in runs]
     stops = ["max_iter"] * len(runs)
     live = list(range(len(runs)))
-    for it in range(1, config.max_iter + 1):
-        if not live:
-            break
+    waiting = []  # the screened restarts, highest log-likelihood first
+    while live:
         cands = _m_steps(m_step, [runs[r] for r in live], True)
         evals = [e_step(cand) for cand, _ in cands]
         # A rescue that hurt the likelihood falls back to the plain update,
@@ -830,15 +839,19 @@ def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list
             traces[r].append(cand_ll)
             if cand_ll - ll < config.tol:
                 stops[r] = "tol"
+            elif len(traces[r]) > config.max_iter:
+                stops[r] = "max_iter"
             else:
                 still.append(r)
+        if len(still) > 1 and len(traces[still[0]]) == _SCREEN_AT + 1:
+            # the first of equals leads
+            leader, *waiting = sorted(still, key=lambda r: -runs[r][2])
+            for r in waiting:
+                stops[r] = "screened"
+            still = [leader]
+        elif not still and waiting and stops[live[0]] != "tol":
+            still = [waiting.pop(0)]
         live = still
-        if it == _SCREEN_AT and it < config.max_iter and len(live) > 1:
-            leader = max(live, key=lambda r: runs[r][2])  # the first of equals
-            for r in live:
-                if r != leader:
-                    stops[r] = "screened"
-            live = [leader]
     return [(run[0], trace, stop) for run, trace, stop in zip(runs, traces, stops)]
 
 
@@ -872,11 +885,10 @@ def _fit_restarts(
         starts = [start(child_rng(config.seed, r)) for r in range(config.n_restarts)]
     runs = run(starts)
     best_idx = max(range(len(runs)), key=lambda idx: runs[idx][1][-1])
-    params, trace, stop = runs[best_idx]
+    params, trace, _ = runs[best_idx]
     report = FitReport(
         loglik_trace=tuple(trace),
         iterations=len(trace) - 1,
-        converged=stop == "tol",
         bic=bic(params, trace[-1], n, degree),
         restarts_tried=len(runs),
         best_restart=best_idx,
@@ -908,8 +920,9 @@ def em_fit(
     random segment-based initializations (or a single run when ``init`` is
     given) and returns the parameters of the restart with the highest
     final log-likelihood, ties broken toward the smaller restart index.
-    After ``_SCREEN_AT`` iterations only the leading live restart goes on;
-    ``FitReport.restarts`` records how each one stopped.
+    After ``_SCREEN_AT`` iterations only the leading live restart goes on,
+    and the others only while the restart before them stops without
+    converging; ``FitReport.restarts`` records how each one stopped.
     Raises ``ValueError`` for shapes the data cannot identify: fewer curves
     than clusters, more regimes than grid points, or a degree + 1 above
     the number of grid points.

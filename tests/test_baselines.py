@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -339,12 +340,12 @@ class TestFitRegressionMixture:
 class TestScreening:
     """The regression mixture shares the EM driver, and so its screening:
     after ``_SCREEN_AT`` lockstep iterations only the leading live restart
-    goes on."""
+    goes on, and the others only while the one before stops unconverged."""
 
     @staticmethod
     def _problem(**kw):
         data = gen_waveform(WaveformSpec(40), 0)
-        base = dict(n_clusters=3, max_iter=40, tol=1e-8, n_restarts=3, seed=0)
+        base = dict(n_clusters=3, max_iter=60, tol=1e-6, n_restarts=3, seed=0)
         return (data.values[data.labels == 1], vandermonde(data.grid, 2),
                 EmConfig(**{**base, **kw}))
 
@@ -371,13 +372,13 @@ class TestScreening:
         assert report.best_restart == 1
         assert report.iterations > mixrhlp._SCREEN_AT
         monkeypatch.undo()
-        single = EmConfig(n_clusters=3, max_iter=40, tol=1e-8, n_restarts=1)
+        single = dataclasses.replace(cfg, n_restarts=1)
         for r, ((weights, coeffs, variances), record) in enumerate(zip(starts, report.restarts)):
             init = one_regime(weights, *zip(coeffs, variances))
             solo, solo_report = fit_regression_mixture(values, design, single, init=init)
             if r == report.best_restart:
                 assert list(report.loglik_trace) == list(solo_report.loglik_trace)
-                assert record.stop_reason == solo_report.stop_reason == "max_iter"
+                assert record.stop_reason == solo_report.stop_reason == "tol"
                 np.testing.assert_array_equal(params.weights, solo.weights)
                 for c1, c2 in zip(params.clusters, solo.clusters, strict=True):
                     np.testing.assert_array_equal(c1.coeffs, c2.coeffs)
@@ -388,8 +389,30 @@ class TestScreening:
                 assert record.loglik == solo_report.loglik_trace[mixrhlp._SCREEN_AT]
             assert solo_report.restarts[0].stop_reason != "screened"
 
+    def test_unconverged_leader_hands_on_to_the_screened(self, monkeypatch):
+        # at max_iter 40 no restart converges, so each screened restart goes
+        # on in turn and ends where its own fit ends
+        values, design, cfg = self._problem(max_iter=40, tol=1e-8)
+        starts = self._spy_starts(monkeypatch)
+        params, report = fit_regression_mixture(values, design, cfg)
+        monkeypatch.undo()
+        single = dataclasses.replace(cfg, n_restarts=1)
+        solos = [
+            fit_regression_mixture(values, design, single,
+                                   init=one_regime(weights, *zip(coeffs, variances)))
+            for weights, coeffs, variances in starts
+        ]
+        assert report.restarts == tuple(t.restarts[0] for _, t in solos)
+        assert [r.stop_reason for r in report.restarts] == ["max_iter"] * 3
+        solo, solo_report = solos[report.best_restart]
+        assert list(report.loglik_trace) == list(solo_report.loglik_trace)
+        np.testing.assert_array_equal(params.weights, solo.weights)
+        for c1, c2 in zip(params.clusters, solo.clusters, strict=True):
+            np.testing.assert_array_equal(c1.coeffs, c2.coeffs)
+            np.testing.assert_array_equal(c1.variances, c2.variances)
+
     def test_restart_that_met_tol_early_still_wins(self, monkeypatch):
-        values, design, cfg = self._problem(tol=1e-6)
+        values, design, cfg = self._problem()
         converged, _ = fit_regression_mixture(values, design, EmConfig(
             n_clusters=3, max_iter=500, tol=1e-12, n_restarts=1, seed=2))
         first = (converged.weights, np.array([c.coeffs[0] for c in converged.clusters]),
@@ -403,7 +426,7 @@ class TestScreening:
         assert report.loglik_trace[-1] == first.loglik > max(r.loglik for r in others)
 
     def test_single_runs_are_not_screened(self):
-        values, design, cfg = self._problem(n_restarts=1)
+        values, design, cfg = self._problem(n_restarts=1, max_iter=40, tol=1e-8)
         params, report = fit_regression_mixture(values, design, cfg)
         assert [r.stop_reason for r in report.restarts] == ["max_iter"]
         _, from_init = fit_regression_mixture(values, design, self._problem()[2], init=params)

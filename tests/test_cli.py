@@ -81,6 +81,25 @@ class TestGenerate:
         code = run("generate", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"seed": 1.5}, {"seed": True}, {"benchmark": "piecewise", "per_subclass": 2.0},
+         {"benchmark": "waveform", "per_class": "3"}],
+    )
+    def test_count_not_an_int_is_config_error(self, tmp_path, capsys, doc):
+        # int() would take 1.5 for 1 and true for 1
+        (tmp_path / "o").mkdir()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("generate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        key, value = list(doc.items())[-1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"regimix: configuration error: {key} must be an integer, got {value!r}"
+        ]
+        assert not any((tmp_path / "o").iterdir())
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run("generate", "--benchmark", "nonsense", "--out", "x")

@@ -865,7 +865,8 @@ class TestEmFit:
 
 class TestScreening:
     """After ``_SCREEN_AT`` lockstep iterations only the leading live restart
-    goes on; the others stop as ``screened``."""
+    goes on, and the others wait as ``screened``; while the restart that
+    goes on stops without converging, the best waiting one goes on next."""
 
     @staticmethod
     def _data():
@@ -874,7 +875,7 @@ class TestScreening:
 
     @staticmethod
     def _config(**kw):
-        base = dict(n_clusters=3, n_regimes=2, degree=2, max_iter=40, tol=1e-8,
+        base = dict(n_clusters=3, n_regimes=2, degree=2, max_iter=200, tol=1e-4,
                     n_restarts=3, seed=0)
         return EmConfig(**{**base, **kw})
 
@@ -892,6 +893,19 @@ class TestScreening:
         monkeypatch.setattr(mixrhlp, "initial_params", init_spy)
         return starts
 
+    @staticmethod
+    def _solo_fits(values, grid, cfg, starts):
+        return [em_fit(values, grid, dataclasses.replace(cfg, n_restarts=1), init=start)
+                for start in starts]
+
+    @staticmethod
+    def _assert_same_fit(params, solo):
+        np.testing.assert_array_equal(params.weights, solo.weights)
+        for c1, c2 in zip(params.clusters, solo.clusters, strict=True):
+            np.testing.assert_array_equal(c1.coeffs, c2.coeffs)
+            np.testing.assert_array_equal(c1.variances, c2.variances)
+            np.testing.assert_array_equal(c1.logistic.coef, c2.logistic.coef)
+
     def test_leader_equals_its_own_fit_and_the_others_are_screened(self, monkeypatch):
         values, grid = self._data()
         cfg = self._config()
@@ -903,19 +917,14 @@ class TestScreening:
         assert report.best_restart == 1
         assert report.iterations > mixrhlp._SCREEN_AT
         monkeypatch.undo()
-        for r, (start, record) in enumerate(zip(starts, report.restarts)):
-            solo, solo_report = em_fit(values, grid, dataclasses.replace(cfg, n_restarts=1),
-                                       init=start)
+        solos = self._solo_fits(values, grid, cfg, starts)
+        for r, ((solo, solo_report), record) in enumerate(zip(solos, report.restarts)):
             if r == report.best_restart:
-                # the kept restart goes on from its exact state
+                # the kept restart goes on from its exact state, and converges
                 assert list(report.loglik_trace) == list(solo_report.loglik_trace)
-                assert record.stop_reason == solo_report.stop_reason == "max_iter"
-                assert report.converged == solo_report.converged
-                np.testing.assert_array_equal(params.weights, solo.weights)
-                for c1, c2 in zip(params.clusters, solo.clusters, strict=True):
-                    np.testing.assert_array_equal(c1.coeffs, c2.coeffs)
-                    np.testing.assert_array_equal(c1.variances, c2.variances)
-                    np.testing.assert_array_equal(c1.logistic.coef, c2.logistic.coef)
+                assert record.stop_reason == solo_report.stop_reason == "tol"
+                assert report.converged
+                self._assert_same_fit(params, solo)
             else:
                 # a screened restart stops where its own fit stood after 20
                 assert record.stop_reason == "screened"
@@ -924,26 +933,85 @@ class TestScreening:
                 assert record.loglik < report.loglik_trace[mixrhlp._SCREEN_AT]
             assert solo_report.restarts[0].stop_reason != "screened"
 
+    def test_unconverged_leader_hands_on_to_the_screened(self, monkeypatch):
+        # with max_iter 100 no restart converges, so after the leader each
+        # screened restart goes on in turn, the best first, and every one
+        # ends where its own fit ends; restart 2, second at iteration 20,
+        # overtakes the leader and wins
+        values, grid = self._data()
+        cfg = self._config(max_iter=100, tol=1e-6)
+        starts = self._spy_starts(monkeypatch)
+        params, report = em_fit(values, grid, cfg)
+        monkeypatch.undo()
+        solos = self._solo_fits(values, grid, cfg, starts)
+        at_screen = [t.loglik_trace[mixrhlp._SCREEN_AT] for _, t in solos]
+        assert at_screen[1] > at_screen[2] > at_screen[0]
+        assert report.restarts == tuple(t.restarts[0] for _, t in solos)
+        assert [r.stop_reason for r in report.restarts] == ["max_iter"] * 3
+        assert report.best_restart == 2
+        assert list(report.loglik_trace) == list(solos[2][1].loglik_trace)
+        self._assert_same_fit(params, solos[2][0])
+
+    @pytest.mark.parametrize("handoff", ["tol", "likelihood_drop", "max_iter"])
+    def test_screened_go_on_while_the_one_before_stops_unconverged(self, handoff):
+        # scripted restarts: a restart's params are (restart, iteration),
+        # and its log-likelihood climbs by 1 an iteration along its row; at
+        # iteration 20 they rank 0, 2, 1, 3. Restart 0 stops at 30 or 31 by
+        # ``handoff``, and restart 2 would meet tol at 41
+        rows = [np.arange(102.0) + offset for offset in (0.3, 0.1, 0.2, 0.0)]
+        if handoff == "likelihood_drop":
+            rows[0][31] = 0.0
+        else:
+            rows[0][31:] = rows[0][30]
+        rows[2][41:] = rows[2][40]
+
+        def e_step(params):
+            r, k = params
+            return None, float(rows[r][k]), None
+
+        def m_step(stats, params, rescue, per_curve, pending):
+            return (params[0], params[1] + 1), False
+
+        config = EmConfig(max_iter=30 if handoff == "max_iter" else 100, tol=0.5,
+                          n_restarts=4)
+        runs = mixrhlp._ascend(e_step, m_step, [(r, 0) for r in range(4)], config)
+        for r, ((_, k), trace, _) in enumerate(runs):
+            assert trace == list(rows[r][:k + 1])
+        stops = [stop for _, _, stop in runs]
+        iterations = [params[1] for params, _, _ in runs]
+        if handoff == "tol":
+            assert stops == ["tol", "screened", "screened", "screened"]
+            assert iterations == [31, 20, 20, 20]
+        elif handoff == "likelihood_drop":
+            # the rejected update of iteration 31 is not kept; restart 2
+            # goes on and converges, so 1 and 3 stay screened
+            assert stops == ["likelihood_drop", "screened", "tol", "screened"]
+            assert iterations == [30, 20, 41, 20]
+        else:
+            # each one stops at the cap, so all go on in turn
+            assert stops == ["max_iter"] * 4
+            assert iterations == [30] * 4
+
     def test_restart_that_met_tol_early_still_wins(self, monkeypatch):
         # restart 0 starts at a converged fit, so it meets tol at once and
         # leaves the lockstep long before the screening; the screening
         # picks a leader among the others, and restart 0 still wins the
         # best-of
         values, grid = self._data()
-        cfg = self._config(tol=1e-6)
+        cfg = self._config()
         converged, _ = em_fit(values, grid, dataclasses.replace(
             cfg, max_iter=500, tol=1e-10, n_restarts=1, seed=1))
         self._spy_starts(monkeypatch, first=converged)
         params, report = em_fit(values, grid, cfg)
         first, *others = report.restarts
         assert first.stop_reason == "tol" and first.iterations < mixrhlp._SCREEN_AT
-        assert sorted(r.stop_reason for r in others)[-1] == "screened"
+        assert sorted(r.stop_reason for r in others) == ["screened", "tol"]
         assert report.best_restart == 0 and report.converged
         assert report.loglik_trace[-1] == first.loglik > max(r.loglik for r in others)
 
     def test_single_runs_are_not_screened(self):
         values, grid = self._data()
-        cfg = self._config(n_restarts=1)
+        cfg = self._config(n_restarts=1, max_iter=40, tol=1e-8)
         params, report = em_fit(values, grid, cfg)
         assert [r.stop_reason for r in report.restarts] == ["max_iter"]
         assert report.restarts[0].iterations == cfg.max_iter
@@ -966,6 +1034,7 @@ class TestScreening:
         assert best.loglik == report.loglik_trace[-1]
         assert best.iterations == report.iterations
         assert report.stop_reason == best.stop_reason
+        assert report.converged == (best.stop_reason == "tol")
         assert all(r.stop_reason in mixrhlp.STOP_REASONS for r in report.restarts)
 
 
