@@ -69,8 +69,8 @@ one ``irls_fit`` call per count, and per round of M-steps, fits up to
 fit of its own would make. After ``_SCREEN_AT`` iterations only the live
 restart with the highest log-likelihood goes on (short runs, then the
 leader), and the others wait as ``screened``. If the leader stops without
-converging, the best waiting restart goes on from where it was screened,
-and so on. So every restart that is not left screened ends, bit for bit,
+converging, the waiting restarts go on together from where they were
+screened. So every restart that is not left screened ends, bit for bit,
 where a fit from its start alone ends, and a screened one ends where that
 fit stood after ``_SCREEN_AT`` iterations. The regression mixture's M-step
 has no logistic problems.
@@ -108,14 +108,14 @@ _INIT_SLOPE_SCALE = 10.0
 #: Round-off allowance below which a drop in log-likelihood counts as none.
 _LOGLIK_SLACK = 1e-9
 #: EM iterations after which only the leading live restart of a fit goes on
-#: (the short-runs strategy of Biernacki, Celeux & Govaert, 2003), the
-#: others waiting in case it stops without converging.
+#: (the short-runs strategy of Biernacki, Celeux & Govaert, 2003); the
+#: others wait, and go on only if it stops without converging.
 _SCREEN_AT = 20
 
 #: Why an EM run stopped: it met ``tol``; it ran ``max_iter`` iterations; an
 #: update lowered the likelihood, so it kept the previous iterate; or it
-#: trailed the leading restart after ``_SCREEN_AT`` iterations, and every
-#: restart that went on after it converged.
+#: trailed the leader after ``_SCREEN_AT`` iterations, and the leader
+#: converged.
 STOP_REASONS = ("tol", "max_iter", "likelihood_drop", "screened")
 
 MODEL_FORMAT_VERSION = 1
@@ -804,18 +804,18 @@ def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list
 
     Once the live restarts have taken ``_SCREEN_AT`` iterations, and more
     are allowed, only the one with the highest log-likelihood goes on, ties
-    to the smaller index; the others wait as ``screened``. When the restart
-    that goes on stops without converging (``max_iter`` or the drop guard),
-    the waiting restart with the highest log-likelihood goes on instead. A
-    restart goes on from its exact state, so it ends, bit for bit, where a
-    run of its own ends; one still waiting at the end stays ``screened``.
+    to the smaller index; the others wait as ``screened``. If the leader
+    stops without converging (``max_iter`` or the drop guard), the waiting
+    restarts go on together. A restart goes on from its exact state, so it
+    ends, bit for bit, where a run of its own ends; one still waiting at
+    the end stays ``screened``.
     """
     # each restart's accepted (params, E-step result, loglik, per-curve logliks)
     runs = [(params, *e_step(params)) for params in starts]
     traces = [[run[2]] for run in runs]
     stops = ["max_iter"] * len(runs)
     live = list(range(len(runs)))
-    waiting = []  # the screened restarts, highest log-likelihood first
+    waiting = []  # the screened restarts
     while live:
         cands = _m_steps(m_step, [runs[r] for r in live], True)
         evals = [e_step(cand) for cand, _ in cands]
@@ -844,13 +844,15 @@ def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list
             else:
                 still.append(r)
         if len(still) > 1 and len(traces[still[0]]) == _SCREEN_AT + 1:
-            # the first of equals leads
-            leader, *waiting = sorted(still, key=lambda r: -runs[r][2])
+            leader = max(still, key=lambda r: runs[r][2])  # the first of equals
+            waiting = [r for r in still if r != leader]
             for r in waiting:
                 stops[r] = "screened"
             still = [leader]
         elif not still and waiting and stops[live[0]] != "tol":
-            still = [waiting.pop(0)]
+            # an unconverged leader's lead proves nothing: the screened
+            # restarts go on together from where they stopped
+            still, waiting = waiting, []
         live = still
     return [(run[0], trace, stop) for run, trace, stop in zip(runs, traces, stops)]
 
@@ -921,8 +923,8 @@ def em_fit(
     given) and returns the parameters of the restart with the highest
     final log-likelihood, ties broken toward the smaller restart index.
     After ``_SCREEN_AT`` iterations only the leading live restart goes on,
-    and the others only while the restart before them stops without
-    converging; ``FitReport.restarts`` records how each one stopped.
+    and the others only if it stops without converging;
+    ``FitReport.restarts`` records how each one stopped.
     Raises ``ValueError`` for shapes the data cannot identify: fewer curves
     than clusters, more regimes than grid points, or a degree + 1 above
     the number of grid points.

@@ -340,7 +340,7 @@ class TestFitRegressionMixture:
 class TestScreening:
     """The regression mixture shares the EM driver, and so its screening:
     after ``_SCREEN_AT`` lockstep iterations only the leading live restart
-    goes on, and the others only while the one before stops unconverged."""
+    goes on, and the others only if it stops without converging."""
 
     @staticmethod
     def _problem(**kw):
@@ -390,8 +390,8 @@ class TestScreening:
             assert solo_report.restarts[0].stop_reason != "screened"
 
     def test_unconverged_leader_hands_on_to_the_screened(self, monkeypatch):
-        # at max_iter 40 no restart converges, so each screened restart goes
-        # on in turn and ends where its own fit ends
+        # at max_iter 40 no restart converges, so the screened restarts go
+        # on, and each ends where its own fit ends
         values, design, cfg = self._problem(max_iter=40, tol=1e-8)
         starts = self._spy_starts(monkeypatch)
         params, report = fit_regression_mixture(values, design, cfg)

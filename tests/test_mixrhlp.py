@@ -865,8 +865,8 @@ class TestEmFit:
 
 class TestScreening:
     """After ``_SCREEN_AT`` lockstep iterations only the leading live restart
-    goes on, and the others wait as ``screened``; while the restart that
-    goes on stops without converging, the best waiting one goes on next."""
+    goes on, and the others wait as ``screened``; if the leader stops
+    without converging, they go on together."""
 
     @staticmethod
     def _data():
@@ -934,10 +934,10 @@ class TestScreening:
             assert solo_report.restarts[0].stop_reason != "screened"
 
     def test_unconverged_leader_hands_on_to_the_screened(self, monkeypatch):
-        # with max_iter 100 no restart converges, so after the leader each
-        # screened restart goes on in turn, the best first, and every one
-        # ends where its own fit ends; restart 2, second at iteration 20,
-        # overtakes the leader and wins
+        # with max_iter 100 no restart converges, so after the leader the
+        # screened restarts go on, and every one ends where its own fit
+        # ends; restart 2, second at iteration 20, overtakes the leader and
+        # wins
         values, grid = self._data()
         cfg = self._config(max_iter=100, tol=1e-6)
         starts = self._spy_starts(monkeypatch)
@@ -953,10 +953,10 @@ class TestScreening:
         self._assert_same_fit(params, solos[2][0])
 
     @pytest.mark.parametrize("handoff", ["tol", "likelihood_drop", "max_iter"])
-    def test_screened_go_on_while_the_one_before_stops_unconverged(self, handoff):
+    def test_screened_go_on_if_the_leader_stops_unconverged(self, handoff):
         # scripted restarts: a restart's params are (restart, iteration),
-        # and its log-likelihood climbs by 1 an iteration along its row; at
-        # iteration 20 they rank 0, 2, 1, 3. Restart 0 stops at 30 or 31 by
+        # and its log-likelihood climbs by 1 an iteration along its row;
+        # restart 0 leads at iteration 20 and stops at 30 or 31 by
         # ``handoff``, and restart 2 would meet tol at 41
         rows = [np.arange(102.0) + offset for offset in (0.3, 0.1, 0.2, 0.0)]
         if handoff == "likelihood_drop":
@@ -983,12 +983,11 @@ class TestScreening:
             assert stops == ["tol", "screened", "screened", "screened"]
             assert iterations == [31, 20, 20, 20]
         elif handoff == "likelihood_drop":
-            # the rejected update of iteration 31 is not kept; restart 2
-            # goes on and converges, so 1 and 3 stay screened
-            assert stops == ["likelihood_drop", "screened", "tol", "screened"]
-            assert iterations == [30, 20, 41, 20]
+            # the rejected update of iteration 31 is not kept, and the
+            # screened restarts go on to their own ends
+            assert stops == ["likelihood_drop", "max_iter", "tol", "max_iter"]
+            assert iterations == [30, 100, 41, 100]
         else:
-            # each one stops at the cap, so all go on in turn
             assert stops == ["max_iter"] * 4
             assert iterations == [30] * 4
 
