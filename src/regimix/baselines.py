@@ -8,7 +8,8 @@ fitted by EM. Both work on polynomial and B-spline designs.
 
 The one ascent loop and restart selection of ``mixrhlp`` fit a regression
 mixture, from this module's initialization, E-step and M-step, with all
-restarts in lockstep; the M-step leaves no logistic problems. The E-step
+restarts in lockstep and screened, but passes no SQUAREM coordinates, so
+the leader goes on by plain EM; the M-step leaves no logistic problems. The E-step
 evaluates the one-regime density in closed form, at a fraction of the
 cost of the general (G, R, n, m) kernel. A restart carries plain arrays,
 the (K,) weights, (K, d) coefficients and (K,) variances, and builds its

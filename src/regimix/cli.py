@@ -24,7 +24,14 @@ import sys
 import numpy as np
 
 from . import datagen, mixrhlp
-from .core import Basis, TimeGrid, atomic_write_text, read_curveset, write_curveset
+from .core import (
+    Basis,
+    TimeGrid,
+    atomic_write_text,
+    exact_int,
+    read_curveset,
+    write_curveset,
+)
 from .discriminant import (
     FMDA_MIXRHLP,
     RHLP_VARIANTS,
@@ -110,12 +117,8 @@ _MODEL_KEYS = {
 
 
 def _exact_int(cfg: dict, key: str) -> int:
-    """``cfg[key]``, which must be an ``int`` exactly: ``1.5``, ``1.0``,
-    ``true`` or ``"3"`` in a config file is no count."""
-    value = cfg[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
+    """``cfg[key]``, which must be an ``int`` exactly (``core.exact_int``)."""
+    return exact_int(cfg[key], key)
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -241,7 +244,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 "best_restart": rep.best_restart,
                 "restarts": [
                     {"loglik": r.loglik, "iterations": r.iterations,
-                     "stop_reason": r.stop_reason}
+                     "stop_reason": r.stop_reason,
+                     "extrapolations_accepted": r.extrapolations_accepted,
+                     "extrapolations_rejected": r.extrapolations_rejected}
                     for r in rep.restarts
                 ],
             }

@@ -25,6 +25,14 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 MAX_CONDITION = 1e12
 
 
+def exact_int(value, name: str) -> int:
+    """``value``, which must be an ``int`` exactly: ``1.5``, ``1.0``, ``true``
+    or ``"3"`` read from a JSON document is no count; else ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False

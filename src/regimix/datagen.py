@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledCurveSet, TimeGrid
+from .core import LabeledCurveSet, TimeGrid, exact_int
 from .errors import DataError
 from .rng import box_muller, child_rng
 
@@ -128,8 +128,10 @@ class PiecewiseSpec:
             return PiecewiseSpec(
                 class_profiles=profiles,
                 noise_sd=float(doc.get("noise_sd", 0.35)),
-                curves_per_subclass=int(doc.get("curves_per_subclass", 10)),
-                n_points=int(doc.get("n_points", 200)),
+                curves_per_subclass=exact_int(
+                    doc.get("curves_per_subclass", 10), "curves_per_subclass"
+                ),
+                n_points=exact_int(doc.get("n_points", 200), "n_points"),
                 span=tuple(doc.get("span", (0.0, 1.0))),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -215,7 +217,7 @@ class WaveformSpec:
     def from_dict(doc: dict) -> "WaveformSpec":
         try:
             return WaveformSpec(
-                curves_per_class=int(doc.get("curves_per_class", 500)),
+                curves_per_class=exact_int(doc.get("curves_per_class", 500), "curves_per_class"),
                 noise_sd=float(doc.get("noise_sd", 1.0)),
                 merge=bool(doc.get("merge", True)),
             )
@@ -282,6 +284,8 @@ def spec_from_json(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"spec document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError("spec document must be a JSON object")
     benchmark = doc.get("benchmark")
     if benchmark == "piecewise":
         return PiecewiseSpec.from_dict(doc)

@@ -16,6 +16,7 @@ variant; scoring, summaries and model documents take one path.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,7 +272,7 @@ def _regressions_from_dict(weights, components: list) -> MixRhlpParams:
 
 
 def _class_model_from_dict(doc: dict, version: int) -> MixRhlpParams:
-    kind = doc.get("kind")
+    kind = doc["kind"]
     try:
         if kind == "mixrhlp":
             return mixrhlp.params_from_dict(doc)
@@ -280,7 +281,7 @@ def _class_model_from_dict(doc: dict, version: int) -> MixRhlpParams:
             return _regressions_from_dict([1.0], [doc])
         if version == 1 and kind == "regression_mixture":
             return _regressions_from_dict(doc["alphas"], doc["components"])
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"malformed class model document: {exc}") from exc
     raise DataError(f"unknown class model kind {kind!r}")
 
@@ -298,9 +299,64 @@ def model_to_dict(model: ClassifierModel) -> dict:
     }
 
 
+#: The JSON structure that ``model_from_dict`` reads. An object maps each
+#: key it reads to the structure of its value, ``[s]`` is a list of items
+#: of structure s, and a type is the value's JSON type: ``int`` an integer
+#: exactly, and ``float`` a number or null (which reads as NaN, for the
+#: parameter checks to reject). Basis and class documents take the
+#: structure of their ``kind``; an unknown kind is an error of its own.
+_DOCUMENT = {
+    "variant": str,
+    "priors": [float],
+    "grid": [float],
+    "basis": {"kind": str},
+    "classes": [{"kind": str}],
+}
+_BASES = {"polynomial": {"degree": int}, "bspline": {"order": int, "interior_knots": int}}
+_REGRESSION = {"coeffs": [float], "variance": float}
+_CLASS_KINDS = {
+    "mixrhlp": {
+        "K": int,
+        "R": [int],
+        "alphas": [float],
+        "clusters": [{"logistic_weights": [[float]], "betas": [[float]], "variances": [float]}],
+    },
+    # version 1 only
+    "single_regression": _REGRESSION,
+    "regression_mixture": {"alphas": [float], "components": [_REGRESSION]},
+}
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               float: "a number"}
+
+
+def _check_structure(value, structure, where: str) -> None:
+    """Raise ``DataError`` unless ``value`` has ``structure``, as above."""
+    if isinstance(structure, dict):
+        _check_structure(value, dict, where)
+        for key, inner in structure.items():
+            if key not in value:
+                raise DataError(f"{where} has no {key!r}")
+            _check_structure(value[key], inner, f"{where}.{key}")
+    elif isinstance(structure, list):
+        _check_structure(value, list, where)
+        for i, item in enumerate(value):
+            _check_structure(item, structure[0], f"{where}[{i}]")
+    elif not (
+        type(value) is structure or structure is float and (type(value) is int or value is None)
+    ):
+        raise DataError(f"{where} must be {_JSON_TYPES[structure]}, got {reprlib.repr(value)}")
+
+
 def model_from_dict(doc: dict) -> ClassifierModel:
-    """A classifier from its document, of ``format_version`` 2 or 1."""
+    """A classifier from its document, of ``format_version`` 2 or 1. The
+    structure of the document is checked once, here; the constructors
+    check the values."""
+    _check_structure(doc, dict, "model")
     version = mixrhlp._format_version(doc, (1, CLASSIFIER_FORMAT_VERSION), "classifier")
+    _check_structure(doc, _DOCUMENT, "model")
+    _check_structure(doc["basis"], _BASES.get(doc["basis"]["kind"], {}), "model.basis")
+    for i, class_doc in enumerate(doc["classes"]):
+        _check_structure(class_doc, _CLASS_KINDS.get(class_doc["kind"], {}), f"model.classes[{i}]")
     try:
         grid = TimeGrid(np.array(doc["grid"], dtype=float))
         return ClassifierModel(
@@ -310,7 +366,7 @@ def model_from_dict(doc: dict) -> ClassifierModel:
             basis=Basis.from_dict(doc["basis"]),
             grid=grid,
         )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"malformed classifier document: {exc}") from exc
 
 

@@ -68,17 +68,27 @@ one ``irls_fit`` call per count, and per round of M-steps, fits up to
 ``n_restarts`` x K processes. Each stacked problem makes the decisions a
 fit of its own would make. After ``_SCREEN_AT`` iterations only the live
 restart with the highest log-likelihood goes on (short runs, then the
-leader), and the others wait as ``screened``. If the leader stops without
-converging, the waiting restarts go on together from where they were
-screened. So every restart that is not left screened ends, bit for bit,
-where a fit from its start alone ends, and a screened one ends where that
-fit stood after ``_SCREEN_AT`` iterations. The regression mixture's M-step
-has no logistic problems.
+leader), and the others wait as ``screened``; so plain EM ranks the
+restarts. In a MixRHLP fit the leader goes on in SQUAREM cycles
+(``_squarem_cycles``): two plain EM maps, an extrapolated point in the
+coordinates of ``_flatten``, and one stabilising map from it, kept only if
+it gains more than ``tol``. The leader meets ``tol`` only when the two
+plain maps of a whole cycle together gain less. If the leader stops
+without converging, the waiting restarts go on together by plain EM from
+where they were screened. So every restart that goes on by plain EM ends,
+bit for bit, where a fit from its start alone ends, the leader follows
+that fit for its first ``_SCREEN_AT`` iterations, and a screened restart
+ends where that fit stood after ``_SCREEN_AT`` iterations. A fit that is
+never screened (one restart, a start from ``init``, or ``max_iter`` of at
+most ``_SCREEN_AT``) is plain EM, bit for bit, and so is every regression
+mixture, which is screened but never extrapolated. The regression
+mixture's M-step has no logistic problems.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -111,11 +121,18 @@ _LOGLIK_SLACK = 1e-9
 #: (the short-runs strategy of Biernacki, Celeux & Govaert, 2003); the
 #: others wait, and go on only if it stops without converging.
 _SCREEN_AT = 20
+#: SQUAREM for the screened leader (Varadhan & Roland, 2008): the bound on
+#: the step length of the first extrapolation, and the factor by which each
+#: kept extrapolation raises it.
+_STEP_MAX = 1.0
+_STEP_GROWTH = 4.0
 
-#: Why an EM run stopped: it met ``tol``; it ran ``max_iter`` iterations; an
-#: update lowered the likelihood, so it kept the previous iterate; or it
-#: trailed the leader after ``_SCREEN_AT`` iterations, and the leader
-#: converged.
+#: Why an EM run stopped: it met ``tol`` (the screened leader of a MixRHLP
+#: fit, the only run SQUAREM extrapolates, meets it when the two plain maps
+#: of a whole cycle gain less; every other run is plain EM, bit for bit);
+#: it ran ``max_iter`` iterations, kept extrapolations included; an update
+#: lowered the likelihood, so it kept the previous iterate; or it trailed
+#: the leader after ``_SCREEN_AT`` iterations, and the leader converged.
 STOP_REASONS = ("tol", "max_iter", "likelihood_drop", "screened")
 
 MODEL_FORMAT_VERSION = 1
@@ -229,11 +246,15 @@ class Posteriors:
 @dataclass(frozen=True)
 class RestartRecord:
     """How one EM restart of a fit ended: its final log-likelihood, the EM
-    iterations it accepted and one of ``STOP_REASONS``."""
+    iterations it accepted, one of ``STOP_REASONS``, and how many SQUAREM
+    extrapolations it kept and rejected (both 0 unless it led after the
+    screening of a MixRHLP fit)."""
 
     loglik: float
     iterations: int
     stop_reason: str
+    extrapolations_accepted: int = 0
+    extrapolations_rejected: int = 0
 
 
 @dataclass(frozen=True)
@@ -456,6 +477,43 @@ def _unpack(state: _EmState) -> MixRhlpParams:
         for k, coeffs, variances, logistic in zip(group, *arrays):
             clusters[k] = RhlpParams(LogisticWeights(logistic), coeffs, variances)
     return MixRhlpParams(state.weights, tuple(clusters))
+
+
+def _flatten(state: _EmState) -> np.ndarray:
+    """The coordinates in which SQUAREM extrapolates an iterate: the log
+    weights and, per regime group, the coefficients, the log variances and
+    the free rows of the logistic coefficients (all but the last, the
+    gauge row, which stays 0)."""
+    parts = [np.log(state.weights)]
+    for coeffs, variances, logistic in zip(state.coeffs, state.variances, state.logistic):
+        parts += [coeffs.ravel(), np.log(variances).ravel(), logistic[:, :-1].ravel()]
+    return np.concatenate(parts)
+
+
+def _restore(x: np.ndarray, like: _EmState, floor: float) -> _EmState | None:
+    """The iterate at the finite coordinates x of ``_flatten``, shaped like
+    ``like``, or None if a variance overflows. As in the M-step, the weights
+    are normalised above ``_WEIGHT_FLOOR`` and the variances kept at or
+    above ``floor``."""
+    K = len(like.weights)
+    weights = np.exp(x[:K] - x[:K].max())
+    weights = np.maximum(weights / weights.sum(), _WEIGHT_FLOOR)
+    at = K
+    coeffs, variances, logistic = [], [], []
+    for c, v, w in zip(like.coeffs, like.variances, like.logistic):
+        coeffs.append(x[at : at + c.size].reshape(c.shape))
+        at += c.size
+        with np.errstate(over="ignore"):
+            variances.append(np.maximum(np.exp(x[at : at + v.size]).reshape(v.shape), floor))
+        at += v.size
+        free = np.zeros_like(w)
+        free[:, :-1] = x[at : at + w[:, :-1].size].reshape(w[:, :-1].shape)
+        logistic.append(free)
+        at += w[:, :-1].size
+    if not all(np.isfinite(v).all() for v in variances):
+        return None
+    weights /= weights.sum()
+    return _EmState(weights, like.groups, tuple(coeffs), tuple(variances), tuple(logistic))
 
 
 class _Stats(NamedTuple):
@@ -785,7 +843,9 @@ def _random_partition(
 # ---------------------------------------------------------------------------
 
 
-def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list[float], str]]:
+def _ascend(
+    e_step, m_step, starts, config: EmConfig, squarem: _Squarem | None = None
+) -> list[tuple[object, list[float], str]]:
     """EM from each of ``starts`` for either family, the restarts advancing
     together one iteration at a time: ``e_step(params)`` gives (what the
     M-step reads, loglik, per-curve logliks), and ``m_step(that, params,
@@ -804,40 +864,32 @@ def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list
 
     Once the live restarts have taken ``_SCREEN_AT`` iterations, and more
     are allowed, only the one with the highest log-likelihood goes on, ties
-    to the smaller index; the others wait as ``screened``. If the leader
-    stops without converging (``max_iter`` or the drop guard), the waiting
-    restarts go on together. A restart goes on from its exact state, so it
-    ends, bit for bit, where a run of its own ends; one still waiting at
-    the end stays ``screened``.
+    to the smaller index; the others wait as ``screened``. Given
+    ``squarem``, the leader goes on in SQUAREM cycles (``_squarem_cycles``)
+    and ``squarem`` keeps its tally; else by plain EM. If the leader stops
+    without converging (``max_iter`` or the drop guard), the waiting
+    restarts go on together by plain EM. A restart goes on from its exact
+    state, so one that goes on by plain EM ends, bit for bit, where a run of
+    its own ends; one still waiting at the end stays ``screened``.
     """
     # each restart's accepted (params, E-step result, loglik, per-curve logliks)
     runs = [(params, *e_step(params)) for params in starts]
     traces = [[run[2]] for run in runs]
     stops = ["max_iter"] * len(runs)
     live = list(range(len(runs)))
-    waiting = []  # the screened restarts
+    leader, waiting = None, []  # waiting: the screened restarts
     while live:
-        cands = _m_steps(m_step, [runs[r] for r in live], True)
-        evals = [e_step(cand) for cand, _ in cands]
-        # A rescue that hurt the likelihood falls back to the plain update,
-        # which is monotone by construction.
-        redo = [
-            i for i, r in enumerate(live)
-            if cands[i][1] and evals[i][1] < runs[r][2] - _LOGLIK_SLACK
-        ]
-        for i, cand in zip(redo, _m_steps(m_step, [runs[live[i]] for i in redo], False)):
-            cands[i], evals[i] = cand, e_step(cand[0])
         still = []
-        for r, (cand, _), (cand_stats, cand_ll, cand_pc) in zip(live, cands, evals):
+        for r, new in zip(live, _em_maps(e_step, m_step, [runs[r] for r in live])):
             ll = runs[r][2]
-            if cand_ll < ll - _LOGLIK_SLACK:
+            if new[2] < ll - _LOGLIK_SLACK:
                 # A degraded M-step (a ridge-regularized solve) lowered the
                 # likelihood: keep the previous iterate and stop unconverged.
                 stops[r] = "likelihood_drop"
                 continue
-            runs[r] = (cand, cand_stats, cand_ll, cand_pc)
-            traces[r].append(cand_ll)
-            if cand_ll - ll < config.tol:
+            runs[r] = new
+            traces[r].append(new[2])
+            if new[2] - ll < config.tol:
                 stops[r] = "tol"
             elif len(traces[r]) > config.max_iter:
                 stops[r] = "max_iter"
@@ -849,12 +901,33 @@ def _ascend(e_step, m_step, starts, config: EmConfig) -> list[tuple[object, list
             for r in waiting:
                 stops[r] = "screened"
             still = [leader]
-        elif not still and waiting and stops[live[0]] != "tol":
+            if squarem is not None:
+                squarem.leader = leader
+                runs[leader], stops[leader] = _squarem_cycles(
+                    e_step, m_step, runs[leader], traces[leader], config, squarem
+                )
+                still = []
+        if not still and waiting and stops[leader] != "tol":
             # an unconverged leader's lead proves nothing: the screened
             # restarts go on together from where they stopped
             still, waiting = waiting, []
         live = still
     return [(run[0], trace, stop) for run, trace, stop in zip(runs, traces, stops)]
+
+
+def _em_maps(e_step, m_step, runs) -> list[tuple]:
+    """One EM map from each of the accepted ``runs`` (params, E-step
+    result, loglik, per-curve logliks): the candidate's run. A rescue that
+    lowered the likelihood falls back to the plain update, which is
+    monotone by construction."""
+    cands = _m_steps(m_step, runs, True)
+    evals = [e_step(cand) for cand, _ in cands]
+    redo = [
+        i for i, run in enumerate(runs) if cands[i][1] and evals[i][1] < run[2] - _LOGLIK_SLACK
+    ]
+    for i, cand in zip(redo, _m_steps(m_step, [runs[i] for i in redo], False)):
+        cands[i], evals[i] = cand, e_step(cand[0])
+    return [(cand, *ev) for (cand, _), ev in zip(cands, evals)]
 
 
 def _m_steps(m_step, runs, rescue: bool) -> list[tuple[object, bool]]:
@@ -868,13 +941,112 @@ def _m_steps(m_step, runs, rescue: bool) -> list[tuple[object, bool]]:
     return cands
 
 
+@dataclass
+class _Squarem:
+    """How SQUAREM sees the iterates of one fit: ``flatten(params)`` is the
+    vector it extrapolates, and ``restore(x, like)`` the params at vector x,
+    shaped like ``like``, or None if x gives none. ``_ascend`` writes which
+    restart led, and ``_squarem_cycles`` counts its extrapolations."""
+
+    flatten: Callable[[object], np.ndarray]
+    restore: Callable[[np.ndarray, object], object]
+    leader: int | None = None
+    accepted: int = 0
+    rejected: int = 0
+
+    def tally(self, restart: int) -> tuple[int, int]:
+        """The accepted and rejected extrapolations of ``restart``."""
+        return (self.accepted, self.rejected) if restart == self.leader else (0, 0)
+
+
+def _squarem_step(r: np.ndarray, v: np.ndarray, step_max: float) -> float:
+    """The S3 step length -|r| / |v|, clamped to [-step_max, -1]."""
+    norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
+    if norm_r <= norm_v:
+        return -1.0
+    if norm_r >= step_max * norm_v:
+        return -step_max
+    return -float(norm_r / norm_v)
+
+
+def _squarem_cycles(e_step, m_step, run, trace: list[float], config: EmConfig, squarem):
+    """The screened leader from its accepted ``run`` to its end, in the S3
+    cycles of SQUAREM (Varadhan & Roland, 2008). Extends ``trace`` and
+    returns (the last accepted run, stop reason).
+
+    A cycle takes two plain EM maps from theta0, each with the rescue
+    fallback and the drop guard of ``_em_maps``, to theta1 and theta2. With
+    r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and the step alpha
+    of ``_squarem_step``, it extrapolates to theta' = theta0 - 2 alpha r +
+    alpha^2 v (theta2 itself when alpha = -1), and takes one stabilising
+    EM map from theta'. That point is kept, as one more map of the trace,
+    only if it beats theta2 by more than ``tol``; then the step's bound
+    grows by ``_STEP_GROWTH``. A rejected point costs its E-steps and
+    changes nothing; it is rejected when theta' has non-finite coordinates
+    or none at all, an E-step raises ``NumericalError``, the M-step re-seeds
+    a starved cluster, or it brings no gain. The leader meets ``tol`` only
+    when a cycle's two plain maps together gain less than ``tol``; every
+    map, kept extrapolations included, counts towards ``max_iter``.
+    """
+    step_max = _STEP_MAX
+    while True:
+        plain = [run]
+        for _ in range(2):
+            (new,) = _em_maps(e_step, m_step, plain[-1:])
+            if new[2] < plain[-1][2] - _LOGLIK_SLACK:
+                return plain[-1], "likelihood_drop"
+            plain.append(new)
+            trace.append(new[2])
+            if len(plain) == 3 and new[2] - run[2] < config.tol:
+                return new, "tol"
+            if len(trace) > config.max_iter:
+                return new, "max_iter"
+        run = plain[2]
+        new = _stabilised(e_step, m_step, squarem, plain, step_max)
+        if new is not None and new[2] > run[2] + config.tol:
+            run = new
+            trace.append(new[2])
+            step_max *= _STEP_GROWTH
+            squarem.accepted += 1
+            if len(trace) > config.max_iter:
+                return run, "max_iter"
+        else:
+            squarem.rejected += 1
+
+
+def _stabilised(e_step, m_step, squarem, plain, step_max: float):
+    """The run of the stabilising EM map from the S3 point of the ``plain``
+    runs theta0, theta1, theta2, or None if the point or the map fails."""
+    x0, x1, x2 = (squarem.flatten(p[0]) for p in plain)
+    r = x1 - x0
+    v = x2 - 2.0 * x1 + x0
+    alpha = _squarem_step(r, v, step_max)
+    try:
+        if alpha == -1.0:
+            point = plain[2]
+        else:
+            x = x0 - 2.0 * alpha * r + alpha**2 * v
+            params = squarem.restore(x, plain[2][0]) if np.isfinite(x).all() else None
+            if params is None:
+                return None
+            # an extrapolated point may lie far out: its densities may
+            # overflow, which the E-step's check turns into an error
+            with np.errstate(all="ignore"):
+                point = (params, *e_step(params))
+        ((cand, rescued),) = _m_steps(m_step, [point], True)
+        return None if rescued else (cand, *e_step(cand))
+    except NumericalError:
+        return None
+
+
 def _fit_restarts(
     run, start, init, config: EmConfig, n: int, degree: int
 ) -> tuple[MixRhlpParams, FitReport]:
     """Best of the EM restarts of either family on n curves: the run from
     the start ``init`` if given, else one per stream ``child_rng(config.seed,
     r)``, from ``start(rng)``. ``run(starts)`` runs them in lockstep and
-    gives each one's (params, trace, stop reason). The highest final loglik
+    gives each one's (params, trace, stop reason), and may add its accepted
+    and rejected extrapolations. The highest final loglik
     wins, ties to the smaller index. The BIC counts degree + 1 coefficients
     per regime."""
     if n < config.n_clusters:
@@ -887,14 +1059,16 @@ def _fit_restarts(
         starts = [start(child_rng(config.seed, r)) for r in range(config.n_restarts)]
     runs = run(starts)
     best_idx = max(range(len(runs)), key=lambda idx: runs[idx][1][-1])
-    params, trace, _ = runs[best_idx]
+    params, trace, *_ = runs[best_idx]
     report = FitReport(
         loglik_trace=tuple(trace),
         iterations=len(trace) - 1,
         bic=bic(params, trace[-1], n, degree),
         restarts_tried=len(runs),
         best_restart=best_idx,
-        restarts=tuple(RestartRecord(t[-1], len(t) - 1, s) for _, t, s in runs),
+        restarts=tuple(
+            RestartRecord(t[-1], len(t) - 1, s, *tally) for _, t, s, *tally in runs
+        ),
     )
     return params, report
 
@@ -923,8 +1097,13 @@ def em_fit(
     given) and returns the parameters of the restart with the highest
     final log-likelihood, ties broken toward the smaller restart index.
     After ``_SCREEN_AT`` iterations only the leading live restart goes on,
-    and the others only if it stops without converging;
-    ``FitReport.restarts`` records how each one stopped.
+    accelerated by SQUAREM, and it meets ``tol`` only when the two plain
+    EM maps of a whole cycle together gain less. The others go on, by
+    plain EM, only if it stops without converging; ``FitReport.restarts``
+    records how each one stopped and how many extrapolations the leader
+    kept and rejected. A fit with one restart, from ``init``, or with
+    ``max_iter`` of at most ``_SCREEN_AT`` is never screened or
+    extrapolated, and is plain EM bit for bit.
     Raises ``ValueError`` for shapes the data cannot identify: fewer curves
     than clusters, more regimes than grid points, or a degree + 1 above
     the number of grid points.
@@ -950,6 +1129,7 @@ def em_fit(
         # the restarts share it, since their E-steps run one at a time and
         # each takes its statistics from the buffer at once
         buffers = [np.empty(v.shape + values.shape) for v in starts[0].variances]
+        squarem = _Squarem(_flatten, lambda x, like: _restore(x, like, floor))
         runs = _ascend(
             lambda state: _e_step_full(state, values, design, buffers),
             lambda stats, state, rescue, per_curve, pending: _m_step_impl(
@@ -958,11 +1138,12 @@ def em_fit(
             ),
             starts,
             config,
+            squarem,
         )
         # one _em_once call per restart, screened ones included
         return [
-            (_em_once(state, trace, stop == "tol")[0], trace, stop)
-            for state, trace, stop in runs
+            (_em_once(state, trace, stop == "tol")[0], trace, stop, *squarem.tally(r))
+            for r, (state, trace, stop) in enumerate(runs)
         ]
 
     return _fit_restarts(

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from regimix.cli import main
 from regimix.core import read_curveset, vandermonde
 from regimix.discriminant import classify_set, model_from_json
 from regimix.mixrhlp import mean_curves
+
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(*argv):
@@ -100,6 +104,42 @@ class TestGenerate:
         ]
         assert not any((tmp_path / "o").iterdir())
 
+    def test_spec_not_an_object_is_data_error(self, tmp_path, capsys):
+        # a spec file holding [1] used to end in an AttributeError traceback
+        (tmp_path / "o").mkdir()
+        spec = tmp_path / "spec.json"
+        spec.write_text("[1]")
+        capsys.readouterr()
+        code = run("generate", "--spec-json", str(spec), "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "regimix: data error: spec document must be a JSON object"
+        ]
+        assert not any((tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("curves_per_subclass", 1.5), ("n_points", True), ("n_points", 30.0),
+         ("curves_per_class", "3")],
+    )
+    def test_spec_count_not_an_int_is_data_error(self, tmp_path, capsys, small_spec, key, value):
+        # int() would take 1.5 for 1 and true for 1, as for config counts
+        (tmp_path / "o").mkdir()
+        with open(small_spec, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if key == "curves_per_class":
+            doc = {"benchmark": "waveform", "curves_per_class": 3}
+        doc[key] = value
+        spec = tmp_path / "bad_spec.json"
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("generate", "--spec-json", str(spec), "--out", str(tmp_path / "o"))
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].endswith(f"spec: {key} must be an integer, got {value!r}")
+        assert not any((tmp_path / "o").iterdir())
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run("generate", "--benchmark", "nonsense", "--out", "x")
@@ -173,7 +213,8 @@ class TestFit:
         ]
         if max_iter == "2":
             assert [c["restarts"] for c in per_class] == [
-                [{"loglik": c["loglik_trace"][-1], "iterations": 2, "stop_reason": "max_iter"}]
+                [{"loglik": c["loglik_trace"][-1], "iterations": 2, "stop_reason": "max_iter",
+                  "extrapolations_accepted": 0, "extrapolations_rejected": 0}]
                 for c in per_class
             ]
 
@@ -299,6 +340,33 @@ class TestClassify:
             assert code == 3
             assert f"format version: {json.loads(version)!r}" in capsys.readouterr().err
             assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("basis", "model.basis must be an object, got 1.5"),
+            ("classes", "model.classes must be a list, got 1.5"),
+            ("degree", "model.basis.degree must be an integer, got inf"),
+        ],
+    )
+    def test_malformed_model_structure_is_data_error(
+        self, tmp_path, dataset_dir, capsys, edit, message
+    ):
+        # each edit used to end in a traceback (AttributeError, TypeError or
+        # OverflowError) with exit 1
+        doc = json.loads(DATA.joinpath("v1_fmda-mixrhlp.model.json").read_text())
+        if edit == "degree":
+            doc["basis"]["degree"] = float("inf")  # written as Infinity
+        else:
+            doc[edit] = 1.5
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("classify", "--model", str(model_path), "--data", dataset_dir,
+                   "--out", str(tmp_path / "p.csv"))
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [f"regimix: data error: {message}"]
+        assert not (tmp_path / "p.csv").exists()
 
     def test_null_prior_is_data_error(self, tmp_path, dataset_dir, capsys):
         # a null prior used to load as NaN and give NaN posteriors, exit 0

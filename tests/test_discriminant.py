@@ -289,6 +289,58 @@ class TestClassifierSerialization:
                 model_from_json(json.dumps({**doc, "format_version": version}))
 
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], r"model must be an object, got \[\{"),
+            (lambda doc: {**doc, "priors": [{}, 0.5]}, r"model.priors\[0\] must be a number"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "grid"}, "model has no 'grid'"),
+            (lambda doc: {**doc, "classes": [{**doc["classes"][0], "R": 2}]},
+             r"model.classes\[0\].R must be a list, got 2"),
+            (lambda doc: {**doc, "basis": {"kind": "polynomial", "degree": 1.0}},
+             "model.basis.degree must be an integer, got 1.0"),
+        ],
+    )
+    def test_malformed_structure_rejected(self, edit, message):
+        # the loader checks the document's structure once, before any
+        # constructor reads it
+        doc = json.loads((DATA / "v1_fmda-mixrhlp.model.json").read_text())
+        with pytest.raises(DataError, match=message):
+            model_from_json(json.dumps(edit(doc)))
+
+    def test_every_mutation_loads_or_is_data_error(self):
+        # each leaf and subtree of a model document (the first two items of
+        # each list) replaced by another JSON value, or deleted: the result
+        # either loads and scores curves on its grid to finite posteriors,
+        # or is a DataError
+        doc = json.loads((DATA / "v1_fmda-mixrhlp.model.json").read_text())
+        values = np.array(json.loads((DATA / "v1_classify_expected.json").read_text())["values"])
+
+        def paths(node, path=()):
+            yield path
+            items = node.items() if isinstance(node, dict) else (
+                enumerate(node[:2]) if isinstance(node, list) else ())
+            for key, child in items:
+                yield from paths(child, path + (key,))
+
+        deleted = object()
+        for path in list(paths(doc))[1:]:
+            for value in (None, "x", -1, 2.5, float("nan"), float("inf"), [], {}, True, deleted):
+                mutated = json.loads(json.dumps(doc))
+                parent = mutated
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value is deleted:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+                try:
+                    model = model_from_json(json.dumps(mutated))
+                    _, posteriors = classify_set(model, values[:, : len(model.grid)])
+                except DataError:
+                    continue
+                assert np.all(np.isfinite(posteriors)), (path, value)
+
     @pytest.mark.parametrize("version", [1, 2])
     def test_nan_proportions_rejected(self, version):
         # a null prior or mixing proportion reads as NaN, which every test of

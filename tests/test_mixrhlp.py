@@ -907,6 +907,9 @@ class TestScreening:
             np.testing.assert_array_equal(c1.logistic.coef, c2.logistic.coef)
 
     def test_leader_equals_its_own_fit_and_the_others_are_screened(self, monkeypatch):
+        # the kept restart goes on from its exact state, so its trace is its
+        # own fit's up to the screening; then SQUAREM cycles take it to tol,
+        # no lower than its own fit ends
         values, grid = self._data()
         cfg = self._config()
         starts = self._spy_starts(monkeypatch)
@@ -918,26 +921,35 @@ class TestScreening:
         assert report.iterations > mixrhlp._SCREEN_AT
         monkeypatch.undo()
         solos = self._solo_fits(values, grid, cfg, starts)
+        screen = mixrhlp._SCREEN_AT + 1
         for r, ((solo, solo_report), record) in enumerate(zip(solos, report.restarts)):
             if r == report.best_restart:
-                # the kept restart goes on from its exact state, and converges
-                assert list(report.loglik_trace) == list(solo_report.loglik_trace)
+                trace = report.loglik_trace
+                assert list(trace[:screen]) == list(solo_report.loglik_trace[:screen])
+                assert np.all(np.diff(trace) >= -1e-8)
                 assert record.stop_reason == solo_report.stop_reason == "tol"
                 assert report.converged
-                self._assert_same_fit(params, solo)
+                assert record.loglik >= solo_report.loglik_trace[-1]
+                assert record.extrapolations_accepted > 0
+                # the kept parameters are those of the last trace entry
+                design = vandermonde(grid, cfg.degree)
+                assert mixrhlp_loglik_set(params, values, design).sum() == pytest.approx(
+                    record.loglik, rel=1e-12)
             else:
                 # a screened restart stops where its own fit stood after 20
                 assert record.stop_reason == "screened"
                 assert record.iterations == mixrhlp._SCREEN_AT
                 assert record.loglik == solo_report.loglik_trace[mixrhlp._SCREEN_AT]
                 assert record.loglik < report.loglik_trace[mixrhlp._SCREEN_AT]
+                assert record.extrapolations_accepted == record.extrapolations_rejected == 0
             assert solo_report.restarts[0].stop_reason != "screened"
+            assert solo_report.restarts[0].extrapolations_accepted == 0
 
     def test_unconverged_leader_hands_on_to_the_screened(self, monkeypatch):
-        # with max_iter 100 no restart converges, so after the leader the
-        # screened restarts go on, and every one ends where its own fit
-        # ends; restart 2, second at iteration 20, overtakes the leader and
-        # wins
+        # with max_iter 100 the leader stops at the cap even with SQUAREM,
+        # so the screened restarts go on by plain EM and end where their own
+        # fits end; restart 2, second at iteration 20, overtakes the leader
+        # and wins
         values, grid = self._data()
         cfg = self._config(max_iter=100, tol=1e-6)
         starts = self._spy_starts(monkeypatch)
@@ -946,8 +958,12 @@ class TestScreening:
         solos = self._solo_fits(values, grid, cfg, starts)
         at_screen = [t.loglik_trace[mixrhlp._SCREEN_AT] for _, t in solos]
         assert at_screen[1] > at_screen[2] > at_screen[0]
-        assert report.restarts == tuple(t.restarts[0] for _, t in solos)
-        assert [r.stop_reason for r in report.restarts] == ["max_iter"] * 3
+        leader = report.restarts[1]
+        assert leader.stop_reason == "max_iter" and leader.iterations == cfg.max_iter
+        assert leader.extrapolations_accepted > 0
+        for r in (0, 2):
+            assert report.restarts[r] == solos[r][1].restarts[0]
+            assert report.restarts[r].stop_reason == "max_iter"
         assert report.best_restart == 2
         assert list(report.loglik_trace) == list(solos[2][1].loglik_trace)
         self._assert_same_fit(params, solos[2][0])
@@ -990,6 +1006,56 @@ class TestScreening:
         else:
             assert stops == ["max_iter"] * 4
             assert iterations == [30] * 4
+
+    @pytest.mark.parametrize("failure", ["non-finite", "overflows", "lower", "raises", "rescued"])
+    def test_rejected_extrapolation_takes_the_plain_path(self, failure):
+        # scripted restarts: a restart's params are (restart, position), an
+        # EM map adds 1 to the position, and the log-likelihood is the
+        # position plus an offset. Restart 0 leads at 20. Its first cycle
+        # extrapolates with step -1, to its second plain point, and keeps
+        # the stabilising map; every later extrapolated point fails as
+        # ``failure`` says, so the leader goes on by plain maps alone. An
+        # overflow at an extrapolated point is no warning, even where
+        # warnings are errors.
+        offsets = (0.3, 0.1)
+
+        def e_step(params):
+            r, position, extrapolated = params
+            if extrapolated and failure in ("raises", "overflows"):
+                if failure == "overflows":
+                    np.exp(np.array([1e3]))
+                raise NumericalError("scripted")
+            if extrapolated and failure == "lower":
+                return None, 0.0, None
+            return None, position + offsets[r], None
+
+        def m_step(stats, params, rescue, per_curve, pending):
+            r, position, extrapolated = params
+            return (r, position + 1, extrapolated), rescue and extrapolated and failure == "rescued"
+
+        def restore(x, like):
+            if failure == "non-finite":
+                return None
+            return (like[0], float(x[0]), True)
+
+        squarem = mixrhlp._Squarem(lambda params: np.array([float(params[1])]), restore)
+        config = EmConfig(max_iter=30, tol=0.5, n_restarts=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = mixrhlp._ascend(
+                e_step, m_step, [(r, 0, False) for r in range(2)], config, squarem)
+        (leader, trace, stop), (other, other_trace, other_stop) = runs
+        assert squarem.leader == 0
+        # 20 lockstep maps, then cycles: (21, 22) and the kept map to 23,
+        # then (24, 25), (26, 27) and (28, 29), each rejected, and one last
+        # plain map to the cap
+        assert (squarem.accepted, squarem.rejected) == (1, 3)
+        assert squarem.tally(0) == (1, 3) and squarem.tally(1) == (0, 0)
+        assert leader == (0, 30, False) and stop == "max_iter"
+        assert trace == [p + offsets[0] for p in range(31)]
+        # the leader stopped unconverged, so restart 1 went on by plain EM
+        assert other == (1, 30, False) and other_stop == "max_iter"
+        assert other_trace == [p + offsets[1] for p in range(31)]
 
     def test_restart_that_met_tol_early_still_wins(self, monkeypatch):
         # restart 0 starts at a converged fit, so it meets tol at once and
@@ -1035,6 +1101,60 @@ class TestScreening:
         assert report.stop_reason == best.stop_reason
         assert report.converged == (best.stop_reason == "tol")
         assert all(r.stop_reason in mixrhlp.STOP_REASONS for r in report.restarts)
+
+
+class TestSquarem:
+    """The screened leader of a MixRHLP fit goes on in SQUAREM cycles, in
+    the coordinates of ``_flatten``."""
+
+    @staticmethod
+    def _state():
+        rng = np.random.default_rng(5)
+        params = MixRhlpParams([0.2, 0.3, 0.5], tuple(
+            rand_params(rng, 1, r, 2).clusters[0] for r in (2, 3, 2)))
+        return _pack(params)
+
+    def test_coordinates_round_trip(self):
+        state = self._state()
+        back = mixrhlp._restore(mixrhlp._flatten(state), state, 1e-10)
+        np.testing.assert_allclose(back.weights, state.weights, rtol=1e-14)
+        assert back.groups == state.groups
+        for got, want in zip(back[2:], state[2:]):
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-14)
+        # the gauge row is not a coordinate, and stays 0
+        assert all(np.all(w[:, -1] == 0.0) for w in back.logistic)
+
+    def test_restore_floors_and_overflow(self):
+        state = self._state()
+        x = mixrhlp._flatten(state)
+        variance_at = len(state.weights) + state.coeffs[0].size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low = x.copy()
+            low[0] = -1e4  # a log weight
+            low[variance_at] = -1e4  # a log variance
+            restored = mixrhlp._restore(low, state, 1e-6)
+            assert restored.weights[0] == pytest.approx(mixrhlp._WEIGHT_FLOOR, rel=1e-9)
+            assert restored.weights.sum() == pytest.approx(1.0, abs=1e-15)
+            assert restored.variances[0].flat[0] == 1e-6
+            high = x.copy()
+            high[variance_at] = 1e3
+            assert mixrhlp._restore(high, state, 1e-6) is None
+
+    def test_accelerated_piecewise_fit_raises_no_warning(self):
+        # an extrapolated point may lie far out; the guards keep its
+        # overflows and divisions by zero from reaching numpy's warnings
+        data = gen_piecewise(default_piecewise_spec(), seed=0)
+        cfg = EmConfig(n_clusters=3, n_regimes=3, degree=0, max_iter=100, n_restarts=5, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = em_fit(data.values[data.labels == 1], data.grid, cfg)
+        leader = report.restarts[report.best_restart]
+        assert leader.extrapolations_accepted > 0
+        assert report.converged
+        assert np.all(np.diff(report.loglik_trace) >= -1e-8)
+        assert sum(r.stop_reason == "screened" for r in report.restarts) == 4
 
 
 class TestDegenerateInputs:
