@@ -386,9 +386,17 @@ def read_curveset(grid_path: str, curves_path: str) -> LabeledCurveSet:
             raise DataError(f"{curves_path}:{lineno}: {exc}") from exc
     if not labels:
         raise DataError(f"{curves_path}: no curves")
-    labels_arr = np.array(labels, dtype=int)
-    if np.any(labels_arr < 1):
+    if min(labels) < 1:
         raise DataError(f"{curves_path}: labels must be positive integers")
+    # n curves cover at most classes 1..n, so a larger label, which may not
+    # even fit a numpy integer, is no class index
+    top = max(labels)
+    if top > len(labels):
+        raise DataError(
+            f"{curves_path}:{labels.index(top) + 1}: label above the number of "
+            f"curves ({len(labels)}); the labels must cover every class 1..max"
+        )
+    labels_arr = np.array(labels, dtype=int)
     try:
         return LabeledCurveSet(
             np.array(values), labels_arr, grid, n_classes=int(labels_arr.max())

@@ -204,8 +204,14 @@ def train(data: LabeledCurveSet, config: TrainConfig) -> ClassifierModel:
 
 
 def class_logliks(model: ClassifierModel, values: np.ndarray) -> np.ndarray:
-    """(n, G) per-curve conditional log-densities."""
+    """(n, G) per-curve conditional log-densities of (n, m) curves on the
+    model grid; ``DataError`` if m is not the grid's width."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
+    if values.ndim != 2 or values.shape[1] != len(model.grid):
+        raise DataError(
+            f"curves of shape {values.shape} do not fit the model grid of "
+            f"{len(model.grid)} points"
+        )
     return np.column_stack(
         [mixrhlp.mixrhlp_loglik_set(cm, values, model.design) for cm in model.class_models]
     )

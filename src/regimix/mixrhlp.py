@@ -69,20 +69,21 @@ one ``irls_fit`` call per count, and per round of M-steps, fits up to
 fit of its own would make. After ``_SCREEN_AT`` iterations only the live
 restart with the highest log-likelihood goes on (short runs, then the
 leader), and the others wait as ``screened``; so plain EM ranks the
-restarts. In a MixRHLP fit the leader goes on in SQUAREM cycles
-(``_squarem_cycles``): two plain EM maps, an extrapolated point in the
-coordinates of ``_flatten``, and one stabilising map from it, kept only if
-it gains more than ``tol``. The leader meets ``tol`` only when the two
-plain maps of a whole cycle together gain less. If the leader stops
-without converging, the waiting restarts go on together by plain EM from
-where they were screened. So every restart that goes on by plain EM ends,
-bit for bit, where a fit from its start alone ends, the leader follows
-that fit for its first ``_SCREEN_AT`` iterations, and a screened restart
-ends where that fit stood after ``_SCREEN_AT`` iterations. A fit that is
-never screened (one restart, a start from ``init``, or ``max_iter`` of at
-most ``_SCREEN_AT``) is plain EM, bit for bit, and so is every regression
-mixture, which is screened but never extrapolated. The regression
-mixture's M-step has no logistic problems.
+restarts. In a MixRHLP fit the one restart that goes on, whether it leads
+others or is the only one (one restart, or a start from ``init``), goes on
+in SQUAREM cycles (``_squarem_cycles``): two plain EM maps, an
+extrapolated point in the coordinates of ``_flatten``, and one stabilising
+map from it, kept only if it gains more than ``tol``. It stops, as plain EM
+does, at the first map gaining less than ``tol``. If it stops without
+converging, the waiting restarts go on together by plain EM from where
+they were screened. So every restart that goes on by plain EM ends, bit for
+bit, where plain EM from its start ends; the leader ends where a fit from
+its start alone ends, and follows plain EM for its first ``_SCREEN_AT``
+iterations; and a screened restart ends where plain EM stood after
+``_SCREEN_AT`` iterations. A fit of at most ``_SCREEN_AT`` iterations is
+plain EM, bit for bit, and so is every regression mixture, which is
+screened but never extrapolated. The regression mixture's M-step has no
+logistic problems.
 """
 
 from __future__ import annotations
@@ -121,18 +122,18 @@ _LOGLIK_SLACK = 1e-9
 #: (the short-runs strategy of Biernacki, Celeux & Govaert, 2003); the
 #: others wait, and go on only if it stops without converging.
 _SCREEN_AT = 20
-#: SQUAREM for the screened leader (Varadhan & Roland, 2008): the bound on
-#: the step length of the first extrapolation, and the factor by which each
-#: kept extrapolation raises it.
+#: SQUAREM for the restart that goes on alone (Varadhan & Roland, 2008):
+#: the bound on the step length of the first extrapolation, which is also
+#: its least value, and the factor by which each kept extrapolation raises
+#: it and each rejected one at the bound lowers it.
 _STEP_MAX = 1.0
 _STEP_GROWTH = 4.0
 
-#: Why an EM run stopped: it met ``tol`` (the screened leader of a MixRHLP
-#: fit, the only run SQUAREM extrapolates, meets it when the two plain maps
-#: of a whole cycle gain less; every other run is plain EM, bit for bit);
-#: it ran ``max_iter`` iterations, kept extrapolations included; an update
-#: lowered the likelihood, so it kept the previous iterate; or it trailed
-#: the leader after ``_SCREEN_AT`` iterations, and the leader converged.
+#: Why an EM run stopped: an iteration gained less than ``tol`` (for an
+#: extrapolated run, a plain EM map); it ran ``max_iter`` iterations, kept
+#: extrapolations included; an update lowered the likelihood, so it kept
+#: the previous iterate; or it trailed the leader after ``_SCREEN_AT``
+#: iterations, and the leader converged.
 STOP_REASONS = ("tol", "max_iter", "likelihood_drop", "screened")
 
 MODEL_FORMAT_VERSION = 1
@@ -247,8 +248,9 @@ class Posteriors:
 class RestartRecord:
     """How one EM restart of a fit ended: its final log-likelihood, the EM
     iterations it accepted, one of ``STOP_REASONS``, and how many SQUAREM
-    extrapolations it kept and rejected (both 0 unless it led after the
-    screening of a MixRHLP fit)."""
+    extrapolations it kept and rejected (both 0 unless it went on alone
+    after ``_SCREEN_AT`` iterations of a MixRHLP fit, as the leader or as
+    the only restart)."""
 
     loglik: float
     iterations: int
@@ -864,13 +866,14 @@ def _ascend(
 
     Once the live restarts have taken ``_SCREEN_AT`` iterations, and more
     are allowed, only the one with the highest log-likelihood goes on, ties
-    to the smaller index; the others wait as ``screened``. Given
-    ``squarem``, the leader goes on in SQUAREM cycles (``_squarem_cycles``)
-    and ``squarem`` keeps its tally; else by plain EM. If the leader stops
-    without converging (``max_iter`` or the drop guard), the waiting
-    restarts go on together by plain EM. A restart goes on from its exact
-    state, so one that goes on by plain EM ends, bit for bit, where a run of
-    its own ends; one still waiting at the end stays ``screened``.
+    to the smaller index; the others wait as ``screened``. That leader may
+    be the only live restart. Given ``squarem``, it goes on in SQUAREM
+    cycles (``_squarem_cycles``) and ``squarem`` keeps its tally; else by
+    plain EM. If the leader stops without converging (``max_iter`` or the
+    drop guard), the waiting restarts go on together by plain EM. A restart
+    goes on from its exact state, so one that goes on by plain EM ends, bit
+    for bit, where plain EM from its start ends; one still waiting at the
+    end stays ``screened``.
     """
     # each restart's accepted (params, E-step result, loglik, per-curve logliks)
     runs = [(params, *e_step(params)) for params in starts]
@@ -895,7 +898,7 @@ def _ascend(
                 stops[r] = "max_iter"
             else:
                 still.append(r)
-        if len(still) > 1 and len(traces[still[0]]) == _SCREEN_AT + 1:
+        if still and len(traces[still[0]]) == _SCREEN_AT + 1:
             leader = max(still, key=lambda r: runs[r][2])  # the first of equals
             waiting = [r for r in still if r != leader]
             for r in waiting:
@@ -970,9 +973,9 @@ def _squarem_step(r: np.ndarray, v: np.ndarray, step_max: float) -> float:
 
 
 def _squarem_cycles(e_step, m_step, run, trace: list[float], config: EmConfig, squarem):
-    """The screened leader from its accepted ``run`` to its end, in the S3
-    cycles of SQUAREM (Varadhan & Roland, 2008). Extends ``trace`` and
-    returns (the last accepted run, stop reason).
+    """The restart that goes on alone, from its accepted ``run`` to its end,
+    in the S3 cycles of SQUAREM (Varadhan & Roland, 2008). Extends ``trace``
+    and returns (the last accepted run, stop reason).
 
     A cycle takes two plain EM maps from theta0, each with the rescue
     fallback and the drop guard of ``_em_maps``, to theta1 and theta2. With
@@ -982,11 +985,15 @@ def _squarem_cycles(e_step, m_step, run, trace: list[float], config: EmConfig, s
     EM map from theta'. That point is kept, as one more map of the trace,
     only if it beats theta2 by more than ``tol``; then the step's bound
     grows by ``_STEP_GROWTH``. A rejected point costs its E-steps and
-    changes nothing; it is rejected when theta' has non-finite coordinates
-    or none at all, an E-step raises ``NumericalError``, the M-step re-seeds
-    a starved cluster, or it brings no gain. The leader meets ``tol`` only
-    when a cycle's two plain maps together gain less than ``tol``; every
-    map, kept extrapolations included, counts towards ``max_iter``.
+    changes nothing, unless its step was at the bound: then the bound falls
+    by ``_STEP_GROWTH``, to no less than ``_STEP_MAX``, as in the authors'
+    SQUAREM package. A point is rejected when theta' has non-finite
+    coordinates or none at all, an E-step raises ``NumericalError``, the
+    M-step re-seeds a starved cluster, or it brings no gain. The run meets
+    ``tol``, EM's own rule, at the first plain map that gains less than
+    ``tol``; a kept point gains more, so every earlier increment of the
+    trace is at least ``tol``. Every map, kept extrapolations included,
+    counts towards ``max_iter``.
     """
     step_max = _STEP_MAX
     while True:
@@ -997,12 +1004,12 @@ def _squarem_cycles(e_step, m_step, run, trace: list[float], config: EmConfig, s
                 return plain[-1], "likelihood_drop"
             plain.append(new)
             trace.append(new[2])
-            if len(plain) == 3 and new[2] - run[2] < config.tol:
+            if new[2] - plain[-2][2] < config.tol:
                 return new, "tol"
             if len(trace) > config.max_iter:
                 return new, "max_iter"
         run = plain[2]
-        new = _stabilised(e_step, m_step, squarem, plain, step_max)
+        alpha, new = _stabilised(e_step, m_step, squarem, plain, step_max)
         if new is not None and new[2] > run[2] + config.tol:
             run = new
             trace.append(new[2])
@@ -1012,11 +1019,14 @@ def _squarem_cycles(e_step, m_step, run, trace: list[float], config: EmConfig, s
                 return run, "max_iter"
         else:
             squarem.rejected += 1
+            if alpha == -step_max:
+                step_max = max(_STEP_MAX, step_max / _STEP_GROWTH)
 
 
 def _stabilised(e_step, m_step, squarem, plain, step_max: float):
-    """The run of the stabilising EM map from the S3 point of the ``plain``
-    runs theta0, theta1, theta2, or None if the point or the map fails."""
+    """The step length alpha of the S3 point of the ``plain`` runs theta0,
+    theta1, theta2, and the run of the stabilising EM map from that point,
+    or None if the point or the map fails."""
     x0, x1, x2 = (squarem.flatten(p[0]) for p in plain)
     r = x1 - x0
     v = x2 - 2.0 * x1 + x0
@@ -1028,15 +1038,15 @@ def _stabilised(e_step, m_step, squarem, plain, step_max: float):
             x = x0 - 2.0 * alpha * r + alpha**2 * v
             params = squarem.restore(x, plain[2][0]) if np.isfinite(x).all() else None
             if params is None:
-                return None
+                return alpha, None
             # an extrapolated point may lie far out: its densities may
             # overflow, which the E-step's check turns into an error
             with np.errstate(all="ignore"):
                 point = (params, *e_step(params))
         ((cand, rescued),) = _m_steps(m_step, [point], True)
-        return None if rescued else (cand, *e_step(cand))
+        return alpha, None if rescued else (cand, *e_step(cand))
     except NumericalError:
-        return None
+        return alpha, None
 
 
 def _fit_restarts(
@@ -1097,13 +1107,13 @@ def em_fit(
     given) and returns the parameters of the restart with the highest
     final log-likelihood, ties broken toward the smaller restart index.
     After ``_SCREEN_AT`` iterations only the leading live restart goes on,
-    accelerated by SQUAREM, and it meets ``tol`` only when the two plain
-    EM maps of a whole cycle together gain less. The others go on, by
-    plain EM, only if it stops without converging; ``FitReport.restarts``
-    records how each one stopped and how many extrapolations the leader
-    kept and rejected. A fit with one restart, from ``init``, or with
-    ``max_iter`` of at most ``_SCREEN_AT`` is never screened or
-    extrapolated, and is plain EM bit for bit.
+    accelerated by SQUAREM, and so does the only restart of a fit with one
+    restart or from ``init``. It stops at the first plain EM map that
+    gains less than ``tol``. The others go on, by plain EM, only if it
+    stops without converging; ``FitReport.restarts`` records how each one
+    stopped and how many extrapolations the one that went on alone kept
+    and rejected. A fit with ``max_iter`` of at most ``_SCREEN_AT`` is
+    plain EM bit for bit.
     Raises ``ValueError`` for shapes the data cannot identify: fewer curves
     than clusters, more regimes than grid points, or a degree + 1 above
     the number of grid points.

@@ -432,3 +432,18 @@ class TestScreening:
         _, from_init = fit_regression_mixture(values, design, self._problem()[2], init=params)
         assert len(from_init.restarts) == 1
         assert from_init.restarts[0].stop_reason != "screened"
+
+    def test_lone_restart_is_plain_em(self, monkeypatch):
+        # a lone restart goes on alone after ``_SCREEN_AT`` iterations, but
+        # the regression mixture has no SQUAREM coordinates, so it goes on
+        # by plain EM: bit for bit the fit that is never screened
+        values, design, cfg = self._problem(n_restarts=1, max_iter=60, tol=1e-8)
+        params, report = fit_regression_mixture(values, design, cfg)
+        assert report.iterations > mixrhlp._SCREEN_AT
+        monkeypatch.setattr(mixrhlp, "_SCREEN_AT", cfg.max_iter + 1)
+        plain, plain_report = fit_regression_mixture(values, design, cfg)
+        assert report == plain_report
+        np.testing.assert_array_equal(params.weights, plain.weights)
+        for c1, c2 in zip(params.clusters, plain.clusters, strict=True):
+            np.testing.assert_array_equal(c1.coeffs, c2.coeffs)
+            np.testing.assert_array_equal(c1.variances, c2.variances)

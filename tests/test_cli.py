@@ -242,6 +242,18 @@ class TestFit:
         )
         assert code == 3
 
+    def test_oversized_label_is_data_error(self, tmp_path, dataset_dir, capsys):
+        # a label beyond every numpy integer is no class index: a one-line
+        # error, not an OverflowError traceback
+        curves = pathlib.Path(dataset_dir) / "curves.csv"
+        first, rest = curves.read_text().split("\n", 1)
+        curves.write_text("99999999999999999999," + first.split(",", 1)[1] + "\n" + rest)
+        code = run("fit", "--data", dataset_dir, "--variant", "flda-pr",
+                   "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert "curves.csv:1: label above the number of curves" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_config_file_with_flag_override(self, tmp_path, dataset_dir):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"variant": "flda-pr", "degree": 3, "seed": 8}))

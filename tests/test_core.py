@@ -313,6 +313,52 @@ class TestCurveSetFiles:
         with pytest.raises(DataError):
             read_curveset(str(tmp_path / "nope.csv"), str(tmp_path / "also_nope.csv"))
 
+    def test_every_mutation_loads_or_is_data_error(self, tmp_path):
+        # each field of a small grid and curve file replaced by another
+        # token, each field, row and point dropped or doubled, and the grid
+        # reordered: the result either loads as a valid curve set or is a
+        # DataError, never another exception
+        grid_row = ["0.0", "0.5", "1.0"]
+        rows = [["1", "0.1", "0.2", "0.3"], ["2", "1.0", "1.1", "1.2"], ["1", "0.0", "0.1", "0.2"]]
+        tokens = ["", " ", "x", "nan", "inf", "-inf", "1e309", "-1e309", "1.5", "1.0", "+1",
+                  "-1", "0", "3", "4", "1_0", " 2 ", "99999999999999999999", "-" + "9" * 30]
+
+        def variants():
+            for i in range(len(grid_row)):
+                for token in tokens:
+                    yield grid_row[:i] + [token] + grid_row[i + 1:], rows
+                yield grid_row[:i] + grid_row[i + 1:], rows  # a missing point
+                yield grid_row[:i + 1] + grid_row[i:], rows  # a duplicate point
+            yield grid_row[::-1], rows
+            yield [grid_row[1], grid_row[0], grid_row[2]], rows
+            yield [], rows
+            for j, row in enumerate(rows):
+                for k in range(len(row)):
+                    for token in tokens:
+                        yield grid_row, rows[:j] + [row[:k] + [token] + row[k + 1:]] + rows[j + 1:]
+                    yield grid_row, rows[:j] + [row[:k] + row[k + 1:]] + rows[j + 1:]
+                    yield grid_row, rows[:j] + [row[:k + 1] + row[k:]] + rows[j + 1:]
+                yield grid_row, rows[:j] + rows[j + 1:]
+                yield grid_row, rows[:j] + [row, row] + rows[j + 1:]
+            yield grid_row, []
+
+        gp, cp = tmp_path / "grid.csv", tmp_path / "curves.csv"
+        outcomes = {"loaded": 0, "rejected": 0}
+        for points, curves in variants():
+            gp.write_text(",".join(points) + "\n")
+            cp.write_text("".join(",".join(row) + "\n" for row in curves))
+            try:
+                data = read_curveset(str(gp), str(cp))
+            except DataError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["loaded"] += 1
+            assert np.all(np.diff(data.grid.points) > 0), (points, curves)
+            assert np.all(np.isfinite(data.values)), (points, curves)
+            assert data.values.shape == (len(curves), len(data.grid))
+            assert sorted(set(data.labels.tolist())) == list(range(1, data.n_classes + 1))
+        assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0
+
 
 class TestCurve:
     def test_length_mismatch(self):

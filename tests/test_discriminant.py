@@ -212,6 +212,15 @@ class TestClassify:
         with pytest.raises(DataError):
             classify(model, Curve(np.zeros(len(other)), other))
 
+    def test_values_of_another_width_rejected(self):
+        # values are taken to lie on the model grid, so their width must be
+        # the grid's; else a DataError names both
+        model = model_from_json((DATA / "v1_fmda-mixrhlp.model.json").read_text())
+        m = len(model.grid)
+        for shape in [(3, m - 1), (3, m + 1), (m + 1,), (2, 3, m)]:
+            with pytest.raises(DataError, match=rf"{shape[-1]}\) do not fit the model grid of {m} points"):
+                classify_set(model, np.zeros(shape))
+
 
 class TestMeanCurves:
     def test_flda_constant(self):

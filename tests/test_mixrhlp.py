@@ -865,8 +865,9 @@ class TestEmFit:
 
 class TestScreening:
     """After ``_SCREEN_AT`` lockstep iterations only the leading live restart
-    goes on, and the others wait as ``screened``; if the leader stops
-    without converging, they go on together."""
+    goes on, extrapolated, and the others wait as ``screened``; if the
+    leader stops without converging, they go on together by plain EM. A
+    restart that goes on alone from the start is extrapolated too."""
 
     @staticmethod
     def _data():
@@ -899,6 +900,16 @@ class TestScreening:
                 for start in starts]
 
     @staticmethod
+    def _plain_fits(monkeypatch, values, grid, cfg, starts):
+        """The fit from each start by plain EM: ``_ascend`` without SQUAREM."""
+        real_ascend = mixrhlp._ascend
+        monkeypatch.setattr(mixrhlp, "_ascend", lambda e_step, m_step, starts, config, squarem:
+                            real_ascend(e_step, m_step, starts, config))
+        fits = TestScreening._solo_fits(values, grid, cfg, starts)
+        monkeypatch.undo()
+        return fits
+
+    @staticmethod
     def _assert_same_fit(params, solo):
         np.testing.assert_array_equal(params.weights, solo.weights)
         for c1, c2 in zip(params.clusters, solo.clusters, strict=True):
@@ -907,9 +918,9 @@ class TestScreening:
             np.testing.assert_array_equal(c1.logistic.coef, c2.logistic.coef)
 
     def test_leader_equals_its_own_fit_and_the_others_are_screened(self, monkeypatch):
-        # the kept restart goes on from its exact state, so its trace is its
-        # own fit's up to the screening; then SQUAREM cycles take it to tol,
-        # no lower than its own fit ends
+        # the kept restart goes on from its exact state, and its own fit
+        # goes on alone after as many iterations, so both are extrapolated
+        # alike: the leader ends, bit for bit, where its own fit ends
         values, grid = self._data()
         cfg = self._config()
         starts = self._spy_starts(monkeypatch)
@@ -924,12 +935,11 @@ class TestScreening:
         screen = mixrhlp._SCREEN_AT + 1
         for r, ((solo, solo_report), record) in enumerate(zip(solos, report.restarts)):
             if r == report.best_restart:
-                trace = report.loglik_trace
-                assert list(trace[:screen]) == list(solo_report.loglik_trace[:screen])
-                assert np.all(np.diff(trace) >= -1e-8)
-                assert record.stop_reason == solo_report.stop_reason == "tol"
-                assert report.converged
-                assert record.loglik >= solo_report.loglik_trace[-1]
+                assert report.loglik_trace == solo_report.loglik_trace
+                assert np.all(np.diff(report.loglik_trace) >= -1e-8)
+                self._assert_same_fit(params, solo)
+                assert record == solo_report.restarts[0]
+                assert record.stop_reason == "tol" and report.converged
                 assert record.extrapolations_accepted > 0
                 # the kept parameters are those of the last trace entry
                 design = vandermonde(grid, cfg.degree)
@@ -942,31 +952,32 @@ class TestScreening:
                 assert record.loglik == solo_report.loglik_trace[mixrhlp._SCREEN_AT]
                 assert record.loglik < report.loglik_trace[mixrhlp._SCREEN_AT]
                 assert record.extrapolations_accepted == record.extrapolations_rejected == 0
+                assert len(solo_report.loglik_trace) > screen
             assert solo_report.restarts[0].stop_reason != "screened"
-            assert solo_report.restarts[0].extrapolations_accepted == 0
+            assert solo_report.restarts[0].extrapolations_accepted > 0
 
     def test_unconverged_leader_hands_on_to_the_screened(self, monkeypatch):
         # with max_iter 100 the leader stops at the cap even with SQUAREM,
-        # so the screened restarts go on by plain EM and end where their own
-        # fits end; restart 2, second at iteration 20, overtakes the leader
-        # and wins
+        # so the screened restarts go on by plain EM and end where plain EM
+        # from their starts ends; restart 2, second at iteration 20,
+        # overtakes the leader and wins
         values, grid = self._data()
         cfg = self._config(max_iter=100, tol=1e-6)
         starts = self._spy_starts(monkeypatch)
         params, report = em_fit(values, grid, cfg)
         monkeypatch.undo()
-        solos = self._solo_fits(values, grid, cfg, starts)
-        at_screen = [t.loglik_trace[mixrhlp._SCREEN_AT] for _, t in solos]
+        plain = self._plain_fits(monkeypatch, values, grid, cfg, starts)
+        at_screen = [t.loglik_trace[mixrhlp._SCREEN_AT] for _, t in plain]
         assert at_screen[1] > at_screen[2] > at_screen[0]
         leader = report.restarts[1]
         assert leader.stop_reason == "max_iter" and leader.iterations == cfg.max_iter
         assert leader.extrapolations_accepted > 0
         for r in (0, 2):
-            assert report.restarts[r] == solos[r][1].restarts[0]
+            assert report.restarts[r] == plain[r][1].restarts[0]
             assert report.restarts[r].stop_reason == "max_iter"
         assert report.best_restart == 2
-        assert list(report.loglik_trace) == list(solos[2][1].loglik_trace)
-        self._assert_same_fit(params, solos[2][0])
+        assert list(report.loglik_trace) == list(plain[2][1].loglik_trace)
+        self._assert_same_fit(params, plain[2][0])
 
     @pytest.mark.parametrize("handoff", ["tol", "likelihood_drop", "max_iter"])
     def test_screened_go_on_if_the_leader_stops_unconverged(self, handoff):
@@ -1011,12 +1022,13 @@ class TestScreening:
     def test_rejected_extrapolation_takes_the_plain_path(self, failure):
         # scripted restarts: a restart's params are (restart, position), an
         # EM map adds 1 to the position, and the log-likelihood is the
-        # position plus an offset. Restart 0 leads at 20. Its first cycle
-        # extrapolates with step -1, to its second plain point, and keeps
-        # the stabilising map; every later extrapolated point fails as
-        # ``failure`` says, so the leader goes on by plain maps alone. An
-        # overflow at an extrapolated point is no warning, even where
-        # warnings are errors.
+        # position plus an offset. Restart 0 leads at 20. The second
+        # difference of the positions is 0, so every step is at its bound.
+        # A cycle with step -1 takes its second plain point as the S3 point
+        # and keeps the stabilising map; every extrapolated point fails as
+        # ``failure`` says, which takes the bound back to 1. An overflow at
+        # an extrapolated point is no warning, even where warnings are
+        # errors.
         offsets = (0.3, 0.1)
 
         def e_step(params):
@@ -1046,11 +1058,12 @@ class TestScreening:
                 e_step, m_step, [(r, 0, False) for r in range(2)], config, squarem)
         (leader, trace, stop), (other, other_trace, other_stop) = runs
         assert squarem.leader == 0
-        # 20 lockstep maps, then cycles: (21, 22) and the kept map to 23,
-        # then (24, 25), (26, 27) and (28, 29), each rejected, and one last
-        # plain map to the cap
-        assert (squarem.accepted, squarem.rejected) == (1, 3)
-        assert squarem.tally(0) == (1, 3) and squarem.tally(1) == (0, 0)
+        # 20 lockstep maps, then cycles: (21, 22) with step -1 and the kept
+        # map to 23, which raises the bound to 4; (24, 25) with step -4 to
+        # a failing point, which takes it back to 1; (26, 27) with step -1
+        # and the kept map to 28; then plain maps to 29 and to the cap
+        assert (squarem.accepted, squarem.rejected) == (2, 1)
+        assert squarem.tally(0) == (2, 1) and squarem.tally(1) == (0, 0)
         assert leader == (0, 30, False) and stop == "max_iter"
         assert trace == [p + offsets[0] for p in range(31)]
         # the leader stopped unconverged, so restart 1 went on by plain EM
@@ -1084,6 +1097,83 @@ class TestScreening:
         assert len(from_init.restarts) == 1
         assert from_init.restarts[0].stop_reason != "screened"
         assert from_init.iterations > mixrhlp._SCREEN_AT
+
+    @pytest.mark.parametrize("start", ["n_restarts", "init"])
+    def test_lone_restart_is_extrapolated_to_tol(self, monkeypatch, start):
+        # one restart, from a seed or from ``init``, follows plain EM for
+        # ``_SCREEN_AT`` iterations and then goes on in SQUAREM cycles; it
+        # stops at the first map gaining less than tol, so every earlier
+        # increment of its trace is at least tol
+        values, grid = self._data()
+        cfg = self._config(n_restarts=1, tol=1e-6, seed=1)
+        init = None
+        if start == "init":
+            init, _ = em_fit(values, grid, dataclasses.replace(cfg, max_iter=5, seed=2))
+        starts = self._spy_starts(monkeypatch)  # none from init
+        _, report = em_fit(values, grid, cfg, init=init)
+        (record,) = report.restarts
+        assert record.stop_reason == "tol" and report.converged
+        assert record.extrapolations_accepted > 0
+        assert mixrhlp._SCREEN_AT < report.iterations < cfg.max_iter
+        increments = np.diff(report.loglik_trace)
+        assert np.all(increments[:-1] >= cfg.tol) and 0 <= increments[-1] < cfg.tol
+        monkeypatch.undo()
+        ((_, plain),) = self._plain_fits(monkeypatch, values, grid, cfg, starts or [init])
+        screen = mixrhlp._SCREEN_AT + 1
+        assert report.loglik_trace[:screen] == plain.loglik_trace[:screen]
+
+    @pytest.mark.parametrize("n_restarts", [1, 3])
+    def test_fits_of_at_most_screen_at_iterations_are_plain_em(self, monkeypatch, n_restarts):
+        values, grid = self._data()
+        cfg = self._config(n_restarts=n_restarts, max_iter=mixrhlp._SCREEN_AT, tol=1e-8)
+        starts = self._spy_starts(monkeypatch)
+        params, report = em_fit(values, grid, cfg)
+        monkeypatch.undo()
+        plain = self._plain_fits(monkeypatch, values, grid, cfg, starts)
+        assert report.restarts == tuple(t.restarts[0] for _, t in plain)
+        solo, solo_report = plain[report.best_restart]
+        assert report.loglik_trace == solo_report.loglik_trace
+        self._assert_same_fit(params, solo)
+
+    @pytest.mark.parametrize("rate, step_maxes, tally", [
+        (0.5, [1.0, 4.0, 4.0, 4.0], (1, 3)),
+        (0.875, [1.0, 4.0, 1.0], (2, 1)),
+    ])
+    def test_step_bound_shrinks_after_a_rejection_at_the_bound(
+            self, monkeypatch, rate, step_maxes, tally):
+        # one scripted restart: its params are (position, extrapolated), an
+        # EM map adds 1 to the position and so to the log-likelihood, and
+        # its SQUAREM coordinate is rate ** position, so that |r| / |v| is
+        # 1 / (1 - rate): 2 or 8. Every extrapolated point raises. The
+        # first cycle (21, 22) has step -1 and keeps its map to 23, which
+        # raises the bound to 4. At rate 0.5 each later step is -2, below
+        # the bound, and each rejection leaves the bound at 4. At rate
+        # 0.875 the step -4 is at the bound, its rejection takes the bound
+        # back to 1, and the next cycle (26, 27) keeps its map to 28.
+        def e_step(params):
+            if params[1]:
+                raise NumericalError("scripted")
+            return None, float(params[0]), None
+
+        def m_step(stats, params, rescue, per_curve, pending):
+            return (params[0] + 1, params[1]), False
+
+        bounds = []
+        real_step = mixrhlp._squarem_step
+
+        def step_spy(r, v, step_max):
+            bounds.append(step_max)
+            return real_step(r, v, step_max)
+
+        monkeypatch.setattr(mixrhlp, "_squarem_step", step_spy)
+        squarem = mixrhlp._Squarem(lambda params: np.array([rate ** params[0]]),
+                                   lambda x, like: (like[0], True))
+        config = EmConfig(max_iter=30, tol=0.5, n_restarts=1)
+        ((params, trace, stop),) = mixrhlp._ascend(e_step, m_step, [(0, False)], config, squarem)
+        assert bounds == step_maxes
+        assert (squarem.accepted, squarem.rejected) == tally
+        assert params == (30, False) and stop == "max_iter"
+        assert trace == [float(p) for p in range(31)]
 
     def test_no_screening_at_the_last_iteration(self):
         # with max_iter = 20 nothing would follow the screening, so every
