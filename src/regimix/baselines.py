@@ -8,12 +8,15 @@ fitted by EM. Both work on polynomial and B-spline designs.
 
 The one ascent loop and restart selection of ``mixrhlp`` fit a regression
 mixture, from this module's initialization, E-step and M-step, with all
-restarts in lockstep and screened, but passes no SQUAREM coordinates, so
-the leader goes on by plain EM; the M-step leaves no logistic problems. The E-step
-evaluates the one-regime density in closed form, at a fraction of the
-cost of the general (G, R, n, m) kernel. A restart carries plain arrays,
-the (K,) weights, (K, d) coefficients and (K,) variances, and builds its
-``MixRhlpParams`` once, at the end.
+restarts in lockstep and screened, and the restart that goes on alone
+extrapolated by SQUAREM, as in ``em_fit``; the M-step leaves no logistic
+problems. A restart carries the packed ``mixrhlp._EmState`` of the R=1
+model: one regime group of the K clusters, with (K, 1, d) coefficients,
+(K, 1) variances and (K, 1, 2) logistic coefficients of zeros, so the
+SQUAREM coordinates are those of a MixRHLP fit. It builds its
+``MixRhlpParams`` once, at the end. The E-step evaluates the one-regime
+density in closed form, at a fraction of the cost of the general
+(G, R, n, m) kernel.
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ from .mixrhlp import (
     _ascend,
     _check_design,
     _cluster_posteriors,
+    _EmState,
     _fit_restarts,
+    _pack,
     _random_partition,
+    _unpack,
 )
 
 
@@ -72,18 +78,18 @@ def fit_single_regression(values: np.ndarray, design: DesignMatrix) -> MixRhlpPa
 
 
 def _posterior(
-    state, values: np.ndarray, design: DesignMatrix
+    state: _EmState, values: np.ndarray, design: DesignMatrix
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """E-step on the (weights, coefficients, variances) state:
-    responsibilities, total and per-curve log-likelihoods."""
-    weights, coeffs, variances = state
+    """E-step on a one-regime iterate: responsibilities, total and
+    per-curve log-likelihoods."""
+    (coeffs,), (variances,) = state.coeffs, state.variances
     m = values.shape[1]
-    logliks = np.empty((values.shape[0], weights.size))  # per curve and component
-    for k, (beta, var) in enumerate(zip(coeffs, variances)):
+    logliks = np.empty((values.shape[0], state.weights.size))  # per curve and component
+    for k, (beta, var) in enumerate(zip(coeffs[:, 0], variances[:, 0])):
         mean = design.matrix @ beta
         sq = np.sum((values - mean[None, :]) ** 2, axis=1)
         logliks[:, k] = -0.5 * m * (LOG_2PI + np.log(var)) - sq / (2.0 * var)
-    resp, per_curve = _cluster_posteriors(np.log(weights)[None, :] + logliks)
+    resp, per_curve = _cluster_posteriors(np.log(state.weights)[None, :] + logliks)
     return resp, float(per_curve.sum()), per_curve
 
 
@@ -104,47 +110,42 @@ def _fit_component(
     return coeffs, max(sse / (m * total), floor)
 
 
-def _mixture_state(weights, fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (weights, (K, d) coefficients, (K,) variances) state of K
-    (coefficients, variance) fits."""
-    return weights, np.array([c for c, _ in fits]), np.array([v for _, v in fits])
-
-
 def _mixture_start(
     values: np.ndarray, design: DesignMatrix, n_clusters: int, floor: float, rng
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> _EmState:
     """A random start: one least-squares fit per part of a random partition."""
     parts, weights = _random_partition(values.shape[0], n_clusters, rng)
-    return _mixture_state(weights, [_least_squares(values[p], design, floor) for p in parts])
+    fits = [_least_squares(values[p], design, floor) for p in parts]
+    return _pack(_one_regime_params(weights, *zip(*fits)))
 
 
 def _mixture_m_step(
     resp: np.ndarray,
     values: np.ndarray,
     design: DesignMatrix,
-    prev: tuple[np.ndarray, np.ndarray, np.ndarray],
+    prev: _EmState,
     floor: float,
     prev_curve_loglik: np.ndarray,
     rescue: bool = True,
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], bool]:
+) -> tuple[_EmState, bool]:
     n = values.shape[0]
     totals = resp.sum(axis=0)
     weights = totals / n
-    coeffs, variances = prev[1].copy(), prev[2].copy()
+    coeffs, variances = prev.coeffs[0].copy(), prev.variances[0].copy()
     starved = [k for k in range(totals.size) if totals[k] < _STARVED_FRACTION * n]
     for k in range(totals.size):
         if k not in starved:
-            coeffs[k], variances[k] = _fit_component(resp[:, k], values, design, floor)
+            coeffs[k, 0], variances[k, 0] = _fit_component(resp[:, k], values, design, floor)
 
     rescued = rescue and bool(starved)
     if rescued:
         for k, i in zip(starved, np.argsort(prev_curve_loglik)):  # worst fits first
-            coeffs[k], variances[k] = _least_squares(values[i : i + 1], design, floor)
+            coeffs[k, 0], variances[k, 0] = _least_squares(values[i : i + 1], design, floor)
             weights[k] = 1.0 / n
 
     weights = np.maximum(weights, _WEIGHT_FLOOR)
     weights = weights / weights.sum()
-    return (weights, coeffs, variances), rescued
+    return prev._replace(weights=weights, coeffs=(coeffs,), variances=(variances,)), rescued
 
 
 def fit_regression_mixture(
@@ -176,15 +177,14 @@ def fit_regression_mixture(
             ),
             starts,
             config,
+            floor,
         )
-        return [(_one_regime_params(*state), trace, stop) for state, trace, stop in runs]
+        return [(_unpack(state), *rest) for state, *rest in runs]
 
     return _fit_restarts(
         run,
         lambda rng: _mixture_start(values, design, config.n_clusters, floor, rng),
-        None if init is None else _mixture_state(
-            init.weights, [(c.coeffs[0], c.variances[0]) for c in init.clusters]
-        ),
+        None if init is None else _pack(init),
         config,
         values.shape[0],
         design.n_cols - 1,

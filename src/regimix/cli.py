@@ -28,7 +28,6 @@ from .core import (
     Basis,
     TimeGrid,
     atomic_write_text,
-    exact_int,
     read_curveset,
     write_curveset,
 )
@@ -116,9 +115,24 @@ _MODEL_KEYS = {
 }
 
 
+def _typed(cfg: dict, key: str, types: tuple, what: str):
+    """``cfg[key]``, whose type must be one of ``types`` exactly, so that a
+    JSON ``true`` or ``1.5`` is no count, ``true`` no number, ``"no"`` no
+    bool and ``0`` no path; else ``ValueError``."""
+    value = cfg[key]
+    if type(value) not in types:
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
 def _exact_int(cfg: dict, key: str) -> int:
-    """``cfg[key]``, which must be an ``int`` exactly (``core.exact_int``)."""
-    return exact_int(cfg[key], key)
+    """``cfg[key]``, which must be an ``int`` exactly."""
+    return _typed(cfg, key, (int,), "an integer")
+
+
+def _number(cfg: dict, key: str) -> float:
+    """``cfg[key]``, which must be a JSON number, as a float."""
+    return float(_typed(cfg, key, (int, float), "a number"))
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -126,7 +140,7 @@ def _train_config(cfg: dict) -> TrainConfig:
             "max_iter", "n_restarts", "seed")
     return TrainConfig(
         variant=cfg["variant"],
-        tol=float(cfg["tol"]),
+        tol=_number(cfg, "tol"),
         **{key: _exact_int(cfg, key) for key in ints},
     )
 
@@ -165,24 +179,27 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         },
     )
     seed = _exact_int(cfg, "seed")
+    per_class, per_subclass = _exact_int(cfg, "per_class"), _exact_int(cfg, "per_subclass")
+    noise_sd = None if cfg["noise_sd"] is None else _number(cfg, "noise_sd")
+    merge = _typed(cfg, "merge", (bool,), "true or false")
 
     if cfg["spec_json"] is not None:
-        with open(cfg["spec_json"], encoding="utf-8") as fh:
+        with open(_typed(cfg, "spec_json", (str,), "a path"), encoding="utf-8") as fh:
             spec = datagen.spec_from_json(fh.read())
     elif cfg["benchmark"] == "piecewise":
         base = datagen.default_piecewise_spec()
         spec = datagen.PiecewiseSpec(
             class_profiles=base.class_profiles,
-            noise_sd=float(cfg["noise_sd"]) if cfg["noise_sd"] is not None else base.noise_sd,
-            curves_per_subclass=_exact_int(cfg, "per_subclass"),
+            noise_sd=base.noise_sd if noise_sd is None else noise_sd,
+            curves_per_subclass=per_subclass,
             n_points=base.n_points,
             span=base.span,
         )
     elif cfg["benchmark"] == "waveform":
         spec = datagen.WaveformSpec(
-            curves_per_class=_exact_int(cfg, "per_class"),
-            noise_sd=float(cfg["noise_sd"]) if cfg["noise_sd"] is not None else 1.0,
-            merge=bool(cfg["merge"]),
+            curves_per_class=per_class,
+            noise_sd=1.0 if noise_sd is None else noise_sd,
+            merge=merge,
         )
     else:
         raise ValueError(f"unknown benchmark {cfg['benchmark']!r}")
@@ -337,7 +354,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     degree = _exact_int(cfg, "degree")
     base = mixrhlp.EmConfig(
         max_iter=_exact_int(cfg, "max_iter"),
-        tol=float(cfg["tol"]),
+        tol=_number(cfg, "tol"),
         n_restarts=_exact_int(cfg, "n_restarts"),
         seed=_exact_int(cfg, "seed"),
     )
@@ -517,10 +534,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"regimix: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError) as exc:
-        print(f"regimix: data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"regimix: data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

@@ -56,22 +56,25 @@ accepted iterate's statistics. No public function returns workspace
 memory: ``e_step`` builds checked ``Posteriors`` from fresh arrays, and
 ``m_step`` turns its ``Posteriors`` into the statistics EM uses.
 
-The regression mixtures of ``baselines`` (one regime per cluster) share
-the EM driver: one ascent loop, ``_ascend``, and one restart selection,
-``_fit_restarts``, serve both families, each with its own E- and M-step.
-``_ascend`` advances all restarts of a fit together, one iteration at a
-time, on one thread. Each restart runs its own E- and M-step, and the
-MixRHLP M-steps hand their logistic problems back: the (G, R, m) point
-masses and starting (G, R, 2) coefficients of the clusters they fit. The
-driver stacks the problems of every live restart by regime count, so that
-one ``irls_fit`` call per count, and per round of M-steps, fits up to
-``n_restarts`` x K processes. Each stacked problem makes the decisions a
-fit of its own would make. After ``_SCREEN_AT`` iterations only the live
-restart with the highest log-likelihood goes on (short runs, then the
-leader), and the others wait as ``screened``; so plain EM ranks the
-restarts. In a MixRHLP fit the one restart that goes on, whether it leads
-others or is the only one (one restart, or a start from ``init``), goes on
-in SQUAREM cycles (``_squarem_cycles``): two plain EM maps, an
+The regression mixtures of ``baselines`` are the R=1 case of the model,
+and share the EM driver: one ascent loop, ``_ascend``, and one restart
+selection, ``_fit_restarts``, serve both families, each with its own E-
+and M-step. A regression-mixture restart carries the same ``_EmState``:
+one regime group of its K clusters, with (K, 1, d) coefficients, (K, 1)
+variances and a (K, 1, 2) logistic array of zeros. ``_ascend`` advances
+all restarts of a fit together, one iteration at a time, on one thread.
+Each restart runs its own E- and M-step, and the MixRHLP M-steps hand
+their logistic problems back: the (G, R, m) point masses and starting
+(G, R, 2) coefficients of the clusters they fit (the regression mixture's
+M-step has none). The driver stacks the problems of every live restart by
+regime count, so that one ``irls_fit`` call per count, and per round of
+M-steps, fits up to ``n_restarts`` x K processes. Each stacked problem
+makes the decisions a fit of its own would make. After ``_SCREEN_AT``
+iterations only the live restart with the highest log-likelihood goes on
+(short runs, then the leader), and the others wait as ``screened``; so
+plain EM ranks the restarts. The one restart that goes on, whether it
+leads others or is the only one (one restart, or a start from ``init``),
+goes on in SQUAREM cycles (``_squarem_cycles``): two plain EM maps, an
 extrapolated point in the coordinates of ``_flatten``, and one stabilising
 map from it, kept only if it gains more than ``tol``. It stops, as plain EM
 does, at the first map gaining less than ``tol``. If it stops without
@@ -81,15 +84,12 @@ bit, where plain EM from its start ends; the leader ends where a fit from
 its start alone ends, and follows plain EM for its first ``_SCREEN_AT``
 iterations; and a screened restart ends where plain EM stood after
 ``_SCREEN_AT`` iterations. A fit of at most ``_SCREEN_AT`` iterations is
-plain EM, bit for bit, and so is every regression mixture, which is
-screened but never extrapolated. The regression mixture's M-step has no
-logistic problems.
+plain EM, bit for bit, in either family.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -249,8 +249,8 @@ class RestartRecord:
     """How one EM restart of a fit ended: its final log-likelihood, the EM
     iterations it accepted, one of ``STOP_REASONS``, and how many SQUAREM
     extrapolations it kept and rejected (both 0 unless it went on alone
-    after ``_SCREEN_AT`` iterations of a MixRHLP fit, as the leader or as
-    the only restart)."""
+    after ``_SCREEN_AT`` iterations, as the leader or as the only
+    restart)."""
 
     loglik: float
     iterations: int
@@ -437,12 +437,13 @@ def mixrhlp_loglik_set(
 
 
 class _EmState(NamedTuple):
-    """One EM iterate of a MixRHLP restart on plain arrays: the (K,) mixing
-    weights and, for each regime group (the cluster indices ``groups[i]``,
-    which share one regime count R), the (G, R, d) coefficients, (G, R)
-    variances and (G, R, 2) logistic coefficients of its G clusters.
-    Nothing checks it; ``_pack`` and ``_unpack`` convert at the boundaries
-    that do."""
+    """One EM iterate of a restart of either family on plain arrays: the
+    (K,) mixing weights and, for each regime group (the cluster indices
+    ``groups[i]``, which share one regime count R), the (G, R, d)
+    coefficients, (G, R) variances and (G, R, 2) logistic coefficients of
+    its G clusters. A regression mixture is one group with R=1, whose
+    logistic coefficients stay 0. Nothing checks it; ``_pack`` and
+    ``_unpack`` convert at the boundaries that do."""
 
     weights: np.ndarray
     groups: tuple[tuple[int, ...], ...]
@@ -845,17 +846,16 @@ def _random_partition(
 # ---------------------------------------------------------------------------
 
 
-def _ascend(
-    e_step, m_step, starts, config: EmConfig, squarem: _Squarem | None = None
-) -> list[tuple[object, list[float], str]]:
-    """EM from each of ``starts`` for either family, the restarts advancing
-    together one iteration at a time: ``e_step(params)`` gives (what the
-    M-step reads, loglik, per-curve logliks), and ``m_step(that, params,
-    rescue, per_curve, pending)`` gives (candidate, whether a starved
-    cluster was re-seeded) and leaves its logistic problems in the list
-    ``pending``. One ``_solve_logistic`` call fits the problems of every
-    live restart's M-step. Returns each restart's (last accepted params,
-    loglik trace, stop reason).
+def _ascend(e_step, m_step, starts, config: EmConfig, floor: float) -> list[tuple]:
+    """EM from each of the ``_EmState`` ``starts`` for either family, the
+    restarts advancing together one iteration at a time: ``e_step(state)``
+    gives (what the M-step reads, loglik, per-curve logliks), and
+    ``m_step(that, state, rescue, per_curve, pending)`` gives (candidate,
+    whether a starved cluster was re-seeded) and leaves its logistic
+    problems in the list ``pending``. One ``_solve_logistic`` call fits the
+    problems of every live restart's M-step. Returns each restart's (last
+    accepted state, loglik trace, stop reason, accepted and rejected
+    extrapolations).
 
     Each restart makes the decisions a run of its own would make, and
     leaves the lockstep when it stops. An E-step returns its own arrays (the
@@ -867,59 +867,67 @@ def _ascend(
     Once the live restarts have taken ``_SCREEN_AT`` iterations, and more
     are allowed, only the one with the highest log-likelihood goes on, ties
     to the smaller index; the others wait as ``screened``. That leader may
-    be the only live restart. Given ``squarem``, it goes on in SQUAREM
-    cycles (``_squarem_cycles``) and ``squarem`` keeps its tally; else by
-    plain EM. If the leader stops without converging (``max_iter`` or the
-    drop guard), the waiting restarts go on together by plain EM. A restart
-    goes on from its exact state, so one that goes on by plain EM ends, bit
-    for bit, where plain EM from its start ends; one still waiting at the
-    end stays ``screened``.
+    be the only live restart; it goes on in SQUAREM cycles
+    (``_squarem_cycles``, variances floored at ``floor``). If it stops
+    without converging (``max_iter`` or the drop guard), the waiting
+    restarts go on together by plain EM. A restart goes on from its exact
+    state, so one that goes on by plain EM ends, bit for bit, where plain EM
+    from its start ends; one still waiting at the end stays ``screened``.
     """
-    # each restart's accepted (params, E-step result, loglik, per-curve logliks)
-    runs = [(params, *e_step(params)) for params in starts]
+    # each restart's accepted (state, E-step result, loglik, per-curve logliks)
+    runs = [(state, *e_step(state)) for state in starts]
     traces = [[run[2]] for run in runs]
     stops = ["max_iter"] * len(runs)
+    counts = [(0, 0)] * len(runs)
     live = list(range(len(runs)))
     leader, waiting = None, []  # waiting: the screened restarts
     while live:
         still = []
         for r, new in zip(live, _em_maps(e_step, m_step, [runs[r] for r in live])):
-            ll = runs[r][2]
-            if new[2] < ll - _LOGLIK_SLACK:
-                # A degraded M-step (a ridge-regularized solve) lowered the
-                # likelihood: keep the previous iterate and stop unconverged.
-                stops[r] = "likelihood_drop"
-                continue
-            runs[r] = new
-            traces[r].append(new[2])
-            if new[2] - ll < config.tol:
-                stops[r] = "tol"
-            elif len(traces[r]) > config.max_iter:
-                stops[r] = "max_iter"
-            else:
+            stop = _accept(new, runs[r][2], traces[r], config)
+            if stop != "likelihood_drop":
+                runs[r] = new
+            if stop is None:
                 still.append(r)
+            else:
+                stops[r] = stop
         if still and len(traces[still[0]]) == _SCREEN_AT + 1:
             leader = max(still, key=lambda r: runs[r][2])  # the first of equals
             waiting = [r for r in still if r != leader]
             for r in waiting:
                 stops[r] = "screened"
-            still = [leader]
-            if squarem is not None:
-                squarem.leader = leader
-                runs[leader], stops[leader] = _squarem_cycles(
-                    e_step, m_step, runs[leader], traces[leader], config, squarem
-                )
-                still = []
+            runs[leader], stops[leader], counts[leader] = _squarem_cycles(
+                e_step, m_step, runs[leader], traces[leader], config, floor
+            )
+            still = []
         if not still and waiting and stops[leader] != "tol":
             # an unconverged leader's lead proves nothing: the screened
             # restarts go on together from where they stopped
             still, waiting = waiting, []
         live = still
-    return [(run[0], trace, stop) for run, trace, stop in zip(runs, traces, stops)]
+    rows = zip(runs, traces, stops, counts)
+    return [(run[0], trace, stop, *count) for run, trace, stop, count in rows]
+
+
+def _accept(new, loglik: float, trace: list[float], config: EmConfig) -> str | None:
+    """EM's rule for one plain map, from an accepted run at ``loglik`` to
+    the run ``new``. A degraded M-step (a ridge-regularized solve) that
+    lowered the likelihood gives ``"likelihood_drop"``: ``new`` is not
+    kept, and the run stops unconverged. Else ``new`` is accepted, its
+    loglik appended to ``trace``, and the stop reason is ``"tol"`` if it
+    gained less than ``tol``, ``"max_iter"`` at the cap, or None."""
+    if new[2] < loglik - _LOGLIK_SLACK:
+        return "likelihood_drop"
+    trace.append(new[2])
+    if new[2] - loglik < config.tol:
+        return "tol"
+    if len(trace) > config.max_iter:
+        return "max_iter"
+    return None
 
 
 def _em_maps(e_step, m_step, runs) -> list[tuple]:
-    """One EM map from each of the accepted ``runs`` (params, E-step
+    """One EM map from each of the accepted ``runs`` (state, E-step
     result, loglik, per-curve logliks): the candidate's run. A rescue that
     lowered the likelihood falls back to the plain update, which is
     monotone by construction."""
@@ -934,32 +942,14 @@ def _em_maps(e_step, m_step, runs) -> list[tuple]:
 
 
 def _m_steps(m_step, runs, rescue: bool) -> list[tuple[object, bool]]:
-    """The M-steps of the accepted ``runs`` (params, E-step result, loglik,
+    """The M-steps of the accepted ``runs`` (state, E-step result, loglik,
     per-curve logliks), their logistic problems fitted together."""
     pending = []
     cands = [
-        m_step(stats, params, rescue, per_curve, pending) for params, stats, _, per_curve in runs
+        m_step(stats, state, rescue, per_curve, pending) for state, stats, _, per_curve in runs
     ]
     _solve_logistic(pending)
     return cands
-
-
-@dataclass
-class _Squarem:
-    """How SQUAREM sees the iterates of one fit: ``flatten(params)`` is the
-    vector it extrapolates, and ``restore(x, like)`` the params at vector x,
-    shaped like ``like``, or None if x gives none. ``_ascend`` writes which
-    restart led, and ``_squarem_cycles`` counts its extrapolations."""
-
-    flatten: Callable[[object], np.ndarray]
-    restore: Callable[[np.ndarray, object], object]
-    leader: int | None = None
-    accepted: int = 0
-    rejected: int = 0
-
-    def tally(self, restart: int) -> tuple[int, int]:
-        """The accepted and rejected extrapolations of ``restart``."""
-        return (self.accepted, self.rejected) if restart == self.leader else (0, 0)
 
 
 def _squarem_step(r: np.ndarray, v: np.ndarray, step_max: float) -> float:
@@ -972,62 +962,61 @@ def _squarem_step(r: np.ndarray, v: np.ndarray, step_max: float) -> float:
     return -float(norm_r / norm_v)
 
 
-def _squarem_cycles(e_step, m_step, run, trace: list[float], config: EmConfig, squarem):
+def _squarem_cycles(e_step, m_step, run, trace: list[float], config: EmConfig, floor: float):
     """The restart that goes on alone, from its accepted ``run`` to its end,
-    in the S3 cycles of SQUAREM (Varadhan & Roland, 2008). Extends ``trace``
-    and returns (the last accepted run, stop reason).
+    in the S3 cycles of SQUAREM (Varadhan & Roland, 2008), in the
+    coordinates of ``_flatten``. Extends ``trace`` and returns (the last
+    accepted run, stop reason, (accepted, rejected) extrapolations).
 
     A cycle takes two plain EM maps from theta0, each with the rescue
-    fallback and the drop guard of ``_em_maps``, to theta1 and theta2. With
-    r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and the step alpha
-    of ``_squarem_step``, it extrapolates to theta' = theta0 - 2 alpha r +
-    alpha^2 v (theta2 itself when alpha = -1), and takes one stabilising
-    EM map from theta'. That point is kept, as one more map of the trace,
-    only if it beats theta2 by more than ``tol``; then the step's bound
-    grows by ``_STEP_GROWTH``. A rejected point costs its E-steps and
+    fallback of ``_em_maps`` and the rule of ``_accept``, to theta1 and
+    theta2. With r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and the
+    step alpha of ``_squarem_step``, it extrapolates to theta' = theta0 -
+    2 alpha r + alpha^2 v (theta2 itself when alpha = -1), and takes one
+    stabilising EM map from theta'. That point is kept, as one more map of
+    the trace, only if it beats theta2 by more than ``tol``; then the step's
+    bound grows by ``_STEP_GROWTH``. A rejected point costs its E-steps and
     changes nothing, unless its step was at the bound: then the bound falls
     by ``_STEP_GROWTH``, to no less than ``_STEP_MAX``, as in the authors'
     SQUAREM package. A point is rejected when theta' has non-finite
-    coordinates or none at all, an E-step raises ``NumericalError``, the
-    M-step re-seeds a starved cluster, or it brings no gain. The run meets
-    ``tol``, EM's own rule, at the first plain map that gains less than
-    ``tol``; a kept point gains more, so every earlier increment of the
-    trace is at least ``tol``. Every map, kept extrapolations included,
-    counts towards ``max_iter``.
+    coordinates or none at all (``_restore``), an E-step raises
+    ``NumericalError``, the M-step re-seeds a starved cluster, or it brings
+    no gain. The run meets ``tol``, EM's own rule, at the first plain map
+    that gains less than ``tol``; a kept point gains more, so every earlier
+    increment of the trace is at least ``tol``. Every map, kept
+    extrapolations included, counts towards ``max_iter``.
     """
     step_max = _STEP_MAX
+    accepted = rejected = 0
     while True:
         plain = [run]
         for _ in range(2):
             (new,) = _em_maps(e_step, m_step, plain[-1:])
-            if new[2] < plain[-1][2] - _LOGLIK_SLACK:
-                return plain[-1], "likelihood_drop"
-            plain.append(new)
-            trace.append(new[2])
-            if new[2] - plain[-2][2] < config.tol:
-                return new, "tol"
-            if len(trace) > config.max_iter:
-                return new, "max_iter"
+            stop = _accept(new, plain[-1][2], trace, config)
+            if stop != "likelihood_drop":
+                plain.append(new)
+            if stop is not None:
+                return plain[-1], stop, (accepted, rejected)
         run = plain[2]
-        alpha, new = _stabilised(e_step, m_step, squarem, plain, step_max)
+        alpha, new = _stabilised(e_step, m_step, plain, step_max, floor)
         if new is not None and new[2] > run[2] + config.tol:
             run = new
             trace.append(new[2])
             step_max *= _STEP_GROWTH
-            squarem.accepted += 1
+            accepted += 1
             if len(trace) > config.max_iter:
-                return run, "max_iter"
+                return run, "max_iter", (accepted, rejected)
         else:
-            squarem.rejected += 1
+            rejected += 1
             if alpha == -step_max:
                 step_max = max(_STEP_MAX, step_max / _STEP_GROWTH)
 
 
-def _stabilised(e_step, m_step, squarem, plain, step_max: float):
+def _stabilised(e_step, m_step, plain, step_max: float, floor: float):
     """The step length alpha of the S3 point of the ``plain`` runs theta0,
     theta1, theta2, and the run of the stabilising EM map from that point,
     or None if the point or the map fails."""
-    x0, x1, x2 = (squarem.flatten(p[0]) for p in plain)
+    x0, x1, x2 = (_flatten(p[0]) for p in plain)
     r = x1 - x0
     v = x2 - 2.0 * x1 + x0
     alpha = _squarem_step(r, v, step_max)
@@ -1036,13 +1025,13 @@ def _stabilised(e_step, m_step, squarem, plain, step_max: float):
             point = plain[2]
         else:
             x = x0 - 2.0 * alpha * r + alpha**2 * v
-            params = squarem.restore(x, plain[2][0]) if np.isfinite(x).all() else None
-            if params is None:
+            state = _restore(x, plain[2][0], floor) if np.isfinite(x).all() else None
+            if state is None:
                 return alpha, None
             # an extrapolated point may lie far out: its densities may
             # overflow, which the E-step's check turns into an error
             with np.errstate(all="ignore"):
-                point = (params, *e_step(params))
+                point = (state, *e_step(state))
         ((cand, rescued),) = _m_steps(m_step, [point], True)
         return alpha, None if rescued else (cand, *e_step(cand))
     except NumericalError:
@@ -1055,10 +1044,9 @@ def _fit_restarts(
     """Best of the EM restarts of either family on n curves: the run from
     the start ``init`` if given, else one per stream ``child_rng(config.seed,
     r)``, from ``start(rng)``. ``run(starts)`` runs them in lockstep and
-    gives each one's (params, trace, stop reason), and may add its accepted
-    and rejected extrapolations. The highest final loglik
-    wins, ties to the smaller index. The BIC counts degree + 1 coefficients
-    per regime."""
+    gives each one's (params, trace, stop reason, accepted and rejected
+    extrapolations). The highest final loglik wins, ties to the smaller
+    index. The BIC counts degree + 1 coefficients per regime."""
     if n < config.n_clusters:
         raise ValueError(
             f"infeasible clustering: {n} curves for {config.n_clusters} clusters"
@@ -1076,9 +1064,7 @@ def _fit_restarts(
         bic=bic(params, trace[-1], n, degree),
         restarts_tried=len(runs),
         best_restart=best_idx,
-        restarts=tuple(
-            RestartRecord(t[-1], len(t) - 1, s, *tally) for _, t, s, *tally in runs
-        ),
+        restarts=tuple(RestartRecord(t[-1], len(t) - 1, *rest) for _, t, *rest in runs),
     )
     return params, report
 
@@ -1108,12 +1094,12 @@ def em_fit(
     final log-likelihood, ties broken toward the smaller restart index.
     After ``_SCREEN_AT`` iterations only the leading live restart goes on,
     accelerated by SQUAREM, and so does the only restart of a fit with one
-    restart or from ``init``. It stops at the first plain EM map that
-    gains less than ``tol``. The others go on, by plain EM, only if it
-    stops without converging; ``FitReport.restarts`` records how each one
-    stopped and how many extrapolations the one that went on alone kept
-    and rejected. A fit with ``max_iter`` of at most ``_SCREEN_AT`` is
-    plain EM bit for bit.
+    restart or from ``init``, as in ``baselines.fit_regression_mixture``.
+    It stops at the first plain EM map that gains less than ``tol``. The
+    others go on, by plain EM, only if it stops without converging;
+    ``FitReport.restarts`` records how each one stopped and how many
+    extrapolations the one that went on alone kept and rejected. A fit
+    with ``max_iter`` of at most ``_SCREEN_AT`` is plain EM bit for bit.
     Raises ``ValueError`` for shapes the data cannot identify: fewer curves
     than clusters, more regimes than grid points, or a degree + 1 above
     the number of grid points.
@@ -1139,7 +1125,6 @@ def em_fit(
         # the restarts share it, since their E-steps run one at a time and
         # each takes its statistics from the buffer at once
         buffers = [np.empty(v.shape + values.shape) for v in starts[0].variances]
-        squarem = _Squarem(_flatten, lambda x, like: _restore(x, like, floor))
         runs = _ascend(
             lambda state: _e_step_full(state, values, design, buffers),
             lambda stats, state, rescue, per_curve, pending: _m_step_impl(
@@ -1148,12 +1133,12 @@ def em_fit(
             ),
             starts,
             config,
-            squarem,
+            floor,
         )
         # one _em_once call per restart, screened ones included
         return [
-            (_em_once(state, trace, stop == "tol")[0], trace, stop, *squarem.tally(r))
-            for r, (state, trace, stop) in enumerate(runs)
+            (_em_once(state, trace, stop == "tol")[0], trace, stop, *counts)
+            for state, trace, stop, *counts in runs
         ]
 
     return _fit_restarts(

@@ -168,10 +168,10 @@ class TestScoringDensity:
         rng = np.random.default_rng(42 + K)
         design = design_matrix(TimeGrid(np.linspace(0.0, 20.0, 21)), basis)
         raw = rng.uniform(0.2, 1.0, size=K)
-        state = (raw / raw.sum(), rng.normal(size=(K, design.n_cols)), rng.uniform(0.5, 2, K))
-        params = baselines._one_regime_params(*state)
+        components = zip(rng.normal(size=(K, design.n_cols)), rng.uniform(0.5, 2, K))
+        params = one_regime(raw / raw.sum(), *components)
         values = design.matrix @ rng.normal(size=design.n_cols) + rng.normal(size=(30, 21))
-        _, total, per_curve = baselines._posterior(state, values, design)
+        _, total, per_curve = baselines._posterior(mixrhlp._pack(params), values, design)
         np.testing.assert_allclose(
             per_curve, mixrhlp_loglik_set(params, values, design), rtol=1e-12, atol=0
         )
@@ -228,26 +228,41 @@ class TestFitRegressionMixture:
             for k in range(2):
                 assert resp[i, k] == pytest.approx(float(dens[k] / total), rel=1e-9)
 
-    def test_single_regime_mixrhlp_matches_trace(self):
+    @pytest.mark.parametrize("case", ["init", "screened-1", "screened-3"])
+    def test_single_regime_mixrhlp_matches_trace(self, case):
         # a hidden-process model with one regime per cluster is exactly a
         # regression mixture; identical initialization must give identical
-        # likelihood traces
-        rng = np.random.default_rng(39)
-        g = TimeGrid(np.linspace(0, 1, 15))
-        design = vandermonde(g, 1)
-        values = np.vstack(
-            [
-                rng.normal(size=(4, 15)),
-                3.0 + rng.normal(size=(4, 15)),
-            ]
-        )
-        init = one_regime([0.5, 0.5], ([0.1, 0.0], 1.0), ([2.9, 0.1], 1.2))
-        cfg = EmConfig(n_clusters=2, n_regimes=1, degree=1, max_iter=40, seed=0,
-                       n_restarts=1)
+        # likelihood traces. In the waveform cases the fits run past
+        # ``_SCREEN_AT``, where the restart that goes on alone is
+        # extrapolated in the same coordinates in both families, so both
+        # stop at the same map for the same reason.
+        if case == "init":
+            rng = np.random.default_rng(39)
+            g = TimeGrid(np.linspace(0, 1, 15))
+            design = vandermonde(g, 1)
+            values = np.vstack(
+                [
+                    rng.normal(size=(4, 15)),
+                    3.0 + rng.normal(size=(4, 15)),
+                ]
+            )
+            init = one_regime([0.5, 0.5], ([0.1, 0.0], 1.0), ([2.9, 0.1], 1.2))
+            cfg = EmConfig(n_clusters=2, n_regimes=1, degree=1, max_iter=40, seed=0,
+                           n_restarts=1)
+        else:
+            data = gen_waveform(WaveformSpec(40), 0)
+            values, g, init = data.values[data.labels == 1], data.grid, None
+            design = vandermonde(g, 2)
+            cfg = EmConfig(n_clusters=3, n_regimes=1, degree=2, max_iter=60, tol=1e-8,
+                           seed=0, n_restarts=int(case[-1]))
         pm, rm = fit_regression_mixture(values, design, cfg, init=init)
         ph, rh = em_fit(values, g, cfg, init=init)
         assert len(rm.loglik_trace) == len(rh.loglik_trace)
         np.testing.assert_allclose(rm.loglik_trace, rh.loglik_trace, atol=1e-8)
+        assert rm.loglik_trace[-1] == pytest.approx(rh.loglik_trace[-1], rel=1e-12)
+        assert [(r.iterations, r.stop_reason) for r in rm.restarts] == [
+            (r.iterations, r.stop_reason) for r in rh.restarts
+        ]
         for comp, cluster in zip(pm.clusters, ph.clusters):
             np.testing.assert_allclose(comp.coeffs, cluster.coeffs, atol=1e-8)
 
@@ -306,8 +321,7 @@ class TestFitRegressionMixture:
             calls.append(cand)
             if len(calls) == 1:
                 return cand, rescued
-            weights, coeffs, variances = cand
-            return (weights, coeffs + 50.0, variances), rescued
+            return cand._replace(coeffs=(cand.coeffs[0] + 50.0,)), rescued
 
         monkeypatch.setattr(baselines, "_mixture_m_step", worse_m_step)
         cfg = EmConfig(n_clusters=2, max_iter=20, n_restarts=1, seed=0)
@@ -317,7 +331,7 @@ class TestFitRegressionMixture:
         assert report.iterations == 1
         assert report.converged is False
         assert report.stop_reason == "likelihood_drop"
-        np.testing.assert_array_equal([c.coeffs[0] for c in params.clusters], calls[0][1])
+        np.testing.assert_array_equal([c.coeffs for c in params.clusters], calls[0].coeffs[0])
 
     @pytest.mark.parametrize(
         "init",
@@ -351,8 +365,8 @@ class TestScreening:
 
     @staticmethod
     def _spy_starts(monkeypatch, first=None):
-        """Record the (weights, coefficients, variances) start of each
-        restart; with ``first``, restart 0 starts there instead."""
+        """Record the packed start (``_EmState``) of each restart; with
+        ``first``, restart 0 starts there instead."""
         starts = []
         real_start = baselines._mixture_start
 
@@ -373,8 +387,8 @@ class TestScreening:
         assert report.iterations > mixrhlp._SCREEN_AT
         monkeypatch.undo()
         single = dataclasses.replace(cfg, n_restarts=1)
-        for r, ((weights, coeffs, variances), record) in enumerate(zip(starts, report.restarts)):
-            init = one_regime(weights, *zip(coeffs, variances))
+        for r, (start, record) in enumerate(zip(starts, report.restarts)):
+            init = mixrhlp._unpack(start)
             solo, solo_report = fit_regression_mixture(values, design, single, init=init)
             if r == report.best_restart:
                 assert list(report.loglik_trace) == list(solo_report.loglik_trace)
@@ -390,21 +404,27 @@ class TestScreening:
             assert solo_report.restarts[0].stop_reason != "screened"
 
     def test_unconverged_leader_hands_on_to_the_screened(self, monkeypatch):
-        # at max_iter 40 no restart converges, so the screened restarts go
-        # on, and each ends where its own fit ends
-        values, design, cfg = self._problem(max_iter=40, tol=1e-8)
+        # at max_iter 30 the leader, restart 1, stops at the cap even with
+        # SQUAREM, so the screened restarts go on, and each ends where
+        # plain EM from its start ends; the leader ends where its own fit
+        # ends, and wins
+        values, design, cfg = self._problem(max_iter=30, tol=1e-8)
         starts = self._spy_starts(monkeypatch)
         params, report = fit_regression_mixture(values, design, cfg)
         monkeypatch.undo()
         single = dataclasses.replace(cfg, n_restarts=1)
-        solos = [
-            fit_regression_mixture(values, design, single,
-                                   init=one_regime(weights, *zip(coeffs, variances)))
-            for weights, coeffs, variances in starts
-        ]
-        assert report.restarts == tuple(t.restarts[0] for _, t in solos)
+        inits = [mixrhlp._unpack(start) for start in starts]
+        solos = [fit_regression_mixture(values, design, single, init=init) for init in inits]
+        monkeypatch.setattr(mixrhlp, "_SCREEN_AT", cfg.max_iter + 1)
+        plain = [fit_regression_mixture(values, design, single, init=init) for init in inits]
+        leader = report.restarts[1]
+        assert leader == solos[1][1].restarts[0]
+        assert leader.extrapolations_accepted > 0
+        for r in (0, 2):
+            assert report.restarts[r] == plain[r][1].restarts[0]
         assert [r.stop_reason for r in report.restarts] == ["max_iter"] * 3
-        solo, solo_report = solos[report.best_restart]
+        assert report.best_restart == 1
+        solo, solo_report = solos[1]
         assert list(report.loglik_trace) == list(solo_report.loglik_trace)
         np.testing.assert_array_equal(params.weights, solo.weights)
         for c1, c2 in zip(params.clusters, solo.clusters, strict=True):
@@ -415,9 +435,7 @@ class TestScreening:
         values, design, cfg = self._problem()
         converged, _ = fit_regression_mixture(values, design, EmConfig(
             n_clusters=3, max_iter=500, tol=1e-12, n_restarts=1, seed=2))
-        first = (converged.weights, np.array([c.coeffs[0] for c in converged.clusters]),
-                 np.array([c.variances[0] for c in converged.clusters]))
-        self._spy_starts(monkeypatch, first=first)
+        self._spy_starts(monkeypatch, first=mixrhlp._pack(converged))
         _, report = fit_regression_mixture(values, design, cfg)
         first, *others = report.restarts
         assert first.stop_reason == "tol" and first.iterations < mixrhlp._SCREEN_AT
@@ -426,24 +444,35 @@ class TestScreening:
         assert report.loglik_trace[-1] == first.loglik > max(r.loglik for r in others)
 
     def test_single_runs_are_not_screened(self):
-        values, design, cfg = self._problem(n_restarts=1, max_iter=40, tol=1e-8)
+        values, design, cfg = self._problem(n_restarts=1, max_iter=30, tol=1e-8)
         params, report = fit_regression_mixture(values, design, cfg)
         assert [r.stop_reason for r in report.restarts] == ["max_iter"]
         _, from_init = fit_regression_mixture(values, design, self._problem()[2], init=params)
         assert len(from_init.restarts) == 1
         assert from_init.restarts[0].stop_reason != "screened"
 
-    def test_lone_restart_is_plain_em(self, monkeypatch):
-        # a lone restart goes on alone after ``_SCREEN_AT`` iterations, but
-        # the regression mixture has no SQUAREM coordinates, so it goes on
-        # by plain EM: bit for bit the fit that is never screened
+    @pytest.mark.parametrize("start", ["n_restarts", "init"])
+    def test_lone_restart_is_extrapolated_to_tol(self, monkeypatch, start):
+        # one restart, from a seed or from ``init``, follows plain EM for
+        # ``_SCREEN_AT`` iterations and then goes on in SQUAREM cycles, as a
+        # MixRHLP restart does; it stops at the first map gaining less than
+        # tol, so every earlier increment of its trace is at least tol, and
+        # sooner than plain EM from the same start
         values, design, cfg = self._problem(n_restarts=1, max_iter=60, tol=1e-8)
-        params, report = fit_regression_mixture(values, design, cfg)
-        assert report.iterations > mixrhlp._SCREEN_AT
+        init = None
+        if start == "init":
+            init, _ = fit_regression_mixture(
+                values, design, dataclasses.replace(cfg, max_iter=5, seed=2))
+        _, report = fit_regression_mixture(values, design, cfg, init=init)
+        (record,) = report.restarts
+        assert record.stop_reason == "tol" and report.converged
+        assert record.extrapolations_accepted > 0
+        assert mixrhlp._SCREEN_AT < report.iterations < cfg.max_iter
+        increments = np.diff(report.loglik_trace)
+        assert np.all(increments[:-1] >= cfg.tol) and 0 <= increments[-1] < cfg.tol
+        screen = mixrhlp._SCREEN_AT + 1
         monkeypatch.setattr(mixrhlp, "_SCREEN_AT", cfg.max_iter + 1)
-        plain, plain_report = fit_regression_mixture(values, design, cfg)
-        assert report == plain_report
-        np.testing.assert_array_equal(params.weights, plain.weights)
-        for c1, c2 in zip(params.clusters, plain.clusters, strict=True):
-            np.testing.assert_array_equal(c1.coeffs, c2.coeffs)
-            np.testing.assert_array_equal(c1.variances, c2.variances)
+        _, plain = fit_regression_mixture(values, design, cfg, init=init)
+        assert plain.iterations > report.iterations
+        assert plain.restarts[0].extrapolations_accepted == 0
+        assert report.loglik_trace[:screen] == plain.loglik_trace[:screen]

@@ -9,12 +9,13 @@ pins every per-layer metric that ``BENCHMARK.json`` names.
 
 import dataclasses
 import importlib.util
+import inspect
 import json
 import os
 
 import pytest
 
-from regimix import discriminant
+from regimix import baselines, discriminant, mixrhlp
 from regimix.datagen import default_piecewise_spec, gen_piecewise
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -72,6 +73,14 @@ def test_em_counts_are_read(per_layer):
     # one traced EM run per MixRHLP restart of each of the two classes, and
     # none for the regression mixture
     assert per_layer["mixrhlp.restarts"]["value"] == 2 * N_RESTARTS
+
+
+@pytest.mark.parametrize("m_step", [mixrhlp._m_step_impl, baselines._mixture_m_step],
+                         ids=["mixrhlp", "baselines"])
+def test_rescue_is_the_seventh_m_step_parameter(m_step):
+    # the tracer reads the rescue flag of both M-steps as args[6], and
+    # counts the regression mixture's EM iterations from it
+    assert list(inspect.signature(m_step).parameters)[6] == "rescue"
 
 
 def test_mixrhlp_inner_hooks_are_called():

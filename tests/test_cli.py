@@ -569,6 +569,68 @@ class TestExportPlots:
         assert not any(n.startswith("assignments") for n in names)
 
 
+class TestConfigFiles:
+    """Every key of a ``--config`` file is typed where the CLI reads it: a
+    value of the wrong JSON type is a configuration error (exit 2), or a
+    data error (exit 3) for a path that names no file, with a one-line
+    message and never a traceback."""
+
+    #: one fast run of each command that takes a config file, and its keys
+    CONFIGS = {
+        "generate": {"benchmark": "waveform", "seed": 0, "merge": True, "per_class": 2,
+                     "per_subclass": 1, "noise_sd": 1.0, "spec_json": None},
+        "fit": {"variant": "fmda-mixrhlp", "n_clusters": 1, "n_regimes": 1, "degree": 0,
+                "spline_order": 4, "interior_knots": 1, "max_iter": 2, "tol": 1e-6,
+                "n_restarts": 1, "seed": 0},
+        "select": {"k_range": "1", "r_range": "1", "degree": 0, "max_iter": 2, "tol": 1e-6,
+                   "n_restarts": 1, "seed": 0},
+    }
+    CONFIGS["evaluate"] = {**CONFIGS["fit"], "k_folds": 2}
+    REPLACEMENTS = (None, "x", [], {}, True, 1.5, float("nan"))
+
+    @staticmethod
+    def _run(tmp_path, dataset_dir, command, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        where = ("--out", str(out)) if command == "generate" else ("--data", dataset_dir)
+        outputs = {"fit": ("--out", str(out / "m.json")),
+                   "evaluate": ("--out", str(out / "e.json")),
+                   "select": ("--out-table", str(out / "t.csv"))}
+        return run(command, "--config", str(cfg), *where, *outputs.get(command, ()))
+
+    def test_every_replaced_key_runs_or_is_a_typed_error(self, tmp_path, dataset_dir, capsys):
+        for command, base in self.CONFIGS.items():
+            assert self._run(tmp_path, dataset_dir, command, base) == 0, command
+            for key in base:
+                for value in self.REPLACEMENTS:
+                    capsys.readouterr()
+                    code = self._run(tmp_path, dataset_dir, command, {**base, key: value})
+                    case = f"{command} {key}={value!r}"
+                    assert code in (0, 2, 3), case
+                    if code:
+                        err = capsys.readouterr().err.splitlines()
+                        assert len(err) == 1 and err[0].startswith("regimix: "), case
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("fit", "tol", None, "tol must be a number, got None"),
+        ("evaluate", "tol", [1], "tol must be a number, got [1]"),
+        ("select", "tol", True, "tol must be a number, got True"),
+        ("generate", "noise_sd", [], "noise_sd must be a number, got []"),
+        ("generate", "spec_json", 0, "spec_json must be a path, got 0"),
+        ("generate", "merge", "no", "merge must be true or false, got 'no'"),
+    ])
+    def test_value_of_the_wrong_type_is_config_error(
+            self, tmp_path, dataset_dir, capsys, command, key, value, message):
+        # these ended in a TypeError traceback, read stdin (file descriptor
+        # 0) or took "no" for true
+        capsys.readouterr()
+        doc = {**self.CONFIGS[command], key: value}
+        assert self._run(tmp_path, dataset_dir, command, doc) == 2
+        assert capsys.readouterr().err.splitlines() == [f"regimix: configuration error: {message}"]
+
+
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):
         """The `regimix` script declared in pyproject.toml starts in a fresh

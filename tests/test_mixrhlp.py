@@ -901,10 +901,9 @@ class TestScreening:
 
     @staticmethod
     def _plain_fits(monkeypatch, values, grid, cfg, starts):
-        """The fit from each start by plain EM: ``_ascend`` without SQUAREM."""
-        real_ascend = mixrhlp._ascend
-        monkeypatch.setattr(mixrhlp, "_ascend", lambda e_step, m_step, starts, config, squarem:
-                            real_ascend(e_step, m_step, starts, config))
+        """The fit from each start by plain EM: no restart goes on alone
+        when the screening comes after ``max_iter``."""
+        monkeypatch.setattr(mixrhlp, "_SCREEN_AT", cfg.max_iter + 1)
         fits = TestScreening._solo_fits(values, grid, cfg, starts)
         monkeypatch.undo()
         return fits
@@ -980,11 +979,14 @@ class TestScreening:
         self._assert_same_fit(params, plain[2][0])
 
     @pytest.mark.parametrize("handoff", ["tol", "likelihood_drop", "max_iter"])
-    def test_screened_go_on_if_the_leader_stops_unconverged(self, handoff):
+    def test_screened_go_on_if_the_leader_stops_unconverged(self, monkeypatch, handoff):
         # scripted restarts: a restart's params are (restart, iteration),
         # and its log-likelihood climbs by 1 an iteration along its row;
         # restart 0 leads at iteration 20 and stops at 30 or 31 by
-        # ``handoff``, and restart 2 would meet tol at 41
+        # ``handoff``, and restart 2 would meet tol at 41. Every
+        # extrapolated point of the leader fails, so its SQUAREM cycles
+        # take plain maps only (their kept stabilising maps from theta2
+        # included) and it follows its row
         rows = [np.arange(102.0) + offset for offset in (0.3, 0.1, 0.2, 0.0)]
         if handoff == "likelihood_drop":
             rows[0][31] = 0.0
@@ -999,13 +1001,15 @@ class TestScreening:
         def m_step(stats, params, rescue, per_curve, pending):
             return (params[0], params[1] + 1), False
 
+        monkeypatch.setattr(mixrhlp, "_flatten", lambda params: np.array([float(params[1])]))
+        monkeypatch.setattr(mixrhlp, "_restore", lambda x, like, floor: None)
         config = EmConfig(max_iter=30 if handoff == "max_iter" else 100, tol=0.5,
                           n_restarts=4)
-        runs = mixrhlp._ascend(e_step, m_step, [(r, 0) for r in range(4)], config)
-        for r, ((_, k), trace, _) in enumerate(runs):
+        runs = mixrhlp._ascend(e_step, m_step, [(r, 0) for r in range(4)], config, 1e-10)
+        for r, ((_, k), trace, *_) in enumerate(runs):
             assert trace == list(rows[r][:k + 1])
-        stops = [stop for _, _, stop in runs]
-        iterations = [params[1] for params, _, _ in runs]
+        stops = [stop for _, _, stop, *_ in runs]
+        iterations = [params[1] for params, *_ in runs]
         if handoff == "tol":
             assert stops == ["tol", "screened", "screened", "screened"]
             assert iterations == [31, 20, 20, 20]
@@ -1019,7 +1023,7 @@ class TestScreening:
             assert iterations == [30] * 4
 
     @pytest.mark.parametrize("failure", ["non-finite", "overflows", "lower", "raises", "rescued"])
-    def test_rejected_extrapolation_takes_the_plain_path(self, failure):
+    def test_rejected_extrapolation_takes_the_plain_path(self, monkeypatch, failure):
         # scripted restarts: a restart's params are (restart, position), an
         # EM map adds 1 to the position, and the log-likelihood is the
         # position plus an offset. Restart 0 leads at 20. The second
@@ -1045,25 +1049,25 @@ class TestScreening:
             r, position, extrapolated = params
             return (r, position + 1, extrapolated), rescue and extrapolated and failure == "rescued"
 
-        def restore(x, like):
+        def restore(x, like, floor):
             if failure == "non-finite":
                 return None
             return (like[0], float(x[0]), True)
 
-        squarem = mixrhlp._Squarem(lambda params: np.array([float(params[1])]), restore)
+        monkeypatch.setattr(mixrhlp, "_flatten", lambda params: np.array([float(params[1])]))
+        monkeypatch.setattr(mixrhlp, "_restore", restore)
         config = EmConfig(max_iter=30, tol=0.5, n_restarts=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             runs = mixrhlp._ascend(
-                e_step, m_step, [(r, 0, False) for r in range(2)], config, squarem)
-        (leader, trace, stop), (other, other_trace, other_stop) = runs
-        assert squarem.leader == 0
-        # 20 lockstep maps, then cycles: (21, 22) with step -1 and the kept
-        # map to 23, which raises the bound to 4; (24, 25) with step -4 to
-        # a failing point, which takes it back to 1; (26, 27) with step -1
-        # and the kept map to 28; then plain maps to 29 and to the cap
-        assert (squarem.accepted, squarem.rejected) == (2, 1)
-        assert squarem.tally(0) == (2, 1) and squarem.tally(1) == (0, 0)
+                e_step, m_step, [(r, 0, False) for r in range(2)], config, 1e-10)
+        (leader, trace, stop, *tally), (other, other_trace, other_stop, *other_tally) = runs
+        # 20 lockstep maps, then cycles of the leader, restart 0: (21, 22)
+        # with step -1 and the kept map to 23, which raises the bound to 4;
+        # (24, 25) with step -4 to a failing point, which takes it back to
+        # 1; (26, 27) with step -1 and the kept map to 28; then plain maps
+        # to 29 and to the cap
+        assert tally == [2, 1] and other_tally == [0, 0]
         assert leader == (0, 30, False) and stop == "max_iter"
         assert trace == [p + offsets[0] for p in range(31)]
         # the leader stopped unconverged, so restart 1 went on by plain EM
@@ -1166,12 +1170,13 @@ class TestScreening:
             return real_step(r, v, step_max)
 
         monkeypatch.setattr(mixrhlp, "_squarem_step", step_spy)
-        squarem = mixrhlp._Squarem(lambda params: np.array([rate ** params[0]]),
-                                   lambda x, like: (like[0], True))
+        monkeypatch.setattr(mixrhlp, "_flatten", lambda params: np.array([rate ** params[0]]))
+        monkeypatch.setattr(mixrhlp, "_restore", lambda x, like, floor: (like[0], True))
         config = EmConfig(max_iter=30, tol=0.5, n_restarts=1)
-        ((params, trace, stop),) = mixrhlp._ascend(e_step, m_step, [(0, False)], config, squarem)
+        ((params, trace, stop, *counts),) = mixrhlp._ascend(
+            e_step, m_step, [(0, False)], config, 1e-10)
         assert bounds == step_maxes
-        assert (squarem.accepted, squarem.rejected) == tally
+        assert tuple(counts) == tally
         assert params == (30, False) and stop == "max_iter"
         assert trace == [float(p) for p in range(31)]
 
@@ -1194,8 +1199,8 @@ class TestScreening:
 
 
 class TestSquarem:
-    """The screened leader of a MixRHLP fit goes on in SQUAREM cycles, in
-    the coordinates of ``_flatten``."""
+    """The restart that goes on alone goes on in SQUAREM cycles, in the
+    coordinates of ``_flatten``, which serve both families."""
 
     @staticmethod
     def _state():
