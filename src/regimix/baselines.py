@@ -187,5 +187,4 @@ def fit_regression_mixture(
         None if init is None else _pack(init),
         config,
         values.shape[0],
-        design.n_cols - 1,
     )

@@ -8,8 +8,8 @@ temporary name and renamed, so a failed run leaves no partial artifacts.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
 
-All flags have JSON-config equivalents via ``--config FILE`` (top-level
-keys named like the flags, dashes as underscores); explicit flags
+All flags have JSON-config equivalents via ``--config FILE``: the
+top-level keys of ``_SETTINGS``, one row per setting; explicit flags
 override the file. The effective configuration is echoed into every
 output manifest.
 """
@@ -25,9 +25,17 @@ import numpy as np
 
 from . import datagen, mixrhlp
 from .core import (
+    BOOLEAN,
+    INTEGER,
+    NUMBER,
+    NUMBER_OR_NULL,
+    STRING,
     Basis,
+    JsonType,
     TimeGrid,
+    _fmt,
     atomic_write_text,
+    check_structure,
     read_curveset,
     write_curveset,
 )
@@ -49,13 +57,17 @@ from .errors import DataError, NumericalError
 from .evaluation import evaluate_variant
 from .logistic import regime_probabilities
 
-def _FMT(x) -> str:
-    """Round-trip float text."""
-    return repr(float(x))
-
 
 def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """A CSV table: the header, then one line per row; a float field is
+    written as round-trip exact text, any other as ``str`` gives it."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -73,15 +85,78 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _effective(args: argparse.Namespace, file_config: dict, keys: dict) -> dict:
-    """Merge defaults < config file < explicit flags."""
-    merged = {}
-    for key, default in keys.items():
-        value = getattr(args, key, None)
+#: A path, or null for none.
+_PATH = JsonType((str, type(None)), "a path")
+#: Comma-separated integers, or one JSON integer.
+_RANGE = JsonType((str, int), "comma-separated integers")
+
+#: Every setting of the commands, as (flags, JSON type, default, choices of
+#: the flag or None); see ``core.check_structure`` for the types. A command
+#: reads a setting from its flag if given, else from its key in the
+#: --config file, else takes its default.
+_SETTINGS = {
+    "benchmark": (("--benchmark",), STRING, "piecewise", ("piecewise", "waveform")),
+    "merge": (("--merge",), BOOLEAN, True, None),
+    "per_class": (("--per-class",), INTEGER, 500, None),
+    "per_subclass": (("--per-subclass",), INTEGER, 10, None),
+    # null: the benchmark's own noise level
+    "noise_sd": (("--noise-sd",), NUMBER_OR_NULL, None, None),
+    "spec_json": (("--spec-json",), _PATH, None, None),
+    "variant": (("--variant",), STRING, FMDA_MIXRHLP, VARIANTS),
+    "n_clusters": (("--n-clusters", "--K"), INTEGER, 2, None),
+    "n_regimes": (("--n-regimes", "--R"), INTEGER, 3, None),
+    "degree": (("--degree", "--p"), INTEGER, 3, None),
+    "spline_order": (("--spline-order",), INTEGER, 4, None),
+    "interior_knots": (("--spline-knots",), INTEGER, 10, None),
+    "max_iter": (("--max-iter",), INTEGER, 200, None),
+    "tol": (("--tol",), NUMBER, 1e-6, None),
+    "n_restarts": (("--n-restarts",), INTEGER, 5, None),
+    "seed": (("--seed",), INTEGER, 0, None),
+    "k_folds": (("--k-folds",), INTEGER, 5, None),
+    "k_range": (("--K-range",), _RANGE, "1,2", None),
+    "r_range": (("--R-range",), _RANGE, "1,2", None),
+}
+#: The ``TrainConfig`` fields
+_MODEL_SETTINGS = ("variant", "n_clusters", "n_regimes", "degree", "spline_order",
+                   "interior_knots", "max_iter", "tol", "n_restarts", "seed")
+#: The settings of each command that takes a --config file, in the order of
+#: its flags
+_COMMAND_SETTINGS = {
+    "generate": ("benchmark", "seed", "merge", "per_class", "per_subclass", "noise_sd",
+                 "spec_json"),
+    "fit": _MODEL_SETTINGS,
+    "evaluate": _MODEL_SETTINGS + ("k_folds",),
+    "select": ("k_range", "r_range", "degree", "max_iter", "tol", "n_restarts", "seed"),
+}
+
+
+def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
+    """The flags of the command's settings, then ``--config``."""
+    for key in _COMMAND_SETTINGS[command]:
+        flags, kind, _, choices = _SETTINGS[key]
+        if kind is BOOLEAN:
+            parser.add_argument(*flags, dest=key, action=argparse.BooleanOptionalAction)
+        else:
+            flag_type = {INTEGER: int, NUMBER: float, NUMBER_OR_NULL: float}.get(kind)
+            parser.add_argument(*flags, dest=key, type=flag_type, choices=choices)
+    parser.add_argument("--config")
+
+
+def _settings(args: argparse.Namespace, **defaults) -> dict:
+    """The settings of ``args.command``: each from its flag if given, else
+    from the --config file, else its default or the one in ``defaults``;
+    ``ValueError`` for a value not of its JSON type. A number is read as a
+    float."""
+    file_config = _load_config_file(args.config)
+    cfg = {}
+    for key in _COMMAND_SETTINGS[args.command]:
+        _, kind, default, _ = _SETTINGS[key]
+        value = getattr(args, key)
         if value is None:
-            value = file_config.get(key, default)
-        merged[key] = value
-    return merged
+            value = file_config.get(key, defaults.get(key, default))
+        check_structure(value, kind, key, ValueError)
+        cfg[key] = float(value) if kind is NUMBER else value
+    return cfg
 
 
 def _read_dataset(directory: str):
@@ -101,109 +176,36 @@ def _read_dataset_on_grid(directory: str, grid: TimeGrid):
     return data
 
 
-_MODEL_KEYS = {
-    "variant": FMDA_MIXRHLP,
-    "n_clusters": 2,
-    "n_regimes": 3,
-    "degree": 3,
-    "spline_order": 4,
-    "interior_knots": 10,
-    "max_iter": 200,
-    "tol": 1e-6,
-    "n_restarts": 5,
-    "seed": 0,
-}
-
-
-def _typed(cfg: dict, key: str, types: tuple, what: str):
-    """``cfg[key]``, whose type must be one of ``types`` exactly, so that a
-    JSON ``true`` or ``1.5`` is no count, ``true`` no number, ``"no"`` no
-    bool and ``0`` no path; else ``ValueError``."""
-    value = cfg[key]
-    if type(value) not in types:
-        raise ValueError(f"{key} must be {what}, got {value!r}")
-    return value
-
-
-def _exact_int(cfg: dict, key: str) -> int:
-    """``cfg[key]``, which must be an ``int`` exactly."""
-    return _typed(cfg, key, (int,), "an integer")
-
-
-def _number(cfg: dict, key: str) -> float:
-    """``cfg[key]``, which must be a JSON number, as a float."""
-    return float(_typed(cfg, key, (int, float), "a number"))
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    ints = ("degree", "n_clusters", "n_regimes", "spline_order", "interior_knots",
-            "max_iter", "n_restarts", "seed")
-    return TrainConfig(
-        variant=cfg["variant"],
-        tol=_number(cfg, "tol"),
-        **{key: _exact_int(cfg, key) for key in ints},
-    )
-
-
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--variant", choices=VARIANTS)
-    sub.add_argument("--n-clusters", "--K", dest="n_clusters", type=int)
-    sub.add_argument("--n-regimes", "--R", dest="n_regimes", type=int)
-    sub.add_argument("--degree", "--p", dest="degree", type=int)
-    sub.add_argument("--spline-order", dest="spline_order", type=int)
-    sub.add_argument("--spline-knots", dest="interior_knots", type=int)
-    sub.add_argument("--max-iter", dest="max_iter", type=int)
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--n-restarts", dest="n_restarts", type=int)
-    sub.add_argument("--seed", type=int)
-
-
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    file_config = _load_config_file(args.config)
-    cfg = _effective(
-        args,
-        file_config,
-        {
-            "benchmark": "piecewise",
-            "seed": 0,
-            "merge": True,
-            "per_class": 500,
-            "per_subclass": 10,
-            "noise_sd": None,
-            "spec_json": None,
-        },
-    )
-    seed = _exact_int(cfg, "seed")
-    per_class, per_subclass = _exact_int(cfg, "per_class"), _exact_int(cfg, "per_subclass")
-    noise_sd = None if cfg["noise_sd"] is None else _number(cfg, "noise_sd")
-    merge = _typed(cfg, "merge", (bool,), "true or false")
-
+    cfg = _settings(args)
+    noise_sd = cfg["noise_sd"]
     if cfg["spec_json"] is not None:
-        with open(_typed(cfg, "spec_json", (str,), "a path"), encoding="utf-8") as fh:
+        with open(cfg["spec_json"], encoding="utf-8") as fh:
             spec = datagen.spec_from_json(fh.read())
     elif cfg["benchmark"] == "piecewise":
         base = datagen.default_piecewise_spec()
         spec = datagen.PiecewiseSpec(
             class_profiles=base.class_profiles,
             noise_sd=base.noise_sd if noise_sd is None else noise_sd,
-            curves_per_subclass=per_subclass,
+            curves_per_subclass=cfg["per_subclass"],
             n_points=base.n_points,
             span=base.span,
         )
     elif cfg["benchmark"] == "waveform":
         spec = datagen.WaveformSpec(
-            curves_per_class=per_class,
+            curves_per_class=cfg["per_class"],
             noise_sd=1.0 if noise_sd is None else noise_sd,
-            merge=merge,
+            merge=cfg["merge"],
         )
     else:
         raise ValueError(f"unknown benchmark {cfg['benchmark']!r}")
 
+    seed = cfg["seed"]
     if isinstance(spec, datagen.PiecewiseSpec):
         data = datagen.gen_piecewise(spec, seed)
     else:
@@ -233,10 +235,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    file_config = _load_config_file(args.config)
-    cfg = _effective(args, file_config, _MODEL_KEYS)
+    cfg = _settings(args)
     data = _read_dataset(args.data)
-    config = _train_config(cfg)
+    config = TrainConfig(**cfg)
     model, reports = train_detailed(data, config)
     for label, rep in enumerate(reports, start=1):
         if rep is not None and not rep.converged:
@@ -285,13 +286,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         model = model_from_json(fh.read())
     data = _read_dataset_on_grid(args.data, model.grid)
     labels, posteriors = classify_set(model, data.values)
-    header = "index,label," + ",".join(f"p{g}" for g in range(1, model.n_classes + 1))
-    rows = [header]
-    for i in range(data.n_curves):
-        rows.append(
-            ",".join([str(i), str(int(labels[i]))] + [_FMT(p) for p in posteriors[i]])
-        )
-    atomic_write_text(args.out, "\n".join(rows) + "\n")
+    _write_csv(
+        args.out,
+        ["index", "label", *(f"p{g}" for g in range(1, model.n_classes + 1))],
+        ([i, label, *row]
+         for i, (label, row) in enumerate(zip(labels.tolist(), posteriors.tolist()))),
+    )
     return 0
 
 
@@ -301,11 +301,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    file_config = _load_config_file(args.config)
-    cfg = _effective(args, file_config, {**_MODEL_KEYS, "k_folds": 5})
+    cfg = _settings(args)
+    k = cfg.pop("k_folds")
     data = _read_dataset(args.data)
-    config = _train_config(cfg)
-    k = _exact_int(cfg, "k_folds")
+    config = TrainConfig(**cfg)
     if k < 2:
         raise ValueError("k_folds must be >= 2")
     report = evaluate_variant(data, config, k=k, seed=config.seed)
@@ -313,8 +312,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
            "config_hash": report.config_hash()}
     atomic_write_text(args.out, _dump_json(doc))
     if args.summary_csv is not None:
-        text = "variant,error_rate,intra_class_inertia,seed,config_hash\n"
-        atomic_write_text(args.summary_csv, text + report.csv_row() + "\n")
+        _write_csv(
+            args.summary_csv,
+            ["variant", "error_rate", "intra_class_inertia", "seed", "config_hash"],
+            [[report.variant, report.error_rate, report.intra_class_inertia, report.seed,
+              report.config_hash()]],
+        )
     return 0
 
 
@@ -334,32 +337,16 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    file_config = _load_config_file(args.config)
-    cfg = _effective(
-        args,
-        file_config,
-        {
-            "k_range": "1,2",
-            "r_range": "1,2",
-            "degree": 0,
-            "max_iter": 200,
-            "tol": 1e-6,
-            "n_restarts": 5,
-            "seed": 0,
-        },
-    )
+    cfg = _settings(args, degree=0)
     data = _read_dataset(args.data)
     k_range = _parse_range(cfg["k_range"])
     r_range = _parse_range(cfg["r_range"])
-    degree = _exact_int(cfg, "degree")
+    degree = cfg["degree"]
     base = mixrhlp.EmConfig(
-        max_iter=_exact_int(cfg, "max_iter"),
-        tol=_number(cfg, "tol"),
-        n_restarts=_exact_int(cfg, "n_restarts"),
-        seed=_exact_int(cfg, "seed"),
+        max_iter=cfg["max_iter"], tol=cfg["tol"], n_restarts=cfg["n_restarts"], seed=cfg["seed"]
     )
 
-    rows = ["class,n_clusters,n_regimes,loglik,n_params,bic,selected"]
+    rows = []
     class_models = []
     for g in range(1, data.n_classes + 1):
         params, cells = mixrhlp.select_model(
@@ -367,24 +354,16 @@ def _cmd_select(args: argparse.Namespace) -> int:
         )
         class_models.append(params)
         chosen = (params.n_clusters, params.regimes[0] if params.regimes else 0)
-        for cell in cells:
-            selected = int(
-                (cell.n_clusters, cell.n_regimes) == chosen
-            )
-            rows.append(
-                ",".join(
-                    [
-                        str(g),
-                        str(cell.n_clusters),
-                        str(cell.n_regimes),
-                        _FMT(cell.loglik),
-                        str(cell.n_params),
-                        _FMT(cell.bic),
-                        str(selected),
-                    ]
-                )
-            )
-    atomic_write_text(args.out_table, "\n".join(rows) + "\n")
+        rows.extend(
+            [g, c.n_clusters, c.n_regimes, c.loglik, c.n_params, c.bic,
+             int((c.n_clusters, c.n_regimes) == chosen)]
+            for c in cells
+        )
+    _write_csv(
+        args.out_table,
+        ["class", "n_clusters", "n_regimes", "loglik", "n_params", "bic", "selected"],
+        rows,
+    )
 
     if args.out_model is not None:
         model = ClassifierModel(
@@ -413,43 +392,29 @@ def _cmd_export_plots(args: argparse.Namespace) -> int:
     t = model.grid.points
     for g in range(1, model.n_classes + 1):
         means = class_mean_curves(model, g)  # (K, m)
-        header = "t," + ",".join(f"cluster_{k + 1}" for k in range(means.shape[0]))
-        rows = [header]
-        for j in range(len(t)):
-            rows.append(
-                ",".join([_FMT(t[j])] + [_FMT(means[k, j]) for k in range(means.shape[0])])
-            )
-        atomic_write_text(
-            os.path.join(out, f"mean_curves_class{g}.csv"), "\n".join(rows) + "\n"
+        _write_csv(
+            os.path.join(out, f"mean_curves_class{g}.csv"),
+            ["t", *(f"cluster_{k + 1}" for k in range(means.shape[0]))],
+            np.column_stack([t, means.T]).tolist(),
         )
 
         cm = model.class_models[g - 1]
         if model.variant in RHLP_VARIANTS:
             for k, cluster in enumerate(cm.clusters, start=1):
                 probs = regime_probabilities(cluster.logistic, model.grid)
-                header = "t," + ",".join(
-                    f"regime_{r + 1}" for r in range(probs.shape[1])
-                )
-                rows = [header]
-                for j in range(len(t)):
-                    rows.append(
-                        ",".join([_FMT(t[j])] + [_FMT(p) for p in probs[j]])
-                    )
-                atomic_write_text(
+                _write_csv(
                     os.path.join(out, f"regime_probs_class{g}_cluster{k}.csv"),
-                    "\n".join(rows) + "\n",
+                    ["t", *(f"regime_{r + 1}" for r in range(probs.shape[1]))],
+                    np.column_stack([t, probs]).tolist(),
                 )
 
         resp = class_cluster_responsibilities(model, g, data.class_values(g))
         if resp.shape[1] > 1:
-            indices = data.class_indices(g)
             assigned = np.argmax(resp, axis=1) + 1
-            rows = ["index,cluster"]
-            rows.extend(
-                f"{int(idx)},{int(c)}" for idx, c in zip(indices, assigned)
-            )
-            atomic_write_text(
-                os.path.join(out, f"assignments_class{g}.csv"), "\n".join(rows) + "\n"
+            _write_csv(
+                os.path.join(out, f"assignments_class{g}.csv"),
+                ["index", "cluster"],
+                zip(data.class_indices(g).tolist(), assigned.tolist()),
             )
     return 0
 
@@ -467,21 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic benchmark dataset")
-    p.add_argument("--benchmark", choices=("piecewise", "waveform"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--merge", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--per-subclass", dest="per_subclass", type=int)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float)
-    p.add_argument("--spec-json", dest="spec_json")
-    p.add_argument("--config")
+    _add_settings(p, "generate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("fit", help="train a classifier on a dataset")
     p.add_argument("--data", required=True)
-    _add_model_flags(p)
-    p.add_argument("--config")
+    _add_settings(p, "fit")
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_fit)
@@ -494,23 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="cross-validated error and inertia")
     p.add_argument("--data", required=True)
-    _add_model_flags(p)
-    p.add_argument("--k-folds", dest="k_folds", type=int)
-    p.add_argument("--config")
+    _add_settings(p, "evaluate")
     p.add_argument("--out", required=True)
     p.add_argument("--summary-csv", dest="summary_csv")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("select", help="BIC sweep over (K, R) per class")
     p.add_argument("--data", required=True)
-    p.add_argument("--K-range", dest="k_range")
-    p.add_argument("--R-range", dest="r_range")
-    p.add_argument("--degree", "--p", dest="degree", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--n-restarts", dest="n_restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
+    _add_settings(p, "select")
     p.add_argument("--out-table", dest="out_table", required=True)
     p.add_argument("--out-model", dest="out_model")
     p.set_defaults(func=_cmd_select)

@@ -1,4 +1,5 @@
-"""Shared data containers, regression bases, and log-domain primitives.
+"""Shared data containers, regression bases, log-domain primitives, and
+the structure checker of the package's JSON documents.
 
 Curves are real-valued functions sampled on one common strictly
 increasing time grid. Regression models act through a design matrix
@@ -13,7 +14,9 @@ regression-mixture posterior of ``baselines``.
 from __future__ import annotations
 
 import os
+import reprlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,14 +26,6 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 #: Near-singular linear solves fall back to a ridge above this condition number.
 MAX_CONDITION = 1e12
-
-
-def exact_int(value, name: str) -> int:
-    """``value``, which must be an ``int`` exactly: ``1.5``, ``1.0``, ``true``
-    or ``"3"`` read from a JSON document is no count; else ``ValueError``."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -161,24 +156,6 @@ class Basis:
     @staticmethod
     def bspline(order: int, interior_knots: int) -> "Basis":
         return Basis(kind="bspline", order=order, interior_knots=interior_knots)
-
-    def to_dict(self) -> dict:
-        if self.kind == "polynomial":
-            return {"kind": "polynomial", "degree": self.degree}
-        return {
-            "kind": "bspline",
-            "order": self.order,
-            "interior_knots": self.interior_knots,
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "Basis":
-        kind = doc.get("kind")
-        if kind == "polynomial":
-            return Basis.polynomial(int(doc["degree"]))
-        if kind == "bspline":
-            return Basis.bspline(int(doc["order"]), int(doc["interior_knots"]))
-        raise DataError(f"unknown basis kind in document: {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -315,6 +292,67 @@ def ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise np.linalg.LinAlgError("ridge_solve: the solution is not finite")
     return x
+
+
+# ---------------------------------------------------------------------------
+# JSON documents. The module that owns a document (a model file in
+# ``discriminant``, a spec file in ``datagen``, a --config file in ``cli``)
+# declares its structure once; ``check_structure`` checks it on reading.
+# ---------------------------------------------------------------------------
+
+
+class JsonType(NamedTuple):
+    """A JSON scalar of a structure: the Python types its values may have,
+    exactly (so ``true`` is no integer and ``1.0`` no count), and its name
+    in error messages."""
+
+    types: tuple[type, ...]
+    name: str
+
+
+INTEGER = JsonType((int,), "an integer")
+NUMBER = JsonType((int, float), "a number")
+NUMBER_OR_NULL = JsonType((int, float, type(None)), "a number")
+STRING = JsonType((str,), "a string")
+BOOLEAN = JsonType((bool,), "true or false")
+
+
+class OptionalKey(NamedTuple):
+    """The structure of an object key that may be absent."""
+
+    structure: object
+
+
+def check_structure(value, structure, where: str = "", error: type = DataError):
+    """``value``, if it has ``structure``, as a copy that holds only the
+    object keys the structure names; else ``error``, naming the first field
+    that does not fit by its path from ``where``.
+
+    A structure is a ``JsonType``; a list ``[s]``, for a list of items of
+    structure s; or a dict, for an object that holds each of its keys with
+    a value of that key's structure, or, for a structure wrapped in
+    ``OptionalKey``, may lack the key.
+    """
+    if isinstance(structure, JsonType):
+        if type(value) not in structure.types:
+            raise error(f"{where} must be {structure.name}, got {reprlib.repr(value)}")
+        return value
+    kind, name = (list, "a list") if isinstance(structure, list) else (dict, "an object")
+    if type(value) is not kind:
+        raise error(f"{where} must be {name}, got {reprlib.repr(value)}")
+    if kind is list:
+        return [check_structure(v, structure[0], f"{where}[{i}]", error)
+                for i, v in enumerate(value)]
+    out = {}
+    for key, inner in structure.items():
+        if isinstance(inner, OptionalKey):
+            if key not in value:
+                continue
+            inner = inner.structure
+        elif key not in value:
+            raise error(f"{where or 'document'} has no {key!r}")
+        out[key] = check_structure(value[key], inner, f"{where}.{key}" if where else key, error)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledCurveSet, TimeGrid, exact_int
+from .core import (
+    BOOLEAN,
+    INTEGER,
+    NUMBER,
+    NUMBER_OR_NULL,
+    LabeledCurveSet,
+    OptionalKey,
+    TimeGrid,
+    check_structure,
+)
 from .errors import DataError
 from .rng import box_muller, child_rng
 
@@ -74,6 +83,7 @@ class PiecewiseSpec:
 
     def __post_init__(self):
         profiles = tuple(tuple(sub) for sub in self.class_profiles)
+        span = tuple(self.span)
         if not profiles or any(not sub for sub in profiles):
             raise ValueError("every class needs at least one sub-class profile")
         if not self.noise_sd > 0:
@@ -82,7 +92,7 @@ class PiecewiseSpec:
             raise ValueError("need at least one curve per sub-class")
         if self.n_points < 2:
             raise ValueError("need at least two sample points")
-        lo, hi = self.span
+        lo, hi = span
         if not hi > lo:
             raise ValueError("span must be a non-empty interval")
         for sub in profiles:
@@ -90,6 +100,8 @@ class PiecewiseSpec:
                 if any(not lo < b < hi for b in profile.boundaries):
                     raise ValueError("regime boundaries must lie inside the span")
         object.__setattr__(self, "class_profiles", profiles)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "noise_sd", float(self.noise_sd))
 
     def to_dict(self) -> dict:
         return {
@@ -110,33 +122,6 @@ class PiecewiseSpec:
             "n_points": self.n_points,
             "span": list(self.span),
         }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "PiecewiseSpec":
-        try:
-            profiles = tuple(
-                tuple(
-                    RegimeProfile(
-                        tuple(p["levels"]),
-                        tuple(p["boundaries"]),
-                        p.get("sharpness"),
-                    )
-                    for p in sub
-                )
-                for sub in doc["classes"]
-            )
-            return PiecewiseSpec(
-                class_profiles=profiles,
-                noise_sd=float(doc.get("noise_sd", 0.35)),
-                curves_per_subclass=exact_int(
-                    doc.get("curves_per_subclass", 10), "curves_per_subclass"
-                ),
-                n_points=exact_int(doc.get("n_points", 200), "n_points"),
-                span=tuple(doc.get("span", (0.0, 1.0))),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed piecewise spec: {exc}") from exc
-
 
 def default_piecewise_spec() -> PiecewiseSpec:
     """Default benchmark: a three-sub-class class vs a homogeneous class.
@@ -202,6 +187,7 @@ class WaveformSpec:
             raise ValueError("need at least one curve per class")
         if not self.noise_sd > 0:
             raise ValueError("noise_sd must be positive")
+        object.__setattr__(self, "noise_sd", float(self.noise_sd))
 
     def to_dict(self) -> dict:
         return {
@@ -212,18 +198,6 @@ class WaveformSpec:
             "span": list(WAVEFORM_SPAN),
             "sampling_period": WAVEFORM_PERIOD,
         }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "WaveformSpec":
-        try:
-            return WaveformSpec(
-                curves_per_class=exact_int(doc.get("curves_per_class", 500), "curves_per_class"),
-                noise_sd=float(doc.get("noise_sd", 1.0)),
-                merge=bool(doc.get("merge", True)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"malformed waveform spec: {exc}") from exc
-
 
 def waveform_base(which: int, t) -> np.ndarray | float:
     """The three triangular base shapes; peak 6 at t = 11, 15, and 7."""
@@ -278,8 +252,29 @@ def waveform_subclass_origin(spec: WaveformSpec) -> np.ndarray:
     return np.repeat([1, 2, 3], spec.curves_per_class)
 
 
-def spec_from_json(text: str):
-    """Load either benchmark spec from its JSON form."""
+#: The JSON structure of each benchmark's spec document (see
+#: ``core.check_structure``); a key left out takes the spec's default.
+_PROFILE = {"levels": [NUMBER], "boundaries": [NUMBER], "sharpness": OptionalKey(NUMBER_OR_NULL)}
+_SPECS = {
+    "piecewise": {
+        "classes": [[_PROFILE]],
+        "noise_sd": OptionalKey(NUMBER),
+        "curves_per_subclass": OptionalKey(INTEGER),
+        "n_points": OptionalKey(INTEGER),
+        "span": OptionalKey([NUMBER]),
+    },
+    "waveform": {
+        "curves_per_class": OptionalKey(INTEGER),
+        "noise_sd": OptionalKey(NUMBER),
+        "merge": OptionalKey(BOOLEAN),
+    },
+}
+
+
+def spec_from_json(text: str) -> PiecewiseSpec | WaveformSpec:
+    """Load either benchmark spec from its JSON form, an object whose
+    ``benchmark`` names its structure; ``DataError`` if the document does
+    not have that structure or the spec rejects a value."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -287,8 +282,14 @@ def spec_from_json(text: str):
     if not isinstance(doc, dict):
         raise DataError("spec document must be a JSON object")
     benchmark = doc.get("benchmark")
-    if benchmark == "piecewise":
-        return PiecewiseSpec.from_dict(doc)
-    if benchmark == "waveform":
-        return WaveformSpec.from_dict(doc)
-    raise DataError(f"unknown benchmark {benchmark!r}")
+    if not (isinstance(benchmark, str) and benchmark in _SPECS):
+        raise DataError(f"unknown benchmark {benchmark!r}")
+    try:
+        fields = check_structure(doc, _SPECS[benchmark], error=ValueError)
+        if benchmark == "waveform":
+            return WaveformSpec(**fields)
+        classes = fields.pop("classes")
+        profiles = tuple(tuple(RegimeProfile(**p) for p in sub) for sub in classes)
+        return PiecewiseSpec(profiles, **fields)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer beyond every float
+        raise DataError(f"malformed {benchmark} spec: {exc}") from exc

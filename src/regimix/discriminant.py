@@ -16,23 +16,27 @@ variant; scoring, summaries and model documents take one path.
 from __future__ import annotations
 
 import json
-import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import baselines, mixrhlp
 from .core import (
+    INTEGER,
+    NUMBER_OR_NULL,
+    STRING,
     Basis,
     Curve,
     DesignMatrix,
     LabeledCurveSet,
     TimeGrid,
+    check_structure,
     design_matrix,
     logsumexp,
 )
 from .errors import DataError
-from .mixrhlp import EmConfig, FitReport, MixRhlpParams, _mixing_proportions
+from .logistic import LogisticWeights
+from .mixrhlp import EmConfig, FitReport, MixRhlpParams, RhlpParams, _mixing_proportions
 from .rng import subseed
 
 FLDA_PR = "flda-pr"
@@ -267,112 +271,138 @@ def class_cluster_responsibilities(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: JSON envelope {variant, priors, class model documents}
+# Model documents, written and read only here: a JSON envelope of variant,
+# priors, basis, grid and one document per class
 # ---------------------------------------------------------------------------
 
+#: The version of every class document of kind ``mixrhlp``.
+_MIXRHLP_FORMAT_VERSION = 1
 
-def _regressions_from_dict(weights, components: list) -> MixRhlpParams:
-    """A version-1 regression document's components, one regime each."""
-    coeffs = [c["coeffs"] for c in components]
-    return baselines._one_regime_params(weights, coeffs, [c["variance"] for c in components])
+#: The JSON structure that ``model_from_dict`` reads (see
+#: ``core.check_structure``); a null number reads as NaN, for the parameter
+#: checks to reject. Basis and class documents take the structure of their
+#: ``kind``; an unknown kind is an error of its own. A basis document holds
+#: the ``Basis`` fields its structure names.
+_DOCUMENT = {
+    "variant": STRING,
+    "priors": [NUMBER_OR_NULL],
+    "grid": [NUMBER_OR_NULL],
+    "basis": {"kind": STRING},
+    "classes": [{"kind": STRING}],
+}
+_BASES = {
+    "polynomial": {"degree": INTEGER},
+    "bspline": {"order": INTEGER, "interior_knots": INTEGER},
+}
+_REGRESSION = {"coeffs": [NUMBER_OR_NULL], "variance": NUMBER_OR_NULL}
+_CLASS_KINDS = {
+    "mixrhlp": {
+        "K": INTEGER,
+        "R": [INTEGER],
+        "alphas": [NUMBER_OR_NULL],
+        "clusters": [
+            {
+                "logistic_weights": [[NUMBER_OR_NULL]],
+                "betas": [[NUMBER_OR_NULL]],
+                "variances": [NUMBER_OR_NULL],
+            }
+        ],
+    },
+    # version 1 only
+    "single_regression": _REGRESSION,
+    "regression_mixture": {"alphas": [NUMBER_OR_NULL], "components": [_REGRESSION]},
+}
 
 
-def _class_model_from_dict(doc: dict, version: int) -> MixRhlpParams:
+def _class_document(params: MixRhlpParams) -> dict:
+    return {
+        "kind": "mixrhlp",
+        "format_version": _MIXRHLP_FORMAT_VERSION,
+        "K": params.n_clusters,
+        "R": list(params.regimes),
+        "p": params.degree,
+        "alphas": params.weights.tolist(),
+        "clusters": [
+            {
+                "logistic_weights": c.logistic.coef.tolist(),
+                "betas": c.coeffs.tolist(),
+                "variances": c.variances.tolist(),
+            }
+            for c in params.clusters
+        ],
+    }
+
+
+def _class_model(doc: dict, version: int) -> MixRhlpParams:
+    """The class density of a class document whose structure is checked."""
     kind = doc["kind"]
     try:
         if kind == "mixrhlp":
-            return mixrhlp.params_from_dict(doc)
-        # version 1 wrote the baselines in kinds of their own
-        if version == 1 and kind == "single_regression":
-            return _regressions_from_dict([1.0], [doc])
-        if version == 1 and kind == "regression_mixture":
-            return _regressions_from_dict(doc["alphas"], doc["components"])
+            class_version = doc.get("format_version")
+            if type(class_version) is not int or class_version != _MIXRHLP_FORMAT_VERSION:
+                raise DataError(f"unsupported model format version: {class_version!r}")
+            params = MixRhlpParams(
+                np.array(doc["alphas"], dtype=float),
+                tuple(
+                    RhlpParams(
+                        LogisticWeights(np.array(c["logistic_weights"], dtype=float)),
+                        np.array(c["betas"], dtype=float),
+                        np.array(c["variances"], dtype=float),
+                    )
+                    for c in doc["clusters"]
+                ),
+            )
+            if params.regimes != tuple(doc["R"]) or params.n_clusters != doc["K"]:
+                raise DataError("model document shape fields disagree with parameter arrays")
+            return params
+        # version 1 wrote the baselines in kinds of their own, one regime
+        # per component
+        if version == 1 and kind in ("single_regression", "regression_mixture"):
+            weights, parts = ([1.0], [doc]) if kind == "single_regression" else (
+                doc["alphas"], doc["components"])
+            return baselines._one_regime_params(
+                weights, [c["coeffs"] for c in parts], [c["variance"] for c in parts])
     except ValueError as exc:
         raise DataError(f"malformed class model document: {exc}") from exc
     raise DataError(f"unknown class model kind {kind!r}")
 
 
 def model_to_dict(model: ClassifierModel) -> dict:
+    basis = model.basis
     return {
         "format_version": CLASSIFIER_FORMAT_VERSION,
         "variant": model.variant,
-        "priors": [float(p) for p in model.priors],
-        "basis": model.basis.to_dict(),
-        "grid": [float(t) for t in model.grid.points],
-        "classes": [
-            {**mixrhlp.params_to_dict(cm), "kind": "mixrhlp"} for cm in model.class_models
-        ],
+        "priors": model.priors.tolist(),
+        "basis": {"kind": basis.kind, **{key: getattr(basis, key) for key in _BASES[basis.kind]}},
+        "grid": model.grid.points.tolist(),
+        "classes": [_class_document(cm) for cm in model.class_models],
     }
-
-
-#: The JSON structure that ``model_from_dict`` reads. An object maps each
-#: key it reads to the structure of its value, ``[s]`` is a list of items
-#: of structure s, and a type is the value's JSON type: ``int`` an integer
-#: exactly, and ``float`` a number or null (which reads as NaN, for the
-#: parameter checks to reject). Basis and class documents take the
-#: structure of their ``kind``; an unknown kind is an error of its own.
-_DOCUMENT = {
-    "variant": str,
-    "priors": [float],
-    "grid": [float],
-    "basis": {"kind": str},
-    "classes": [{"kind": str}],
-}
-_BASES = {"polynomial": {"degree": int}, "bspline": {"order": int, "interior_knots": int}}
-_REGRESSION = {"coeffs": [float], "variance": float}
-_CLASS_KINDS = {
-    "mixrhlp": {
-        "K": int,
-        "R": [int],
-        "alphas": [float],
-        "clusters": [{"logistic_weights": [[float]], "betas": [[float]], "variances": [float]}],
-    },
-    # version 1 only
-    "single_regression": _REGRESSION,
-    "regression_mixture": {"alphas": [float], "components": [_REGRESSION]},
-}
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
-               float: "a number"}
-
-
-def _check_structure(value, structure, where: str) -> None:
-    """Raise ``DataError`` unless ``value`` has ``structure``, as above."""
-    if isinstance(structure, dict):
-        _check_structure(value, dict, where)
-        for key, inner in structure.items():
-            if key not in value:
-                raise DataError(f"{where} has no {key!r}")
-            _check_structure(value[key], inner, f"{where}.{key}")
-    elif isinstance(structure, list):
-        _check_structure(value, list, where)
-        for i, item in enumerate(value):
-            _check_structure(item, structure[0], f"{where}[{i}]")
-    elif not (
-        type(value) is structure or structure is float and (type(value) is int or value is None)
-    ):
-        raise DataError(f"{where} must be {_JSON_TYPES[structure]}, got {reprlib.repr(value)}")
 
 
 def model_from_dict(doc: dict) -> ClassifierModel:
     """A classifier from its document, of ``format_version`` 2 or 1. The
     structure of the document is checked once, here; the constructors
     check the values."""
-    _check_structure(doc, dict, "model")
-    version = mixrhlp._format_version(doc, (1, CLASSIFIER_FORMAT_VERSION), "classifier")
-    _check_structure(doc, _DOCUMENT, "model")
-    _check_structure(doc["basis"], _BASES.get(doc["basis"]["kind"], {}), "model.basis")
+    check_structure(doc, {}, "model")
+    version = doc.get("format_version")
+    if type(version) is not int or version not in (1, CLASSIFIER_FORMAT_VERSION):
+        raise DataError(f"unsupported classifier format version: {version!r}")
+    check_structure(doc, _DOCUMENT, "model")
+    kind = doc["basis"]["kind"]
+    if kind not in _BASES:
+        raise DataError(f"unknown basis kind in document: {kind!r}")
+    basis_fields = check_structure(doc["basis"], _BASES[kind], "model.basis")
     for i, class_doc in enumerate(doc["classes"]):
-        _check_structure(class_doc, _CLASS_KINDS.get(class_doc["kind"], {}), f"model.classes[{i}]")
+        check_structure(class_doc, _CLASS_KINDS.get(class_doc["kind"], {}), f"model.classes[{i}]")
     try:
-        grid = TimeGrid(np.array(doc["grid"], dtype=float))
         return ClassifierModel(
             variant=doc["variant"],
             priors=np.array(doc["priors"], dtype=float),
-            class_models=tuple(_class_model_from_dict(c, version) for c in doc["classes"]),
-            basis=Basis.from_dict(doc["basis"]),
-            grid=grid,
+            class_models=tuple(_class_model(c, version) for c in doc["classes"]),
+            basis=Basis(kind, **basis_fields),
+            grid=TimeGrid(np.array(doc["grid"], dtype=float)),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer beyond every float
         raise DataError(f"malformed classifier document: {exc}") from exc
 
 

@@ -53,17 +53,6 @@ class EvalReport:
         payload = json.dumps(self.config, sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
 
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                self.variant,
-                repr(float(self.error_rate)),
-                repr(float(self.intra_class_inertia)),
-                str(self.seed),
-                self.config_hash(),
-            ]
-        )
-
 
 def kfold_split(data: LabeledCurveSet, k: int, seed: int) -> list[np.ndarray]:
     """k disjoint index folds, stratified by class, deterministic per seed.

@@ -105,7 +105,7 @@ from .core import (
     vandermonde,
     variance_floor,
 )
-from .errors import DataError, NumericalError
+from .errors import NumericalError
 from .logistic import LogisticWeights, irls_fit, log_regime_probabilities
 from .rng import child_rng, subseed
 
@@ -128,6 +128,8 @@ _SCREEN_AT = 20
 #: it and each rejected one at the bound lowers it.
 _STEP_MAX = 1.0
 _STEP_GROWTH = 4.0
+#: Newton steps an M-step's IRLS fit of a logistic process may take.
+_IRLS_MAX_ITER = 50
 
 #: Why an EM run stopped: an iteration gained less than ``tol`` (for an
 #: extrapolated run, a plain EM map); it ran ``max_iter`` iterations, kept
@@ -135,8 +137,6 @@ _STEP_GROWTH = 4.0
 #: the previous iterate; or it trailed the leader after ``_SCREEN_AT``
 #: iterations, and the leader converged.
 STOP_REASONS = ("tol", "max_iter", "likelihood_drop", "screened")
-
-MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,6 @@ class EmConfig:
     tol: float = 1e-6
     n_restarts: int = 5
     seed: int = 0
-    irls_max_iter: int = 50
 
     def __post_init__(self):
         if self.n_clusters < 1:
@@ -668,15 +667,15 @@ class _LogisticProblems(NamedTuple):
     coef: np.ndarray
     rows: list[int]
     grid: TimeGrid
-    max_iter: int
 
 
 def _solve_logistic(pending: list[_LogisticProblems]) -> None:
     """Fit the pending logistic problems in place, with one ``irls_fit``
-    stack per regime count. The problems come from the M-steps of one fit,
-    so they share its grid and IRLS cap. Each stacked problem makes the
-    decisions a fit of its own would make, so its fit does not depend on
-    the other problems in the stack, bit for bit."""
+    stack per regime count, each fit to at most ``_IRLS_MAX_ITER`` Newton
+    steps. The problems come from the M-steps of one fit, so they share its
+    grid. Each stacked problem makes the decisions a fit of its own would
+    make, so its fit does not depend on the other problems in the stack,
+    bit for bit."""
     stacks: dict[int, list[_LogisticProblems]] = {}
     for problem in pending:
         stacks.setdefault(problem.coef.shape[1], []).append(problem)
@@ -686,7 +685,7 @@ def _solve_logistic(pending: list[_LogisticProblems]) -> None:
             stack[0].grid,
             # (G, m, R) view of regime-first memory
             np.concatenate([p.counts for p in stack]).transpose(0, 2, 1),
-            max_iter=stack[0].max_iter,
+            max_iter=_IRLS_MAX_ITER,
         )
         start = 0
         for p in stack:
@@ -700,9 +699,8 @@ def _m_step_impl(
     design: DesignMatrix,
     prev: _EmState,
     floor: float,
-    irls_max_iter: int,
-    rescue: bool,
     prev_curve_loglik: np.ndarray | None,
+    rescue: bool,
     pending: list[_LogisticProblems],
 ) -> tuple[_EmState, bool]:
     """The candidate that updates ``prev`` from its statistics, and whether
@@ -730,7 +728,7 @@ def _m_step_impl(
                 floor,
             )
             pending.append(
-                _LogisticProblems(sums[0, rows], logistic, rows, design.grid, irls_max_iter)
+                _LogisticProblems(sums[0, rows], logistic, rows, design.grid)
             )
         groups.append(new)
 
@@ -760,7 +758,6 @@ def m_step(
     prev: MixRhlpParams,
     *,
     floor: float | None = None,
-    irls_max_iter: int = 50,
 ) -> MixRhlpParams:
     """One maximization step; starved clusters are re-seeded from the
     worst-fit curve."""
@@ -770,7 +767,7 @@ def m_step(
     state = _pack(prev)
     stats = _posterior_stats(posteriors, state.groups, values)
     pending = []
-    new, _ = _m_step_impl(stats, values, design, state, floor, irls_max_iter, True, None, pending)
+    new, _ = _m_step_impl(stats, values, design, state, floor, None, True, pending)
     _solve_logistic(pending)
     return _unpack(new)
 
@@ -1038,15 +1035,13 @@ def _stabilised(e_step, m_step, plain, step_max: float, floor: float):
         return alpha, None
 
 
-def _fit_restarts(
-    run, start, init, config: EmConfig, n: int, degree: int
-) -> tuple[MixRhlpParams, FitReport]:
+def _fit_restarts(run, start, init, config: EmConfig, n: int) -> tuple[MixRhlpParams, FitReport]:
     """Best of the EM restarts of either family on n curves: the run from
     the start ``init`` if given, else one per stream ``child_rng(config.seed,
     r)``, from ``start(rng)``. ``run(starts)`` runs them in lockstep and
     gives each one's (params, trace, stop reason, accepted and rejected
     extrapolations). The highest final loglik wins, ties to the smaller
-    index. The BIC counts degree + 1 coefficients per regime."""
+    index."""
     if n < config.n_clusters:
         raise ValueError(
             f"infeasible clustering: {n} curves for {config.n_clusters} clusters"
@@ -1061,7 +1056,7 @@ def _fit_restarts(
     report = FitReport(
         loglik_trace=tuple(trace),
         iterations=len(trace) - 1,
-        bic=bic(params, trace[-1], n, degree),
+        bic=bic(params, trace[-1], n),
         restarts_tried=len(runs),
         best_restart=best_idx,
         restarts=tuple(RestartRecord(t[-1], len(t) - 1, *rest) for _, t, *rest in runs),
@@ -1128,8 +1123,7 @@ def em_fit(
         runs = _ascend(
             lambda state: _e_step_full(state, values, design, buffers),
             lambda stats, state, rescue, per_curve, pending: _m_step_impl(
-                stats, values, design, state, floor, config.irls_max_iter, rescue,
-                per_curve, pending,
+                stats, values, design, state, floor, per_curve, rescue, pending
             ),
             starts,
             config,
@@ -1149,7 +1143,6 @@ def em_fit(
         None if init is None else _pack(init),
         config,
         n,
-        config.degree,
     )
 
 
@@ -1171,18 +1164,19 @@ def mean_curves(
     return out
 
 
-def n_free_parameters(params: MixRhlpParams, degree: int) -> int:
-    """Free parameters: K-1 proportions plus (p+4)R - 2 per cluster."""
+def n_free_parameters(params: MixRhlpParams) -> int:
+    """Free parameters: K-1 proportions plus (p+4)R - 2 per cluster, where
+    p + 1 is the number of coefficients per regime."""
     return (params.n_clusters - 1) + sum(
-        (degree + 4) * r - 2 for r in params.regimes
+        (params.degree + 4) * r - 2 for r in params.regimes
     )
 
 
-def bic(params: MixRhlpParams, loglik: float, n: int, degree: int) -> float:
+def bic(params: MixRhlpParams, loglik: float, n: int) -> float:
     """loglik - (free params / 2) * log(n)."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    return loglik - 0.5 * n_free_parameters(params, degree) * float(np.log(n))
+    return loglik - 0.5 * n_free_parameters(params) * float(np.log(n))
 
 
 @dataclass(frozen=True)
@@ -1232,7 +1226,7 @@ def select_model(
                 n_clusters=K,
                 n_regimes=R,
                 loglik=report.loglik_trace[-1],
-                n_params=n_free_parameters(params, degree),
+                n_params=n_free_parameters(params),
                 bic=report.bic,
             )
             cells.append(cell)
@@ -1241,54 +1235,3 @@ def select_model(
                 best = key
                 best_params = params
     return best_params, cells
-
-
-# ---------------------------------------------------------------------------
-# Serialization: versioned JSON document, bit-exact round trip
-# ---------------------------------------------------------------------------
-
-
-def params_to_dict(params: MixRhlpParams) -> dict:
-    return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "K": params.n_clusters,
-        "R": list(params.regimes),
-        "p": params.degree,
-        "alphas": [float(w) for w in params.weights],
-        "clusters": [
-            {
-                "logistic_weights": [[float(v) for v in row] for row in c.logistic.coef],
-                "betas": [[float(v) for v in row] for row in c.coeffs],
-                "variances": [float(v) for v in c.variances],
-            }
-            for c in params.clusters
-        ],
-    }
-
-
-def _format_version(doc: dict, supported, kind: str) -> int:
-    """The document's ``format_version``: one of ``supported``, and an
-    ``int`` exactly, so that ``true`` or ``1.0`` is no version."""
-    version = doc.get("format_version")
-    if type(version) is not int or version not in supported:
-        raise DataError(f"unsupported {kind} format version: {version!r}")
-    return version
-
-
-def params_from_dict(doc: dict) -> MixRhlpParams:
-    _format_version(doc, (MODEL_FORMAT_VERSION,), "model")
-    try:
-        clusters = tuple(
-            RhlpParams(
-                LogisticWeights(np.array(c["logistic_weights"], dtype=float)),
-                np.array(c["betas"], dtype=float),
-                np.array(c["variances"], dtype=float),
-            )
-            for c in doc["clusters"]
-        )
-        params = MixRhlpParams(np.array(doc["alphas"], dtype=float), clusters)
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"malformed model document: {exc}") from exc
-    if params.regimes != tuple(doc.get("R", [])) or params.n_clusters != doc.get("K"):
-        raise DataError("model document shape fields disagree with parameter arrays")
-    return params

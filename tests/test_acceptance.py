@@ -324,7 +324,7 @@ def test_criterion_7_bic_arithmetic():
     nu_ok = True
     for K, R, p, expected in cases:
         params = _rand_params(rng, K, R, p)
-        if n_free_parameters(params, p) != expected:
+        if n_free_parameters(params) != expected:
             nu_ok = False
 
     grid = TimeGrid(np.linspace(0.0, 1.0, 40))

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from regimix.cli import main
+from regimix.cli import _COMMAND_SETTINGS, main
 from regimix.core import read_curveset, vandermonde
 from regimix.discriminant import classify_set, model_from_json
 from regimix.mixrhlp import mean_curves
@@ -138,6 +138,35 @@ class TestGenerate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].endswith(f"spec: {key} must be an integer, got {value!r}")
+        assert not any((tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("levels", "malformed piecewise spec: classes[0][0].levels must be a list, got '12'"),
+            ("noise_sd", "malformed piecewise spec: noise_sd must be a number, got True"),
+            ("merge", "malformed waveform spec: merge must be true or false, got 'no'"),
+        ],
+    )
+    def test_spec_value_of_the_wrong_type_is_data_error(
+            self, tmp_path, capsys, small_spec, edit, message):
+        # the spec loader used to coerce these: "12" into the levels
+        # [1.0, 2.0], true into a noise_sd of 1.0 and "no" into true
+        (tmp_path / "o").mkdir()
+        with open(small_spec, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if edit == "levels":
+            doc["classes"][0][0]["levels"] = "12"
+        elif edit == "noise_sd":
+            doc["noise_sd"] = True
+        else:
+            doc = {"benchmark": "waveform", "curves_per_class": 3, "merge": "no"}
+        spec = tmp_path / "bad_spec.json"
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("generate", "--spec-json", str(spec), "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [f"regimix: data error: {message}"]
         assert not any((tmp_path / "o").iterdir())
 
     def test_bad_flag_exits_2(self):
@@ -449,8 +478,10 @@ class TestEvaluate:
         assert doc["error_rate"] == 0.0
         assert doc["k_folds"] == 5
         lines = summary.read_text().splitlines()
-        assert lines[0] == "variant,error_rate,intra_class_inertia,seed,config_hash"
-        assert lines[1].startswith("flda-pr,0.0,")
+        assert lines == [
+            "variant,error_rate,intra_class_inertia,seed,config_hash",
+            f"flda-pr,0.0,{doc['intra_class_inertia']!r},2,{doc['config_hash']}",
+        ]
 
     def test_rerun_identical(self, tmp_path, dataset_dir):
         out = tmp_path / "eval.json"
@@ -599,6 +630,13 @@ class TestConfigFiles:
                    "evaluate": ("--out", str(out / "e.json")),
                    "select": ("--out-table", str(out / "t.csv"))}
         return run(command, "--config", str(cfg), *where, *outputs.get(command, ()))
+
+    def test_configs_name_every_setting(self):
+        # the fuzz below replaces each key of CONFIGS, so every setting a
+        # command reads must be one of them
+        assert {command: set(keys) for command, keys in self.CONFIGS.items()} == {
+            command: set(keys) for command, keys in _COMMAND_SETTINGS.items()
+        }
 
     def test_every_replaced_key_runs_or_is_a_typed_error(self, tmp_path, dataset_dir, capsys):
         for command, base in self.CONFIGS.items():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from json_mutations import mutations
 from regimix.datagen import (
     PiecewiseSpec,
     RegimeProfile,
@@ -171,3 +172,35 @@ class TestGenWaveform:
             spec_from_json('{"benchmark": "unknown"}')
         with pytest.raises(DataError):
             spec_from_json("{broken")
+
+
+class TestSpecFiles:
+    PIECEWISE = {
+        "benchmark": "piecewise",
+        "classes": [[{"levels": [0.0, 2.0], "boundaries": [0.5], "sharpness": None}],
+                    [{"levels": [1.0], "boundaries": []}]],
+        "noise_sd": 0.3,
+        "curves_per_subclass": 2,
+        "n_points": 5,
+        "span": [0.0, 1.0],
+    }
+    WAVEFORM = {"benchmark": "waveform", "curves_per_class": 2, "noise_sd": 1.0, "merge": False}
+
+    @pytest.mark.parametrize("doc", [PIECEWISE, WAVEFORM], ids=["piecewise", "waveform"])
+    def test_every_mutation_loads_or_is_data_error(self, doc):
+        # each leaf and subtree of a spec document replaced by another JSON
+        # value, or deleted: the result either loads, with counts that are
+        # positive integers, or is a DataError. Nothing is generated, so a
+        # huge count allocates nothing.
+        outcomes = {"loaded": 0, "rejected": 0}
+        for path, value, text in mutations(doc):
+            try:
+                spec = spec_from_json(text)
+            except DataError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["loaded"] += 1
+            counts = ([spec.curves_per_class] if isinstance(spec, WaveformSpec)
+                      else [spec.curves_per_subclass, spec.n_points])
+            assert all(type(c) is int and c >= 1 for c in counts), (path, value)
+        assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0

@@ -6,8 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from json_mutations import mutations
 from oracles import mp_gauss
-from regimix.core import Curve, LabeledCurveSet, TimeGrid, vandermonde
+from regimix.core import Basis, Curve, LabeledCurveSet, TimeGrid, vandermonde
 from regimix.discriminant import (
     VARIANTS,
     ClassifierModel,
@@ -318,37 +319,18 @@ class TestClassifierSerialization:
             model_from_json(json.dumps(edit(doc)))
 
     def test_every_mutation_loads_or_is_data_error(self):
-        # each leaf and subtree of a model document (the first two items of
-        # each list) replaced by another JSON value, or deleted: the result
-        # either loads and scores curves on its grid to finite posteriors,
-        # or is a DataError
+        # each leaf and subtree of a model document replaced by another JSON
+        # value, or deleted: the result either loads and scores curves on
+        # its grid to finite posteriors, or is a DataError
         doc = json.loads((DATA / "v1_fmda-mixrhlp.model.json").read_text())
         values = np.array(json.loads((DATA / "v1_classify_expected.json").read_text())["values"])
-
-        def paths(node, path=()):
-            yield path
-            items = node.items() if isinstance(node, dict) else (
-                enumerate(node[:2]) if isinstance(node, list) else ())
-            for key, child in items:
-                yield from paths(child, path + (key,))
-
-        deleted = object()
-        for path in list(paths(doc))[1:]:
-            for value in (None, "x", -1, 2.5, float("nan"), float("inf"), [], {}, True, deleted):
-                mutated = json.loads(json.dumps(doc))
-                parent = mutated
-                for key in path[:-1]:
-                    parent = parent[key]
-                if value is deleted:
-                    del parent[path[-1]]
-                else:
-                    parent[path[-1]] = value
-                try:
-                    model = model_from_json(json.dumps(mutated))
-                    _, posteriors = classify_set(model, values[:, : len(model.grid)])
-                except DataError:
-                    continue
-                assert np.all(np.isfinite(posteriors)), (path, value)
+        for path, value, text in mutations(doc):
+            try:
+                model = model_from_json(text)
+                _, posteriors = classify_set(model, values[:, : len(model.grid)])
+            except DataError:
+                continue
+            assert np.all(np.isfinite(posteriors)), (path, value)
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_nan_proportions_rejected(self, version):
@@ -366,6 +348,53 @@ class TestClassifierSerialization:
             (doc["priors"] if edit == "priors" else doc["classes"][0]["alphas"])[0] = None
             with pytest.raises(DataError, match="mixing proportions"):
                 model_from_json(json.dumps(doc))
+
+
+class TestClassDocuments:
+    """The ``mixrhlp`` class documents of a model document."""
+
+    @staticmethod
+    def _model(seed, K, R, degree):
+        """A one-class model with random parameters."""
+        rng = np.random.default_rng(seed)
+        clusters = tuple(
+            RhlpParams(LogisticWeights.gauge_fixed(rng.normal(size=(R, 2))),
+                       rng.normal(size=(R, degree + 1)), rng.uniform(0.3, 2.0, size=R))
+            for _ in range(K)
+        )
+        raw = rng.uniform(0.2, 1.0, size=K)
+        return ClassifierModel("fmda-mixrhlp", np.array([1.0]),
+                               (MixRhlpParams(raw / raw.sum(), clusters),),
+                               Basis.polynomial(degree), TimeGrid(np.linspace(0.0, 1.0, 5)))
+
+    def test_round_trip_bit_exact(self):
+        model = self._model(27, 2, 3, 2)
+        text = model_to_json(model)
+        loaded = model_from_json(text)
+        (params,), (got,) = model.class_models, loaded.class_models
+        np.testing.assert_array_equal(got.weights, params.weights)
+        for a, b in zip(got.clusters, params.clusters, strict=True):
+            np.testing.assert_array_equal(a.coeffs, b.coeffs)
+            np.testing.assert_array_equal(a.variances, b.variances)
+            np.testing.assert_array_equal(a.logistic.coef, b.logistic.coef)
+        # serializing again yields identical text
+        assert model_to_json(loaded) == text
+
+    def test_version_checked(self):
+        doc = json.loads(model_to_json(self._model(28, 1, 1, 0)))
+        for version in (99, True, 1.0, 2.0):
+            doc["classes"][0]["format_version"] = version
+            with pytest.raises(DataError, match="format version"):
+                model_from_json(json.dumps(doc))
+
+    def test_shape_fields_checked(self):
+        # K and R must agree with the parameter arrays they describe
+        doc = json.loads(model_to_json(self._model(29, 2, 2, 1)))
+        for key, value in (("K", 3), ("R", [2, 3]), ("R", [2])):
+            edited = json.loads(json.dumps(doc))
+            edited["classes"][0][key] = value
+            with pytest.raises(DataError, match="shape fields disagree"):
+                model_from_json(json.dumps(edited))
 
 
 def _written_clusters(class_doc):
