@@ -33,9 +33,9 @@ from .core import (
     Basis,
     JsonType,
     TimeGrid,
-    _fmt,
     atomic_write_text,
     check_structure,
+    csv_text,
     read_curveset,
     write_curveset,
 )
@@ -63,11 +63,9 @@ def _dump_json(doc: dict) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    """A CSV table: the header, then one line per row; a float field is
-    written as round-trip exact text, any other as ``str`` gives it."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """A CSV table: the header, then one line per row, as ``csv_text``
+    writes them."""
+    atomic_write_text(path, csv_text([header, *rows]))
 
 
 def _load_config_file(path: str | None) -> dict:

@@ -358,12 +358,19 @@ def check_structure(value, structure, where: str = "", error: type = DataError):
 # ---------------------------------------------------------------------------
 # Curve set file format: grid.csv (one row of m times) + curves.csv (one row
 # per curve: integer label, then m values). UTF-8, no header, round-trip
-# exact float serialization.
+# exact float serialization. Blank lines are skipped; an error names its
+# line by its number in the file, blank lines included.
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def csv_text(rows) -> str:
+    """CSV text of ``rows``, one line each: a float field (numpy float64
+    scalars included) as its round-trip exact ``repr``, any other as ``str``
+    gives it."""
+    return "".join(
+        ",".join([float.__repr__(v) if isinstance(v, float) else str(v) for v in row]) + "\n"
+        for row in rows
+    )
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -381,14 +388,48 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_curveset(data: LabeledCurveSet, grid_path: str, curves_path: str) -> None:
-    grid_row = ",".join(_fmt(t) for t in data.grid.points)
-    rows = []
-    for i in range(data.n_curves):
-        fields = [str(int(data.labels[i]))]
-        fields.extend(_fmt(v) for v in data.values[i])
-        rows.append(",".join(fields))
-    atomic_write_text(grid_path, grid_row + "\n")
-    atomic_write_text(curves_path, "\n".join(rows) + "\n")
+    atomic_write_text(grid_path, csv_text([data.grid.points.tolist()]))
+    atomic_write_text(curves_path, csv_text(
+        [label, *row] for label, row in zip(data.labels.tolist(), data.values.tolist())
+    ))
+
+
+def _numbered_lines(text: str):
+    """(line number, line) of each line of ``text`` that is not blank."""
+    return ((n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip())
+
+
+def _floats(lines: list[str], columns) -> np.ndarray:
+    """The ``columns`` of comma-separated ``lines`` as one (lines, columns)
+    float array, by numpy's C parser: each value is the float that
+    ``float()`` reads from its token, but the parser rejects ``_`` between
+    digits and digits outside ASCII. ``comments=None``, or a ``#`` would cut
+    its line short."""
+    return np.loadtxt(lines, delimiter=",", comments=None, usecols=columns, ndmin=2)
+
+
+def _parses(line: str, columns) -> bool:
+    try:
+        _floats([line], columns)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_floats(path: str, text: str, lines: list[str], columns) -> np.ndarray:
+    """``_floats`` of ``lines``, the non-blank lines of ``text``; a token
+    that does not parse is a ``DataError`` naming its line. Only then are
+    the lines parsed one by one, to find it."""
+    try:
+        return _floats(lines, columns)
+    except ValueError as exc:
+        for lineno, line in _numbered_lines(text):
+            if not _parses(line, columns):
+                token = line.split(",")[next(j for j in columns if not _parses(line, [j]))]
+                raise DataError(
+                    f"{path}:{lineno}: could not convert string to float: {token!r}"
+                ) from exc
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def read_curveset(grid_path: str, curves_path: str) -> LabeledCurveSet:
@@ -396,32 +437,38 @@ def read_curveset(grid_path: str, curves_path: str) -> LabeledCurveSet:
         with open(grid_path, encoding="utf-8") as fh:
             grid_text = fh.read()
         with open(curves_path, encoding="utf-8") as fh:
-            curve_lines = [line for line in fh.read().splitlines() if line.strip()]
+            curves_text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read curve set: {exc}") from exc
 
-    grid_lines = [line for line in grid_text.splitlines() if line.strip()]
+    grid_lines = [line for _, line in _numbered_lines(grid_text)]
     if len(grid_lines) != 1:
         raise DataError(f"{grid_path}: expected exactly one row of time points")
+    points = _read_floats(
+        grid_path, grid_text, grid_lines, range(grid_lines[0].count(",") + 1)
+    )
     try:
-        grid = TimeGrid(np.array([float(v) for v in grid_lines[0].split(",")]))
+        grid = TimeGrid(points[0])
     except ValueError as exc:
         raise DataError(f"{grid_path}: {exc}") from exc
 
+    # each line's field count (``usecols`` would drop extra fields unseen)
+    # and label are checked here; its values are parsed in one call after
+    # the loop
     m = len(grid)
     labels = []
-    values = []
-    for lineno, line in enumerate(curve_lines, start=1):
-        fields = line.split(",")
-        if len(fields) != m + 1:
+    lines = []
+    for lineno, line in _numbered_lines(curves_text):
+        if line.count(",") != m:
             raise DataError(
-                f"{curves_path}:{lineno}: expected label + {m} values, got {len(fields)} fields"
+                f"{curves_path}:{lineno}: expected label + {m} values, "
+                f"got {line.count(',') + 1} fields"
             )
         try:
-            labels.append(int(fields[0]))
-            values.append([float(v) for v in fields[1:]])
+            labels.append(int(line.partition(",")[0]))
         except ValueError as exc:
             raise DataError(f"{curves_path}:{lineno}: {exc}") from exc
+        lines.append(line)
     if not labels:
         raise DataError(f"{curves_path}: no curves")
     if min(labels) < 1:
@@ -430,14 +477,15 @@ def read_curveset(grid_path: str, curves_path: str) -> LabeledCurveSet:
     # even fit a numpy integer, is no class index
     top = max(labels)
     if top > len(labels):
+        lineno = next(n for n, line in _numbered_lines(curves_text)
+                      if int(line.partition(",")[0]) == top)
         raise DataError(
-            f"{curves_path}:{labels.index(top) + 1}: label above the number of "
+            f"{curves_path}:{lineno}: label above the number of "
             f"curves ({len(labels)}); the labels must cover every class 1..max"
         )
+    values = _read_floats(curves_path, curves_text, lines, range(1, m + 1))
     labels_arr = np.array(labels, dtype=int)
     try:
-        return LabeledCurveSet(
-            np.array(values), labels_arr, grid, n_classes=int(labels_arr.max())
-        )
+        return LabeledCurveSet(values, labels_arr, grid, n_classes=int(labels_arr.max()))
     except ValueError as exc:
         raise DataError(f"{curves_path}: {exc}") from exc

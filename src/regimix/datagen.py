@@ -18,6 +18,7 @@ independent of generation order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,17 @@ from .core import (
 from .errors import DataError
 from .rng import box_muller, child_rng
 
+#: The most values, curves x points, that a spec may generate: 10 million,
+#: 80 MB as floats and about 200 MB as CSV text.
+MAX_VALUES = 10_000_000
+
+
+def _check_size(n_curves: int, n_points: int) -> None:
+    if n_curves * n_points > MAX_VALUES:
+        raise ValueError(
+            f"{n_curves} curves x {n_points} points exceed the limit of {MAX_VALUES} values"
+        )
+
 
 @dataclass(frozen=True)
 class RegimeProfile:
@@ -51,10 +63,13 @@ class RegimeProfile:
             raise ValueError("need at least one regime level")
         if len(boundaries) != len(levels) - 1:
             raise ValueError("need exactly one boundary between adjacent regimes")
+        if not all(math.isfinite(v) for v in levels + boundaries):
+            raise ValueError("levels and boundaries must be finite")
         if any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
             raise ValueError("boundaries must be strictly increasing")
-        if self.sharpness is not None and not self.sharpness > 0:
-            raise ValueError("sharpness must be positive when given")
+        # float(): OverflowError for an integer beyond every float
+        if self.sharpness is not None and not 0 < float(self.sharpness) < math.inf:
+            raise ValueError("sharpness must be positive and finite when given")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "boundaries", boundaries)
 
@@ -86,15 +101,16 @@ class PiecewiseSpec:
         span = tuple(self.span)
         if not profiles or any(not sub for sub in profiles):
             raise ValueError("every class needs at least one sub-class profile")
-        if not self.noise_sd > 0:
-            raise ValueError("noise_sd must be positive")
+        if not 0 < self.noise_sd < math.inf:
+            raise ValueError("noise_sd must be positive and finite")
         if self.curves_per_subclass < 1:
             raise ValueError("need at least one curve per sub-class")
         if self.n_points < 2:
             raise ValueError("need at least two sample points")
-        lo, hi = span
-        if not hi > lo:
-            raise ValueError("span must be a non-empty interval")
+        _check_size(self.curves_per_subclass * sum(map(len, profiles)), self.n_points)
+        lo, hi = (float(v) for v in span)
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError("span must be a non-empty finite interval")
         for sub in profiles:
             for profile in sub:
                 if any(not lo < b < hi for b in profile.boundaries):
@@ -172,6 +188,7 @@ def gen_piecewise(spec: PiecewiseSpec, seed: int) -> LabeledCurveSet:
 
 WAVEFORM_SPAN = (0.0, 20.0)
 WAVEFORM_PERIOD = 1.0
+WAVEFORM_POINTS = round((WAVEFORM_SPAN[1] - WAVEFORM_SPAN[0]) / WAVEFORM_PERIOD) + 1
 
 
 @dataclass(frozen=True)
@@ -185,8 +202,9 @@ class WaveformSpec:
     def __post_init__(self):
         if self.curves_per_class < 1:
             raise ValueError("need at least one curve per class")
-        if not self.noise_sd > 0:
-            raise ValueError("noise_sd must be positive")
+        if not 0 < self.noise_sd < math.inf:
+            raise ValueError("noise_sd must be positive and finite")
+        _check_size(3 * self.curves_per_class, WAVEFORM_POINTS)
         object.__setattr__(self, "noise_sd", float(self.noise_sd))
 
     def to_dict(self) -> dict:

@@ -169,6 +169,28 @@ class TestGenerate:
         assert capsys.readouterr().err.splitlines() == [f"regimix: data error: {message}"]
         assert not any((tmp_path / "o").iterdir())
 
+    @pytest.mark.parametrize("edit, message", [
+        ("noise_sd", "malformed waveform spec: noise_sd must be positive and finite"),
+        ("levels", "malformed piecewise spec: levels and boundaries must be finite"),
+    ], ids=["noise_sd", "levels"])
+    def test_spec_value_not_finite_is_data_error(
+            self, tmp_path, capsys, small_spec, edit, message):
+        # these loaded, then failed at generation as a configuration error
+        (tmp_path / "o").mkdir()
+        if edit == "noise_sd":
+            doc = {"benchmark": "waveform", "curves_per_class": 2, "noise_sd": float("inf")}
+        else:
+            with open(small_spec, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            doc["classes"][0][0]["levels"] = [float("nan"), 1.0]
+        spec = tmp_path / "bad_spec.json"
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("generate", "--spec-json", str(spec), "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [f"regimix: data error: {message}"]
+        assert not any((tmp_path / "o").iterdir())
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run("generate", "--benchmark", "nonsense", "--out", "x")
@@ -281,6 +303,23 @@ class TestFit:
                    "--out", str(tmp_path / "m.json"))
         assert code == 3
         assert "curves.csv:1: label above the number of curves" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"], ids=["underscore", "arabic-indic"])
+    def test_value_that_only_float_takes_is_data_error(self, tmp_path, dataset_dir, capsys, token):
+        # float() reads "1_0" as 10.0 and the Arabic-Indic digit one as 1.0;
+        # the curve-set parser takes ASCII digits only, without separators
+        curves = pathlib.Path(dataset_dir) / "curves.csv"
+        lines = curves.read_text().split("\n")
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + token
+        curves.write_text("\n".join(lines))
+        capsys.readouterr()
+        code = run("fit", "--data", dataset_dir, "--variant", "flda-pr",
+                   "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"regimix: data error: {curves}:3: could not convert string to float: {token!r}"
+        ]
         assert not (tmp_path / "m.json").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, dataset_dir):

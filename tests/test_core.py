@@ -11,6 +11,7 @@ from regimix.core import (
     LabeledCurveSet,
     TimeGrid,
     bspline_basis,
+    csv_text,
     design_matrix,
     logsumexp,
     read_curveset,
@@ -313,15 +314,55 @@ class TestCurveSetFiles:
         with pytest.raises(DataError):
             read_curveset(str(tmp_path / "nope.csv"), str(tmp_path / "also_nope.csv"))
 
+    @pytest.mark.parametrize("last, message", [
+        ("2,0.5", "expected label + 2 values, got 2 fields"),
+        ("z,0.5,0.5", "invalid literal for int() with base 10: 'z'"),
+        ("2,0.5,x", "could not convert string to float: 'x'"),
+        ("5,0.5,0.5", "label above the number of curves (2)"),
+    ], ids=["fields", "label", "value", "label-above-count"])
+    def test_error_names_the_line_counting_blank_lines(self, tmp_path, last, message):
+        # blank lines are skipped but counted: the bad line is line 4, which
+        # the value error used to report as line 2
+        (tmp_path / "grid.csv").write_text("0.0,1.0\n")
+        (tmp_path / "curves.csv").write_text(f"1,0.5,0.5\n\n \n{last}\n")
+        with pytest.raises(DataError) as exc:
+            read_curveset(str(tmp_path / "grid.csv"), str(tmp_path / "curves.csv"))
+        assert str(exc.value).startswith(f"{tmp_path / 'curves.csv'}:4: {message}")
+
+    def test_written_text_is_repr(self, tmp_path):
+        # a float field is written as repr(float(v)), numpy scalars included,
+        # and every value reads back bit for bit
+        table = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-05, 0.1 + 0.2, 3.0]
+        row = [*table, *map(np.float64, table), 7, "x"]
+        assert csv_text([row, []]) == ",".join(
+            [*(repr(float(v)) for v in row[:-2]), "7", "x"]) + "\n\n"
+
+        data = LabeledCurveSet(np.array([table, table[::-1]]), np.array([2, 1]),
+                               grid(*range(len(table))), 2)
+        gp, cp = tmp_path / "grid.csv", tmp_path / "curves.csv"
+        write_curveset(data, str(gp), str(cp))
+        assert gp.read_text() == ",".join(repr(float(t)) for t in range(len(table))) + "\n"
+        assert cp.read_text() == "".join(
+            f"{label}," + ",".join(repr(v) for v in values) + "\n"
+            for label, values in ((2, table), (1, table[::-1])))
+        loaded = read_curveset(str(gp), str(cp))
+        assert loaded.values.tobytes() == data.values.tobytes()
+        assert loaded.grid.points.tobytes() == data.grid.points.tobytes()
+
     def test_every_mutation_loads_or_is_data_error(self, tmp_path):
         # each field of a small grid and curve file replaced by another
         # token, each field, row and point dropped or doubled, and the grid
         # reordered: the result either loads as a valid curve set or is a
-        # DataError, never another exception
+        # DataError, never another exception. What loads holds only tokens
+        # that int() (labels) and float() (values) take, read as they read
+        # them: the accepted set never widens. It narrows: "1_0" and digits
+        # outside ASCII, which float() takes, are rejected as values.
         grid_row = ["0.0", "0.5", "1.0"]
         rows = [["1", "0.1", "0.2", "0.3"], ["2", "1.0", "1.1", "1.2"], ["1", "0.0", "0.1", "0.2"]]
         tokens = ["", " ", "x", "nan", "inf", "-inf", "1e309", "-1e309", "1.5", "1.0", "+1",
-                  "-1", "0", "3", "4", "1_0", " 2 ", "99999999999999999999", "-" + "9" * 30]
+                  "-1", "0", "3", "4", "1_0", " 2 ", "99999999999999999999", "-" + "9" * 30,
+                  "\u0661", "\u0662.5", "1#2", "#", "0x1", "1d0", "1j", "'1'", "\u00a01.25",
+                  "\t2"]
 
         def variants():
             for i in range(len(grid_row)):
@@ -353,6 +394,12 @@ class TestCurveSetFiles:
                 outcomes["rejected"] += 1
                 continue
             outcomes["loaded"] += 1
+            assert data.grid.points.tolist() == [float(t) for t in points], (points, curves)
+            assert data.labels.tolist() == [int(row[0]) for row in curves], (points, curves)
+            assert data.values.tolist() == [[float(v) for v in row[1:]] for row in curves], (
+                points, curves)
+            assert not any("_" in t or any(c.isdigit() and not c.isascii() for c in t)
+                           for row in curves for t in row[1:]), (points, curves)
             assert np.all(np.diff(data.grid.points) > 0), (points, curves)
             assert np.all(np.isfinite(data.values)), (points, curves)
             assert data.values.shape == (len(curves), len(data.grid))

@@ -1,8 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from json_mutations import mutations
 from regimix.datagen import (
+    MAX_VALUES,
     PiecewiseSpec,
     RegimeProfile,
     WaveformSpec,
@@ -190,8 +194,15 @@ class TestSpecFiles:
     def test_every_mutation_loads_or_is_data_error(self, doc):
         # each leaf and subtree of a spec document replaced by another JSON
         # value, or deleted: the result either loads, with counts that are
-        # positive integers, or is a DataError. Nothing is generated, so a
-        # huge count allocates nothing.
+        # positive integers and numbers that are finite, or is a DataError.
+        # Nothing is generated, so a huge count allocates nothing.
+        def numbers(node):
+            if isinstance(node, (list, dict)):
+                for child in (node.values() if isinstance(node, dict) else node):
+                    yield from numbers(child)
+            elif isinstance(node, float):
+                yield node
+
         outcomes = {"loaded": 0, "rejected": 0}
         for path, value, text in mutations(doc):
             try:
@@ -203,4 +214,17 @@ class TestSpecFiles:
             counts = ([spec.curves_per_class] if isinstance(spec, WaveformSpec)
                       else [spec.curves_per_subclass, spec.n_points])
             assert all(type(c) is int and c >= 1 for c in counts), (path, value)
+            assert not (isinstance(value, float) and not math.isfinite(value)), (path, value)
+            assert all(map(math.isfinite, numbers(spec.to_dict()))), (path, value)
         assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0
+
+    @pytest.mark.parametrize("doc, key, count", [
+        (PIECEWISE, "n_points", MAX_VALUES // 4),  # 2 sub-classes x 2 curves
+        (WAVEFORM, "curves_per_class", MAX_VALUES // 63),  # 3 classes x 21 points
+    ], ids=["piecewise", "waveform"])
+    def test_size_limit(self, doc, key, count):
+        # curves x points may reach MAX_VALUES but not pass it; the specs
+        # are only loaded, nothing is generated
+        assert spec_from_json(json.dumps({**doc, key: count})).to_dict()[key] == count
+        with pytest.raises(DataError, match=f"exceed the limit of {MAX_VALUES} values"):
+            spec_from_json(json.dumps({**doc, key: count + 1}))
