@@ -7,8 +7,8 @@ evaluated on that grid: a Vandermonde matrix for polynomial fits or a
 B-spline basis for spline fits. Everything downstream accumulates
 densities in the log domain, from the ``LOG_2PI`` constant and the
 ``logsumexp`` reduction here; the Gaussian log-densities themselves are
-spelled out where they are evaluated, in the MixRHLP kernel and in the
-regression-mixture posterior of ``baselines``.
+spelled out where they are evaluated, in the MixRHLP kernel, whose
+one-regime case serves the regression baselines.
 """
 
 from __future__ import annotations

@@ -48,6 +48,18 @@ def _check_size(n_curves: int, n_points: int) -> None:
         )
 
 
+#: Bounds the size of a ``box_muller`` draw: the largest is
+#: sqrt(-2 ln 2**-53) = 8.5716, from the largest uniform below 1.
+_MAX_DRAW = 8.58
+
+
+def _check_reach(mean_reach: float, noise_sd: float) -> None:
+    """ValueError unless every curve value, at most ``mean_reach`` plus
+    ``_MAX_DRAW`` noise deviations in size, is finite."""
+    if not math.isfinite(mean_reach + _MAX_DRAW * noise_sd):
+        raise ValueError("curve values could overflow")
+
+
 @dataclass(frozen=True)
 class RegimeProfile:
     """Mean shape of one sub-class: levels switching at boundary times."""
@@ -72,6 +84,13 @@ class RegimeProfile:
             raise ValueError("sharpness must be positive and finite when given")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "boundaries", boundaries)
+
+    @property
+    def reach(self) -> float:
+        """The largest size of a level or of a step between levels, which
+        bounds every value ``mean`` computes."""
+        steps = tuple(b - a for a, b in zip(self.levels, self.levels[1:]))
+        return max(abs(v) for v in self.levels + steps)
 
     def mean(self, t: np.ndarray) -> np.ndarray:
         levels = np.array(self.levels)
@@ -111,10 +130,13 @@ class PiecewiseSpec:
         lo, hi = (float(v) for v in span)
         if not -math.inf < lo < hi < math.inf:
             raise ValueError("span must be a non-empty finite interval")
+        if not hi - lo < math.inf:
+            raise ValueError("span width must be finite")
         for sub in profiles:
             for profile in sub:
                 if any(not lo < b < hi for b in profile.boundaries):
                     raise ValueError("regime boundaries must lie inside the span")
+        _check_reach(max(p.reach for sub in profiles for p in sub), self.noise_sd)
         object.__setattr__(self, "class_profiles", profiles)
         object.__setattr__(self, "span", span)
         object.__setattr__(self, "noise_sd", float(self.noise_sd))
@@ -205,6 +227,7 @@ class WaveformSpec:
         if not 0 < self.noise_sd < math.inf:
             raise ValueError("noise_sd must be positive and finite")
         _check_size(3 * self.curves_per_class, WAVEFORM_POINTS)
+        _check_reach(6.0, self.noise_sd)  # the base shapes peak at 6
         object.__setattr__(self, "noise_sd", float(self.noise_sd))
 
     def to_dict(self) -> dict:

@@ -360,8 +360,9 @@ def _class_model(doc: dict, version: int) -> MixRhlpParams:
         if version == 1 and kind in ("single_regression", "regression_mixture"):
             weights, parts = ([1.0], [doc]) if kind == "single_regression" else (
                 doc["alphas"], doc["components"])
-            return baselines._one_regime_params(
-                weights, [c["coeffs"] for c in parts], [c["variance"] for c in parts])
+            return MixRhlpParams(weights, tuple(
+                RhlpParams(LogisticWeights.zeros(1), [c["coeffs"]], [c["variance"]])
+                for c in parts))
     except ValueError as exc:
         raise DataError(f"malformed class model document: {exc}") from exc
     raise DataError(f"unknown class model kind {kind!r}")

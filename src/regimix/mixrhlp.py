@@ -26,10 +26,12 @@ R slabs instead of along a short trailing axis. The E-step calls it once
 per group (one group unless the regime counts are ragged); scoring calls
 it one cluster at a time, which keeps the buffer of a large scoring set
 to one cluster's size and gives the same per-curve log-likelihoods, bit
-for bit. The M-step fits each group as one stack too: one ``ridge_solve``
-over the Grams of every regime with mass. It leaves the group's logistic
-processes to the driver, which fits them by IRLS together with those of
-the other restarts (below).
+for bit. R=1 is a shape case of it: the density is one Gaussian product
+in closed form, with no buffer, and the responsibilities are all 1. The
+M-step fits each group as one stack too: one ``ridge_solve`` over the
+Grams of every regime with mass. It leaves the logistic processes of a
+group of more than one regime to the driver, which fits them by IRLS
+together with those of the other restarts (below).
 
 Each EM restart carries its iterate as one packed state of plain arrays,
 ``_EmState``: the (K,) mixing weights and, for each regime group, the
@@ -49,42 +51,26 @@ The M-step reads the posteriors only through their sufficient statistics,
 ``_Stats``: the (K,) cluster totals and, per regime group, the (G, R, m)
 point masses, sums of x and sums of x^2. The EM E-step computes them
 right after the kernel, from a workspace of one (G, R, n, m) buffer per
-regime group that each fit allocates once. Every E-step of every restart
-overwrites it, and nothing reads it after the statistics are taken, so
+regime group of more than one regime, which each fit allocates once (an
+R=1 group's statistics are the cluster totals, gamma' x and gamma' x^2).
+Every E-step of every restart overwrites it, and nothing reads it after the statistics are taken, so
 the restarts share it and the rescue fallback re-runs the M-step from the
 accepted iterate's statistics. No public function returns workspace
 memory: ``e_step`` builds checked ``Posteriors`` from fresh arrays, and
 ``m_step`` turns its ``Posteriors`` into the statistics EM uses.
 
-The regression mixtures of ``baselines`` are the R=1 case of the model,
-and share the EM driver: one ascent loop, ``_ascend``, and one restart
-selection, ``_fit_restarts``, serve both families, each with its own E-
-and M-step. A regression-mixture restart carries the same ``_EmState``:
-one regime group of its K clusters, with (K, 1, d) coefficients, (K, 1)
-variances and a (K, 1, 2) logistic array of zeros. ``_ascend`` advances
-all restarts of a fit together, one iteration at a time, on one thread.
-Each restart runs its own E- and M-step, and the MixRHLP M-steps hand
-their logistic problems back: the (G, R, m) point masses and starting
-(G, R, 2) coefficients of the clusters they fit (the regression mixture's
-M-step has none). The driver stacks the problems of every live restart by
-regime count, so that one ``irls_fit`` call per count, and per round of
-M-steps, fits up to ``n_restarts`` x K processes. Each stacked problem
-makes the decisions a fit of its own would make. After ``_SCREEN_AT``
-iterations only the live restart with the highest log-likelihood goes on
-(short runs, then the leader), and the others wait as ``screened``; so
-plain EM ranks the restarts. The one restart that goes on, whether it
-leads others or is the only one (one restart, or a start from ``init``),
-goes on in SQUAREM cycles (``_squarem_cycles``): two plain EM maps, an
-extrapolated point in the coordinates of ``_flatten``, and one stabilising
-map from it, kept only if it gains more than ``tol``. It stops, as plain EM
-does, at the first map gaining less than ``tol``. If it stops without
-converging, the waiting restarts go on together by plain EM from where
-they were screened. So every restart that goes on by plain EM ends, bit for
-bit, where plain EM from its start ends; the leader ends where a fit from
-its start alone ends, and follows plain EM for its first ``_SCREEN_AT``
-iterations; and a screened restart ends where plain EM stood after
-``_SCREEN_AT`` iterations. A fit of at most ``_SCREEN_AT`` iterations is
-plain EM, bit for bit, in either family.
+The regression mixtures of ``baselines`` are the R=1 case of the model
+and run its E-step, M-step and EM driver; only their random starts
+differ. One ascent loop, ``_ascend``, advances all restarts of a fit
+together, one iteration at a time, on one thread, and stacks the
+logistic problems that their M-steps hand back by regime count, so that
+one ``irls_fit`` call per count, and per round of M-steps, fits up to
+``n_restarts`` x K processes. Each stacked problem makes the decisions a
+fit of its own would make. After ``_SCREEN_AT`` iterations only the
+leading restart goes on, in SQUAREM cycles (``_squarem_cycles``), and the
+others wait as ``screened``; they go on by plain EM only if it stops
+without converging. ``_ascend`` says what each restart ends at, bit for
+bit. ``_fit_restarts`` keeps the best of them.
 """
 
 from __future__ import annotations
@@ -351,16 +337,23 @@ def _regime_kernel(
     (G, R, 2) logistic coefficients; with ``want_resp``, also their
     (G, R, n, m) regime responsibilities.
 
-    One (G, R, n, m) buffer takes log pi_r(t_j) + log N(x_ij; mean_jr, var_r)
-    and is reduced across its R slabs; the responsibilities overwrite it.
+    At R=1 the regime probability is 1, so a curve's density is one
+    Gaussian product: its log in closed form, and no responsibilities
+    (None). Else one (G, R, n, m) buffer takes log pi_r(t_j) +
+    log N(x_ij; mean_jr, var_r) and is reduced across its R slabs; the
+    responsibilities overwrite it.
     The buffer is ``out`` when given, else a fresh array.
     A point at which every regime density underflows to 0 (a curve that
     lies far outside the cluster) gets uniform responsibilities; its
     log-likelihood is -inf, so the cluster's responsibility for the curve
     is 0 and they carry no weight.
     """
-    log_pi = log_regime_probabilities(logistic, design.grid)  # (G, m, R)
     means = coeffs @ design.matrix.T  # (G, R, m)
+    if means.shape[1] == 1:
+        sq = np.square(values - means).sum(axis=2)  # (G, n)
+        log_norm = -0.5 * values.shape[1] * (LOG_2PI + np.log(variances))
+        return log_norm - sq / (2.0 * variances), None
+    log_pi = log_regime_probabilities(logistic, design.grid)  # (G, m, R)
     var = variances[:, :, None, None]
     # C order: one slab per regime
     buf = np.empty(means.shape[:2] + values.shape) if out is None else out
@@ -406,20 +399,19 @@ def rhlp_loglik_set(
     rhlp: RhlpParams, values: np.ndarray, design: DesignMatrix
 ) -> np.ndarray:
     """Per-curve log-likelihood under one cluster's density; values is (n, m)."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    _check_design(design, rhlp)
-    arrays = (rhlp.coeffs, rhlp.variances, rhlp.logistic.coef)
-    return _regime_kernel(*(a[None] for a in arrays), values, design, False)[0][0]
+    return _log_mix(MixRhlpParams(np.ones(1), (rhlp,)), values, design)[:, 0]
 
 
 def _log_mix(params: MixRhlpParams, values: np.ndarray, design: DesignMatrix) -> np.ndarray:
     """(n, K) log weight plus log density of each curve under each cluster,
-    scored one cluster at a time."""
+    scored one cluster at a time after one check of the design."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     _check_design(design, params)
-    per_cluster = np.column_stack(
-        [rhlp_loglik_set(c, values, design) for c in params.clusters]
-    )
+    per_cluster = np.column_stack([
+        _regime_kernel(c.coeffs[None], c.variances[None], c.logistic.coef[None], values, design,
+                       False)[0][0]
+        for c in params.clusters
+    ])
     return np.log(params.weights)[None, :] + per_cluster
 
 
@@ -532,7 +524,8 @@ def _responsibilities(
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """(n, K) cluster responsibilities, (n,) per-curve log-likelihoods and
     each regime group's (G, R, n, m) regime responsibilities, written into
-    that group's buffer in ``out`` when given, else into fresh arrays."""
+    that group's buffer in ``out`` when given, else into fresh arrays; None
+    for a group with one regime."""
     per_cluster = np.empty((values.shape[0], len(state.weights)))
     resps = []
     for i, group in enumerate(state.groups):
@@ -570,14 +563,23 @@ def _sufficient_stats(
 ) -> _Stats:
     """The statistics of (n, K) cluster responsibilities ``gamma`` and the
     (R, n, m) regime responsibilities ``taus[i][g]`` of each cluster
-    ``groups[i][g]``."""
+    ``groups[i][g]``. A group with one regime reads no table (``taus[i]``
+    may be None): its responsibilities are 1, so its point masses are the
+    cluster totals and its sums gamma' x and gamma' x^2."""
+    totals = gamma.sum(axis=0)
     sums = []
     for group, tau in zip(groups, taus):
+        if tau is None or len(tau[0]) == 1:
+            cols = list(group)
+            resp = gamma[:, cols].T  # (G, n)
+            mass = np.repeat(totals[cols, None], values.shape[1], axis=1)
+            sums.append(np.stack([mass, resp @ values, resp @ values**2])[:, :, None])
+            continue
         point_w, xw, x2w = group_sums = np.empty((3, len(group), len(tau[0]), values.shape[1]))
         for g, k in enumerate(group):
             point_w[g], xw[g], x2w[g] = _regime_stats(gamma[:, k], tau[g], values)
         sums.append(group_sums)
-    return _Stats(gamma.sum(axis=0), tuple(sums))
+    return _Stats(totals, tuple(sums))
 
 
 def _e_step_full(
@@ -585,8 +587,9 @@ def _e_step_full(
 ) -> tuple[_Stats, float, np.ndarray]:
     """The M-step's statistics, total log-likelihood, and per-curve
     log-likelihoods. ``out`` holds one (G, R, n, m) buffer per regime group
-    of ``state``, which the regime responsibilities overwrite; the
-    statistics are taken from it at once, while it is still in cache."""
+    of ``state`` (None for a group with one regime), which the regime
+    responsibilities overwrite; the statistics are taken from it at once,
+    while it is still in cache."""
     gamma, per_curve, resps = _responsibilities(state, values, design, out)
     return _sufficient_stats(gamma, state.groups, resps, values), float(per_curve.sum()), per_curve
 
@@ -610,7 +613,8 @@ def e_step(
     params: MixRhlpParams, values: np.ndarray, design: DesignMatrix
 ) -> Posteriors:
     """Cluster and regime responsibilities for a set of curves, checked as
-    ``Posteriors`` checks tables built by hand."""
+    ``Posteriors`` checks tables built by hand; a cluster with one regime
+    gets a table of ones."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     _check_design(design, params)
     state = _pack(params)
@@ -618,7 +622,8 @@ def e_step(
     taus = [None] * params.n_clusters
     for group, resp in zip(state.groups, resps):
         for g, k in enumerate(group):
-            taus[k] = resp[g].transpose(1, 2, 0)  # (n, m, R) view of (R, n, m)
+            # (n, m, R) view of (R, n, m)
+            taus[k] = np.ones(values.shape + (1,)) if resp is None else resp[g].transpose(1, 2, 0)
     return Posteriors(gamma, tuple(taus))
 
 
@@ -727,9 +732,8 @@ def _m_step_impl(
                 variances[rows],
                 floor,
             )
-            pending.append(
-                _LogisticProblems(sums[0, rows], logistic, rows, design.grid)
-            )
+            if logistic.shape[1] > 1:  # one regime has no logistic process to fit
+                pending.append(_LogisticProblems(sums[0, rows], logistic, rows, design.grid))
         groups.append(new)
 
     rescued = rescue and bool(starved.any())
@@ -855,10 +859,9 @@ def _ascend(e_step, m_step, starts, config: EmConfig, floor: float) -> list[tupl
     extrapolations).
 
     Each restart makes the decisions a run of its own would make, and
-    leaves the lockstep when it stops. An E-step returns its own arrays (the
-    MixRHLP statistics, or the regression mixture's responsibilities), so
-    the rescue fallback re-runs the M-step from what the accepted iterate's
-    E-step returned: a second round, for the restarts whose rescue lowered
+    leaves the lockstep when it stops. An E-step's statistics are arrays of
+    their own, so the rescue fallback re-runs the M-step from those of the
+    accepted iterate: a second round, for the restarts whose rescue lowered
     the likelihood.
 
     Once the live restarts have taken ``_SCREEN_AT`` iterations, and more
@@ -869,7 +872,10 @@ def _ascend(e_step, m_step, starts, config: EmConfig, floor: float) -> list[tupl
     without converging (``max_iter`` or the drop guard), the waiting
     restarts go on together by plain EM. A restart goes on from its exact
     state, so one that goes on by plain EM ends, bit for bit, where plain EM
-    from its start ends; one still waiting at the end stays ``screened``.
+    from its start ends, and the leader where a fit from its start alone
+    ends; one still waiting at the end stays ``screened``, where plain EM
+    stood after ``_SCREEN_AT`` iterations. A fit of at most ``_SCREEN_AT``
+    iterations is plain EM, bit for bit.
     """
     # each restart's accepted (state, E-step result, loglik, per-curve logliks)
     runs = [(state, *e_step(state)) for state in starts]
@@ -1035,13 +1041,18 @@ def _stabilised(e_step, m_step, plain, step_max: float, floor: float):
         return alpha, None
 
 
-def _fit_restarts(run, start, init, config: EmConfig, n: int) -> tuple[MixRhlpParams, FitReport]:
-    """Best of the EM restarts of either family on n curves: the run from
-    the start ``init`` if given, else one per stream ``child_rng(config.seed,
-    r)``, from ``start(rng)``. ``run(starts)`` runs them in lockstep and
-    gives each one's (params, trace, stop reason, accepted and rejected
-    extrapolations). The highest final loglik wins, ties to the smaller
+def _fit_restarts(
+    e_step, m_step, finish, start, init, values, design, config: EmConfig, floor: float
+) -> tuple[MixRhlpParams, FitReport]:
+    """Best of the EM restarts of either family: the run from the start
+    ``init`` if given, else one per stream ``child_rng(config.seed, r)``,
+    from ``start(rng)``. ``_ascend`` runs them in lockstep on ``e_step`` and
+    ``m_step``, which are ``_e_step_full`` and ``_m_step_impl`` under the
+    caller's names (the benchmark's tracer counts each family's calls
+    apart), and ``finish(state, trace, stop)`` gives the parameters of each
+    finished restart. The highest final loglik wins, ties to the smaller
     index."""
+    n = values.shape[0]
     if n < config.n_clusters:
         raise ValueError(
             f"infeasible clustering: {n} curves for {config.n_clusters} clusters"
@@ -1050,7 +1061,21 @@ def _fit_restarts(run, start, init, config: EmConfig, n: int) -> tuple[MixRhlpPa
         starts = [init]
     else:
         starts = [start(child_rng(config.seed, r)) for r in range(config.n_restarts)]
-    runs = run(starts)
+    # the E-step's workspace, one (G, R, n, m) buffer per regime group of
+    # more than one regime; the restarts share it, since their E-steps run
+    # one at a time and each takes its statistics from the buffer at once
+    buffers = [np.empty(v.shape + values.shape) if v.shape[1] > 1 else None
+               for v in starts[0].variances]
+    runs = _ascend(
+        lambda state: e_step(state, values, design, buffers),
+        lambda stats, state, rescue, per_curve, pending: m_step(
+            stats, values, design, state, floor, per_curve, rescue, pending
+        ),
+        starts,
+        config,
+        floor,
+    )
+    runs = [(finish(state, trace, stop), trace, stop, *rest) for state, trace, stop, *rest in runs]
     best_idx = max(range(len(runs)), key=lambda idx: runs[idx][1][-1])
     params, trace, *_ = runs[best_idx]
     report = FitReport(
@@ -1115,34 +1140,19 @@ def em_fit(
         _check_design(design, init)
     floor = variance_floor(values)
 
-    def run(starts):
-        # the E-step's workspace, one (G, R, n, m) buffer per regime group;
-        # the restarts share it, since their E-steps run one at a time and
-        # each takes its statistics from the buffer at once
-        buffers = [np.empty(v.shape + values.shape) for v in starts[0].variances]
-        runs = _ascend(
-            lambda state: _e_step_full(state, values, design, buffers),
-            lambda stats, state, rescue, per_curve, pending: _m_step_impl(
-                stats, values, design, state, floor, per_curve, rescue, pending
-            ),
-            starts,
-            config,
-            floor,
-        )
-        # one _em_once call per restart, screened ones included
-        return [
-            (_em_once(state, trace, stop == "tol")[0], trace, stop, *counts)
-            for state, trace, stop, *counts in runs
-        ]
-
     return _fit_restarts(
-        run,
+        _e_step_full,
+        _m_step_impl,
+        # one _em_once call per restart, screened ones included
+        lambda state, trace, stop: _em_once(state, trace, stop == "tol")[0],
         lambda rng: _pack(
             initial_params(values, design, config.n_clusters, config.regimes(), rng, floor)
         ),
         None if init is None else _pack(init),
+        values,
+        design,
         config,
-        n,
+        floor,
     )
 
 

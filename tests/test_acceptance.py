@@ -208,8 +208,8 @@ def test_criterion_4_degenerate_collapses():
     )
     bitwise = doc_a.replace("flda-rhlp", "fmda-mixrhlp") == doc_b
 
-    # (c) R=1 per cluster matches the regression-mixture trace from one
-    # initialization
+    # (c) R=1 per cluster is the regression mixture: from one
+    # initialization, the same trace and parameters, bit for bit
     rhlp_init = MixRhlpParams(
         np.array([0.5, 0.5]),
         (
@@ -219,18 +219,20 @@ def test_criterion_4_degenerate_collapses():
     )
     design1 = vandermonde(grid, 1)
     cfg1 = EmConfig(n_clusters=2, n_regimes=1, degree=1, max_iter=30, n_restarts=1, seed=0)
-    _, rep_mix = fit_regression_mixture(values, design1, cfg1, init=rhlp_init)
-    _, rep_rhlp = em_fit(values, grid, cfg1, init=rhlp_init)
-    trace_err = float(
-        np.max(np.abs(np.array(rep_mix.loglik_trace) - np.array(rep_rhlp.loglik_trace)))
-    )
+    mix, rep_mix = fit_regression_mixture(values, design1, cfg1, init=rhlp_init)
+    rhlp, rep_rhlp = em_fit(values, grid, cfg1, init=rhlp_init)
+    same_fit = rep_mix == rep_rhlp and all(
+        np.array_equal(a, b)
+        for c1, c2 in zip(mix.clusters, rhlp.clusters, strict=True)
+        for a, b in ((c1.coeffs, c2.coeffs), (c1.variances, c2.variances))
+    ) and np.array_equal(mix.weights, rhlp.weights)
 
-    ok = ols_err < 1e-8 and bitwise and trace_err < 1e-8
+    ok = ols_err < 1e-8 and bitwise and same_fit
     _report(
         "4 (degenerate collapses)",
         ok,
         f"OLS coeff err {ols_err:.2e} < 1e-8; single-cluster bitwise match: {bitwise}; "
-        f"regression-mixture trace gap {trace_err:.2e} < 1e-8",
+        f"regression-mixture bitwise match: {same_fit}",
     )
 
 

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import explicit_wls_beta, mp_gauss
+from oracles import explicit_wls_beta, mp_gauss, mp_rhlp_density
 from regimix import baselines
 from regimix.baselines import fit_regression_mixture, fit_single_regression
 from regimix.core import Basis, Curve, TimeGrid, design_matrix, vandermonde
@@ -157,25 +157,57 @@ class TestRegressionMixtureLoglik:
 
 
 class TestScoringDensity:
-    @pytest.mark.parametrize(
-        "basis", [Basis.polynomial(3), Basis.bspline(4, 3)], ids=["polynomial", "bspline"]
-    )
-    @pytest.mark.parametrize("K", [1, 2, 3])
-    def test_posterior_matches_scoring_density(self, basis, K):
-        # fitting evaluates the one-regime density in closed form, scoring
-        # through the general regime kernel: one model, the same per-curve
-        # log-likelihoods to round-off
+    @staticmethod
+    def _problem(basis, K):
         rng = np.random.default_rng(42 + K)
         design = design_matrix(TimeGrid(np.linspace(0.0, 20.0, 21)), basis)
         raw = rng.uniform(0.2, 1.0, size=K)
         components = zip(rng.normal(size=(K, design.n_cols)), rng.uniform(0.5, 2, K))
         params = one_regime(raw / raw.sum(), *components)
         values = design.matrix @ rng.normal(size=design.n_cols) + rng.normal(size=(30, 21))
-        _, total, per_curve = baselines._posterior(mixrhlp._pack(params), values, design)
-        np.testing.assert_allclose(
-            per_curve, mixrhlp_loglik_set(params, values, design), rtol=1e-12, atol=0
-        )
+        return params, values, design
+
+    @pytest.mark.parametrize(
+        "basis", [Basis.polynomial(3), Basis.bspline(4, 3)], ids=["polynomial", "bspline"]
+    )
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_posterior_matches_scoring_density(self, basis, K):
+        # fitting evaluates the one-regime density in closed form for the K
+        # clusters at once, scoring one cluster at a time: the same per-curve
+        # log-likelihoods, bit for bit
+        params, values, design = self._problem(basis, K)
+        _, total, per_curve = mixrhlp._e_step_full(mixrhlp._pack(params), values, design)
+        np.testing.assert_array_equal(per_curve, mixrhlp_loglik_set(params, values, design))
         assert total == per_curve.sum()
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_single_regime_statistics_are_those_of_unit_tau(self, K):
+        # an R=1 group reads no regime table: its statistics are those of
+        # the general formulas given responsibilities of exactly 1
+        params, values, design = self._problem(Basis.polynomial(3), K)
+        state = mixrhlp._pack(params)
+        stats, _, _ = mixrhlp._e_step_full(state, values, design)
+        gamma = e_step(params, values, design).cluster_resp
+        (sums,) = stats.sums
+        assert sums.shape == (3, K, 1, 21)
+        for k in range(K):
+            want = mixrhlp._regime_stats(gamma[:, k], np.ones((1,) + values.shape), values)
+            np.testing.assert_allclose(sums[:, k], np.stack(want), rtol=1e-12, atol=0)
+
+    def test_single_regime_kernel_matches_oracle(self):
+        params, values, design = self._problem(Basis.polynomial(3), 2)
+        state = mixrhlp._pack(params)
+        arrays = (state.coeffs[0], state.variances[0], state.logistic[0])
+        logliks, resp = mixrhlp._regime_kernel(*arrays, values[:4], design, True)
+        assert resp is None
+        for k, cluster in enumerate(params.clusters):
+            for i in range(4):
+                want = mp.log(mp_rhlp_density(
+                    cluster.logistic.coef.tolist(), cluster.coeffs.tolist(),
+                    cluster.variances.tolist(), values[i].tolist(),
+                    design.matrix.tolist(), design.grid.points.tolist(),
+                ))
+                assert logliks[k, i] == pytest.approx(float(want), rel=1e-12)
 
 
 class TestFitRegressionMixture:
@@ -229,13 +261,14 @@ class TestFitRegressionMixture:
                 assert resp[i, k] == pytest.approx(float(dens[k] / total), rel=1e-9)
 
     @pytest.mark.parametrize("case", ["init", "screened-1", "screened-3"])
-    def test_single_regime_mixrhlp_matches_trace(self, case):
-        # a hidden-process model with one regime per cluster is exactly a
-        # regression mixture; identical initialization must give identical
-        # likelihood traces. In the waveform cases the fits run past
+    def test_single_regime_mixrhlp_matches_trace(self, monkeypatch, case):
+        # a hidden-process model with one regime per cluster is a
+        # regression mixture, and both run the same E- and M-step: from one
+        # initialization they give the same traces, stops and parameters,
+        # bit for bit. In the waveform cases the fits run past
         # ``_SCREEN_AT``, where the restart that goes on alone is
-        # extrapolated in the same coordinates in both families, so both
-        # stop at the same map for the same reason.
+        # extrapolated in the same coordinates in both families. Seeded
+        # restarts share the partition draw, and here the start too.
         if case == "init":
             rng = np.random.default_rng(39)
             g = TimeGrid(np.linspace(0, 1, 15))
@@ -255,16 +288,19 @@ class TestFitRegressionMixture:
             design = vandermonde(g, 2)
             cfg = EmConfig(n_clusters=3, n_regimes=1, degree=2, max_iter=60, tol=1e-8,
                            seed=0, n_restarts=int(case[-1]))
+            monkeypatch.setattr(
+                mixrhlp, "initial_params",
+                lambda values, design, K, regimes, rng, floor: mixrhlp._unpack(
+                    baselines._mixture_start(values, design, K, floor, rng)),
+            )
         pm, rm = fit_regression_mixture(values, design, cfg, init=init)
         ph, rh = em_fit(values, g, cfg, init=init)
-        assert len(rm.loglik_trace) == len(rh.loglik_trace)
-        np.testing.assert_allclose(rm.loglik_trace, rh.loglik_trace, atol=1e-8)
-        assert rm.loglik_trace[-1] == pytest.approx(rh.loglik_trace[-1], rel=1e-12)
-        assert [(r.iterations, r.stop_reason) for r in rm.restarts] == [
-            (r.iterations, r.stop_reason) for r in rh.restarts
-        ]
-        for comp, cluster in zip(pm.clusters, ph.clusters):
-            np.testing.assert_allclose(comp.coeffs, cluster.coeffs, atol=1e-8)
+        assert rm == rh
+        np.testing.assert_array_equal(pm.weights, ph.weights)
+        for comp, cluster in zip(pm.clusters, ph.clusters, strict=True):
+            np.testing.assert_array_equal(comp.coeffs, cluster.coeffs)
+            np.testing.assert_array_equal(comp.variances, cluster.variances)
+            np.testing.assert_array_equal(comp.logistic.coef, cluster.logistic.coef)
 
     def test_same_seed_same_initial_partition_as_mixrhlp(self):
         # seeded runs share the partition draw, so the R=1 equivalence also

@@ -97,3 +97,13 @@ def test_mixrhlp_inner_hooks_are_called():
     assert value["core.ridge_solves"] >= (
         value["logistic.newton_steps"] + value["logistic.irls_calls"]
     )
+
+
+def test_regression_mixture_is_not_counted_as_mixrhlp():
+    # the regression mixture runs the MixRHLP E- and M-step under names of
+    # its own, and no restart of it goes through _em_once
+    per_layer = _traced_metrics(("fmda-prm",))
+    value = {name: entry["value"] for name, entry in per_layer.items()}
+    assert value["baselines.em_iterations"] > 0
+    assert value["mixrhlp.e_steps"] == 0
+    assert value["mixrhlp.restarts"] == 0

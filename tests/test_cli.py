@@ -172,17 +172,26 @@ class TestGenerate:
     @pytest.mark.parametrize("edit, message", [
         ("noise_sd", "malformed waveform spec: noise_sd must be positive and finite"),
         ("levels", "malformed piecewise spec: levels and boundaries must be finite"),
-    ], ids=["noise_sd", "levels"])
+        ("huge_noise_sd", "malformed waveform spec: curve values could overflow"),
+        ("huge_span", "malformed piecewise spec: span width must be finite"),
+        ("huge_levels", "malformed piecewise spec: curve values could overflow"),
+    ], ids=["noise_sd", "levels", "huge_noise_sd", "huge_span", "huge_levels"])
     def test_spec_value_not_finite_is_data_error(
             self, tmp_path, capsys, small_spec, edit, message):
-        # these loaded, then failed at generation as a configuration error
+        # these loaded, then failed at generation as a configuration error;
+        # the huge ones also printed numpy overflow warnings
         (tmp_path / "o").mkdir()
-        if edit == "noise_sd":
-            doc = {"benchmark": "waveform", "curves_per_class": 2, "noise_sd": float("inf")}
-        else:
-            with open(small_spec, encoding="utf-8") as fh:
-                doc = json.load(fh)
+        with open(small_spec, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if edit.endswith("noise_sd"):
+            noise_sd = float("inf") if edit == "noise_sd" else 1e308
+            doc = {"benchmark": "waveform", "curves_per_class": 2, "noise_sd": noise_sd}
+        elif edit == "levels":
             doc["classes"][0][0]["levels"] = [float("nan"), 1.0]
+        elif edit == "huge_span":
+            doc["span"] = [-1e308, 1e308]
+        else:
+            doc["classes"][0][0].update(levels=[-1e308, 1e308], sharpness=10.0)
         spec = tmp_path / "bad_spec.json"
         spec.write_text(json.dumps(doc))
         capsys.readouterr()
