@@ -8,7 +8,7 @@ also ships the baseline variants, BIC model selection, synthetic
 benchmark generators, and a cross-validation harness.
 """
 
-from .baselines import fit_regression_mixture, fit_single_regression
+from .baselines import fit_regression_mixture
 from .core import (
     Basis,
     Curve,

@@ -1,19 +1,22 @@
-"""Baseline functional models: single regressions and regression mixtures.
+"""Baseline functional models: regression mixtures, and their one-cluster
+case, the single regressions of FLDA.
 
-Both are the one-regime case of the MixRHLP model and run its E- and
-M-step, so the classifier treats all variants alike. A single regression
-is one M-step from one cluster that holds every curve: least squares over
-all points of all curves, with one noise variance. A regression mixture
-has K clusters with curve-level responsibilities, fitted by the EM driver
-of ``mixrhlp`` (``_ascend`` and ``_fit_restarts``) from random starts
-that are each one M-step from the hard responsibilities of a random
-partition. At R=1 the kernel evaluates each curve's density in closed
-form, the statistics are the cluster totals, gamma' x and gamma' x^2,
-and the M-step leaves no logistic problem. Both work on polynomial and
+A regression mixture is the one-regime case of the MixRHLP model: K
+clusters with curve-level responsibilities, fitted by the EM driver of
+``mixrhlp`` (``_ascend`` and ``_fit_restarts``) on its E- and M-step,
+from random starts that are each one M-step from the hard
+responsibilities of a random partition. At R=1 the kernel evaluates each
+curve's density in closed form, the statistics are the cluster totals,
+gamma' x and gamma' x^2, and the M-step leaves no logistic problem. A
+single regression is the mixture at K=1: its one start, from all curves,
+is least squares over all points of all curves with one noise variance,
+and the one EM map that follows confirms it. Both work on polynomial and
 B-spline designs.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,12 +25,10 @@ from .mixrhlp import (
     EmConfig,
     FitReport,
     MixRhlpParams,
-    _check_design,
     _e_step_full,
     _EmState,
     _fit_restarts,
     _m_step_impl,
-    _pack,
     _random_partition,
     _sufficient_stats,
     _unpack,
@@ -39,33 +40,6 @@ from .mixrhlp import (
 _mixture_m_step = _m_step_impl
 
 
-def _check_points(n_curves: int, design: DesignMatrix) -> None:
-    points = n_curves * len(design.grid)
-    if points < design.n_cols:
-        raise ValueError(f"{points} points cannot support {design.n_cols} coefficients")
-
-
-def _hard_fit(
-    gamma: np.ndarray, values: np.ndarray, design: DesignMatrix, floor: float
-) -> _EmState:
-    """The one-regime iterate of one M-step from the hard (n, K)
-    responsibilities ``gamma``, each column one part of the curves."""
-    K, d = gamma.shape[1], design.n_cols
-    arrays = (np.zeros((K, 1, d)),), (np.ones((K, 1)),), (np.zeros((K, 1, 2)),)
-    blank = _EmState(np.full(K, 1.0 / K), (tuple(range(K)),), *arrays)
-    stats = _sufficient_stats(gamma, blank.groups, [None], values)
-    return _m_step_impl(stats, values, design, blank, floor, None, False, [])[0]
-
-
-def fit_single_regression(values: np.ndarray, design: DesignMatrix) -> MixRhlpParams:
-    """Least squares over all points of all curves stacked: one cluster
-    with one regime."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    _check_points(values.shape[0], design)
-    gamma = np.ones((values.shape[0], 1))
-    return _unpack(_hard_fit(gamma, values, design, variance_floor(values)))
-
-
 def _mixture_start(
     values: np.ndarray, design: DesignMatrix, n_clusters: int, floor: float, rng
 ) -> _EmState:
@@ -75,7 +49,11 @@ def _mixture_start(
     gamma = np.zeros((values.shape[0], n_clusters))
     for k, part in enumerate(parts):
         gamma[part, k] = 1.0
-    return _hard_fit(gamma, values, design, floor)
+    K, d = n_clusters, design.n_cols
+    arrays = (np.zeros((K, 1, d)),), (np.ones((K, 1)),), (np.zeros((K, 1, 2)),)
+    blank = _EmState(np.full(K, 1.0 / K), (tuple(range(K)),), *arrays)
+    stats = _sufficient_stats(gamma, blank.groups, [None], values)
+    return _m_step_impl(stats, values, design, blank, floor, None, False, [])[0]
 
 
 def fit_regression_mixture(
@@ -87,29 +65,26 @@ def fit_regression_mixture(
 ) -> tuple[MixRhlpParams, FitReport]:
     """Curve-level mixture-of-regressions EM with multi-restart best-of.
 
-    ``config.n_clusters`` is the number of components; the regime and
-    degree fields of the config are ignored (the design fixes the basis).
-    ``init``, when given, must hold one regime per cluster with
-    coefficients as wide as the design; else ``ValueError``. So must the
-    smallest part of a random start, n // K curves, hold at least as many
-    points as the design has columns.
+    ``config.n_clusters`` is the number of components, and at 1 the fit is
+    a single regression, from one start; the regime and degree fields of
+    the config are ignored (the design fixes the basis). ``init``, when
+    given, must hold one regime per cluster; else ``ValueError``, as for
+    the shapes that ``mixrhlp._fit_restarts`` rejects: fewer curves than
+    clusters, more design columns than grid points, or an ``init`` whose
+    coefficients do not fit the design.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    if init is not None:
-        if any(r != 1 for r in init.regimes):
-            raise ValueError(f"init must hold one regime per cluster, got {init.regimes}")
-        _check_design(design, init)
-    if values.shape[0] >= config.n_clusters:  # else _fit_restarts names the clustering
-        _check_points(values.shape[0] // config.n_clusters, design)
+    if init is not None and any(r != 1 for r in init.regimes):
+        raise ValueError(f"init must hold one regime per cluster, got {init.regimes}")
     floor = variance_floor(values)
     return _fit_restarts(
         _e_step_full,
         _mixture_m_step,
         lambda state, trace, stop: _unpack(state),
         lambda rng: _mixture_start(values, design, config.n_clusters, floor, rng),
-        None if init is None else _pack(init),
+        init,
         values,
         design,
-        config,
+        replace(config, n_regimes=1),
         floor,
     )

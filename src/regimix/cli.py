@@ -238,7 +238,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     config = TrainConfig(**cfg)
     model, reports = train_detailed(data, config)
     for label, rep in enumerate(reports, start=1):
-        if rep is not None and not rep.converged:
+        if not rep.converged:
             print(
                 f"regimix: warning: class {label} fit stopped after {rep.iterations} "
                 f"iterations without converging (stop reason: {rep.stop_reason})",
@@ -249,9 +249,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         "command": "fit",
         "config": config.to_dict(),
         "per_class": [
-            None
-            if rep is None
-            else {
+            {
                 "loglik_trace": list(rep.loglik_trace),
                 "iterations": rep.iterations,
                 "converged": rep.converged,

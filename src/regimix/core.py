@@ -276,19 +276,14 @@ def ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     eigvals, eigvecs = np.linalg.eigh(np.asarray(gram, dtype=float))  # ascending
     rhs = np.asarray(rhs, dtype=float)
-    if eigvals.ndim == 1:  # one system: scalar tests keep its cost at that of one solve
-        if not (eigvals[0] > 0 and eigvals[-1] <= MAX_CONDITION * eigvals[0]):
-            eigvals = eigvals + (1e-10 * abs(eigvals.sum()) / eigvals.size or 1e-10)
-        x = eigvecs @ ((rhs @ eigvecs) / eigvals)
-    else:
-        lo, hi = eigvals[..., :1], eigvals[..., -1:]
-        ill = ~((lo > 0) & (hi <= MAX_CONDITION * lo))
-        if ill.any():
-            ridge = 1e-10 * np.abs(eigvals.sum(axis=-1, keepdims=True)) / eigvals.shape[-1]
-            ridge[ridge == 0] = 1e-10
-            eigvals = eigvals + np.where(ill, ridge, 0.0)
-        coef = (rhs[..., None, :] @ eigvecs) / eigvals[..., None, :]
-        x = (eigvecs @ coef.swapaxes(-1, -2))[..., 0]
+    lo, hi = eigvals[..., :1], eigvals[..., -1:]
+    ill = ~((lo > 0) & (hi <= MAX_CONDITION * lo))
+    if ill.any():
+        ridge = 1e-10 * np.abs(eigvals.sum(axis=-1, keepdims=True)) / eigvals.shape[-1]
+        ridge[ridge == 0] = 1e-10
+        eigvals = eigvals + np.where(ill, ridge, 0.0)
+    coef = (rhs[..., None, :] @ eigvecs) / eigvals[..., None, :]
+    x = (eigvecs @ coef.swapaxes(-1, -2))[..., 0]
     if not np.isfinite(x).all():
         raise np.linalg.LinAlgError("ridge_solve: the solution is not finite")
     return x

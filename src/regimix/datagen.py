@@ -101,7 +101,10 @@ class RegimeProfile:
             return levels[np.searchsorted(bounds, t, side="right")]
         out = np.full_like(t, levels[0], dtype=float)
         for step, b in zip(np.diff(levels), bounds):
-            out += step / (1.0 + np.exp(-self.sharpness * (t - b)))
+            # far before a sharp boundary the exp overflows, and its inf
+            # gives the step's exact 0
+            with np.errstate(over="ignore"):
+                out += step / (1.0 + np.exp(-self.sharpness * (t - b)))
         return out
 
 

@@ -8,9 +8,12 @@ hidden-process regressions). A curve is assigned to the class with the
 highest prior-weighted conditional density.
 
 Every class density is a ``MixRhlpParams``: the regression baselines have
-one regime per cluster and the FLDA variants one cluster. Only the
-training configuration and the choice of fitting algorithm read the
-variant; scoring, summaries and model documents take one path.
+one regime per cluster and the FLDA variants one cluster, so an FLDA
+variant is fitted as the FMDA variant of its family at K=1. Every class
+fit runs the EM driver of ``mixrhlp`` and returns a ``FitReport``. Only
+the training configuration and the choice of family (``em_fit`` for the
+hidden-process variants, else ``baselines.fit_regression_mixture``) read
+the variant; scoring, summaries and model documents take one path.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ FMDA_MIXRHLP = "fmda-mixrhlp"
 
 VARIANTS = (FLDA_PR, FLDA_SR, FLDA_RHLP, FMDA_PRM, FMDA_SRM, FMDA_MIXRHLP)
 
+_FLDA_VARIANTS = (FLDA_PR, FLDA_SR, FLDA_RHLP)
 _SPLINE_VARIANTS = (FLDA_SR, FMDA_SRM)
 RHLP_VARIANTS = (FLDA_RHLP, FMDA_MIXRHLP)
 
@@ -88,7 +92,7 @@ class TrainConfig:
         return Basis.polynomial(self.degree)
 
     def em_config(self, seed: int) -> EmConfig:
-        n_clusters = 1 if self.variant == FLDA_RHLP else self.n_clusters
+        n_clusters = 1 if self.variant in _FLDA_VARIANTS else self.n_clusters
         return EmConfig(
             n_clusters=n_clusters,
             n_regimes=self.n_regimes,
@@ -153,17 +157,11 @@ class ClassifierModel:
 
 
 def _fit_class(
-    variant: str,
-    values: np.ndarray,
-    design: DesignMatrix,
-    config: TrainConfig,
-    seed: int,
-):
-    if variant in (FLDA_PR, FLDA_SR):
-        return baselines.fit_single_regression(values, design), None
-    if variant in (FMDA_PRM, FMDA_SRM):
-        return baselines.fit_regression_mixture(values, design, config.em_config(seed))
-    return mixrhlp.em_fit(values, design.grid, config.em_config(seed))
+    values: np.ndarray, design: DesignMatrix, config: TrainConfig, seed: int
+) -> tuple[MixRhlpParams, FitReport]:
+    if config.variant in RHLP_VARIANTS:
+        return mixrhlp.em_fit(values, design.grid, config.em_config(seed))
+    return baselines.fit_regression_mixture(values, design, config.em_config(seed))
 
 
 def class_priors(data: LabeledCurveSet) -> np.ndarray:
@@ -174,7 +172,7 @@ def class_priors(data: LabeledCurveSet) -> np.ndarray:
 
 def train_detailed(
     data: LabeledCurveSet, config: TrainConfig
-) -> tuple[ClassifierModel, list[FitReport | None]]:
+) -> tuple[ClassifierModel, list[FitReport]]:
     """Fit every class density; also return the per-class fit reports.
 
     Class g is fitted on its own curves with a sub-seed derived from the
@@ -184,12 +182,9 @@ def train_detailed(
     priors = class_priors(data)
     design = design_matrix(data.grid, config.basis())
     class_models = []
-    reports: list[FitReport | None] = []
+    reports: list[FitReport] = []
     for g in range(1, data.n_classes + 1):
-        values = data.class_values(g)
-        model, report = _fit_class(
-            config.variant, values, design, config, subseed(config.seed, g)
-        )
+        model, report = _fit_class(data.class_values(g), design, config, subseed(config.seed, g))
         class_models.append(model)
         reports.append(report)
     model = ClassifierModel(

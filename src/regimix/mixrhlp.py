@@ -270,7 +270,10 @@ class FitReport:
 
 @dataclass(frozen=True)
 class EmConfig:
-    """EM settings: model size, stopping rule, restarts, master seed."""
+    """EM settings: model size, stopping rule, restarts, master seed.
+
+    ``n_restarts`` does not apply at ``n_clusters=1``: every random start
+    of a one-cluster fit is the same, so it takes one."""
 
     n_clusters: int = 1
     n_regimes: int | tuple[int, ...] = 1
@@ -1044,23 +1047,39 @@ def _stabilised(e_step, m_step, plain, step_max: float, floor: float):
 def _fit_restarts(
     e_step, m_step, finish, start, init, values, design, config: EmConfig, floor: float
 ) -> tuple[MixRhlpParams, FitReport]:
-    """Best of the EM restarts of either family: the run from the start
-    ``init`` if given, else one per stream ``child_rng(config.seed, r)``,
-    from ``start(rng)``. ``_ascend`` runs them in lockstep on ``e_step`` and
+    """Best of the EM restarts of either family: the run from the
+    parameters ``init`` if given, else one per stream
+    ``child_rng(config.seed, r)``, from ``start(rng)``. A one-cluster fit
+    takes one start: every random start of it is the one partition of the
+    curves into one part, so its other restarts would repeat the first bit
+    for bit. ``_ascend`` runs the restarts in lockstep on ``e_step`` and
     ``m_step``, which are ``_e_step_full`` and ``_m_step_impl`` under the
     caller's names (the benchmark's tracer counts each family's calls
     apart), and ``finish(state, trace, stop)`` gives the parameters of each
     finished restart. The highest final loglik wins, ties to the smaller
-    index."""
-    n = values.shape[0]
+    index.
+
+    The shapes of both families are checked here, once: ``ValueError`` for
+    fewer curves than clusters, more design columns or regimes (those of
+    ``config``, or of ``init``) than grid points, which no Gram or
+    segmentation of curves on one grid can identify, or an ``init`` whose
+    coefficients do not fit the design.
+    """
+    n, m = values.shape
     if n < config.n_clusters:
         raise ValueError(
             f"infeasible clustering: {n} curves for {config.n_clusters} clusters"
         )
+    regimes = config.regimes() if init is None else init.regimes
+    for count, what in ((design.n_cols, "design columns"), (max(regimes), "regimes")):
+        if count > m:
+            raise ValueError(f"unidentifiable model: {count} {what} on {m} grid points")
     if init is not None:
-        starts = [init]
+        _check_design(design, init)
+        starts = [_pack(init)]
     else:
-        starts = [start(child_rng(config.seed, r)) for r in range(config.n_restarts)]
+        n_starts = 1 if config.n_clusters == 1 else config.n_restarts
+        starts = [start(child_rng(config.seed, r)) for r in range(n_starts)]
     # the E-step's workspace, one (G, R, n, m) buffer per regime group of
     # more than one regime; the restarts share it, since their E-steps run
     # one at a time and each takes its statistics from the buffer at once
@@ -1120,26 +1139,14 @@ def em_fit(
     ``FitReport.restarts`` records how each one stopped and how many
     extrapolations the one that went on alone kept and rejected. A fit
     with ``max_iter`` of at most ``_SCREEN_AT`` is plain EM bit for bit.
-    Raises ``ValueError`` for shapes the data cannot identify: fewer curves
-    than clusters, more regimes than grid points, or a degree + 1 above
-    the number of grid points.
+    A one-cluster fit takes one start, whatever ``n_restarts`` says. Raises
+    ``ValueError`` for shapes the data cannot identify (see
+    ``_fit_restarts``): fewer curves than clusters, or more regimes, or
+    coefficients (degree + 1), than grid points.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    n, m = values.shape
-    if max(config.regimes()) > m:
-        raise ValueError(
-            f"unidentifiable model: {max(config.regimes())} regimes on {m} grid points"
-        )
-    if config.degree + 1 > m:
-        raise ValueError(
-            f"unidentifiable model: degree {config.degree} needs at least "
-            f"{config.degree + 1} grid points, got {m}"
-        )
     design = vandermonde(grid, config.degree)
-    if init is not None:
-        _check_design(design, init)
     floor = variance_floor(values)
-
     return _fit_restarts(
         _e_step_full,
         _m_step_impl,
@@ -1148,7 +1155,7 @@ def em_fit(
         lambda rng: _pack(
             initial_params(values, design, config.n_clusters, config.regimes(), rng, floor)
         ),
-        None if init is None else _pack(init),
+        init,
         values,
         design,
         config,

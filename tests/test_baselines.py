@@ -7,7 +7,7 @@ import pytest
 
 from oracles import explicit_wls_beta, mp_gauss, mp_rhlp_density
 from regimix import baselines
-from regimix.baselines import fit_regression_mixture, fit_single_regression
+from regimix.baselines import fit_regression_mixture
 from regimix.core import Basis, Curve, TimeGrid, design_matrix, vandermonde
 from regimix.datagen import WaveformSpec, gen_waveform
 from regimix.logistic import LogisticWeights
@@ -47,19 +47,29 @@ def variance_of(params, k=0):
     return float(params.clusters[k].variances[0])
 
 
+def single_regression(values, design):
+    """FLDA's class model: the regression mixture at K=1, and its report."""
+    return fit_regression_mixture(values, design, EmConfig(n_clusters=1))
+
+
 class TestFitSingleRegression:
+    """A single regression is the regression mixture at K=1: its one start
+    is least squares over all points of all curves, and the one EM map
+    that follows confirms it."""
+
     def test_constant_curves(self):
         g = grid_of(0.0, 1.0, 2.0)
         design = vandermonde(g, 0)
-        fitted = fit_single_regression(np.full((4, 3), 7.5), design)
+        fitted, report = single_regression(np.full((4, 3), 7.5), design)
         assert fitted.regimes == (1,)
         assert coeffs_of(fitted)[0] == pytest.approx(7.5, rel=1e-12)
         assert variance_of(fitted) == 1e-10  # clamped to the floor
+        assert report.converged and report.iterations == 1
 
     def test_exact_line(self):
         g = grid_of(0.0, 1.0, 2.0)
         design = vandermonde(g, 1)
-        fitted = fit_single_regression(np.array([[0.0, 1.0, 2.0]]), design)
+        fitted, _ = single_regression(np.array([[0.0, 1.0, 2.0]]), design)
         np.testing.assert_allclose(coeffs_of(fitted), [0.0, 1.0], atol=1e-10)
         assert variance_of(fitted) <= 1e-8  # zero residual, clamped to the floor
 
@@ -68,16 +78,19 @@ class TestFitSingleRegression:
         g = TimeGrid(np.sort(rng.uniform(0, 3, size=6)))
         design = vandermonde(g, 2)
         values = rng.normal(size=(4, 6))
-        fitted = fit_single_regression(values, design)
+        fitted, report = single_regression(values, design)
         beta_ref = explicit_wls_beta(np.ones((4, 6)), values, design.matrix)
         np.testing.assert_allclose(coeffs_of(fitted), beta_ref, rtol=1e-9)
+        residual = values - design.matrix @ beta_ref
+        assert variance_of(fitted) == pytest.approx(np.mean(residual**2), rel=1e-9)
+        assert report.stop_reason == "tol" and report.iterations == 1
 
     def test_underdetermined_rejected(self):
         g = grid_of(0.0, 1.0)
         # fine: 2 points, 2 coefficients
-        fit_single_regression(np.array([[1.0, 2.0]]), vandermonde(g, 1))
-        with pytest.raises(ValueError):
-            fit_single_regression(np.array([[1.0, 2.0]]), vandermonde(g, 2))
+        single_regression(np.array([[1.0, 2.0]]), vandermonde(g, 1))
+        with pytest.raises(ValueError, match="3 design columns on 2 grid points"):
+            single_regression(np.array([[1.0, 2.0]]), vandermonde(g, 2))
 
 
 class TestSingleRegressionLoglik:
@@ -219,9 +232,49 @@ class TestFitRegressionMixture:
         params, _ = fit_regression_mixture(
             values, design, EmConfig(n_clusters=1, n_restarts=1, seed=0)
         )
-        direct = fit_single_regression(values, design)
-        np.testing.assert_allclose(coeffs_of(params), coeffs_of(direct), rtol=1e-10)
-        assert variance_of(params) == pytest.approx(variance_of(direct), rel=1e-10)
+        beta_ref = explicit_wls_beta(np.ones((5, 10)), values, design.matrix)
+        np.testing.assert_allclose(coeffs_of(params), beta_ref, rtol=1e-10)
+        residual = values - design.matrix @ beta_ref
+        assert variance_of(params) == pytest.approx(np.mean(residual**2), rel=1e-10)
+        np.testing.assert_array_equal(params.weights, [1.0])
+
+    @pytest.mark.parametrize("family", ["regression", "mixrhlp"])
+    def test_one_cluster_takes_one_start(self, family):
+        # every random start of a one-cluster fit is the one partition of the
+        # curves into one part, so the fit takes one start however many
+        # restarts are asked for
+        rng = np.random.default_rng(43)
+        g = TimeGrid(np.linspace(0, 1, 12))
+        values = np.vstack([rng.normal(size=(6, 12)), 2.0 + rng.normal(size=(6, 12))])
+        fits = {}
+        for n_restarts in (1, 5):
+            cfg = EmConfig(n_clusters=1, n_regimes=2, degree=1, max_iter=30,
+                           n_restarts=n_restarts, seed=3)
+            if family == "regression":
+                fits[n_restarts] = fit_regression_mixture(values, vandermonde(g, 1), cfg)
+            else:
+                fits[n_restarts] = em_fit(values, g, cfg)
+        (one, one_report), (five, five_report) = fits[1], fits[5]
+        assert five_report.restarts_tried == 1
+        assert five_report == one_report
+        np.testing.assert_array_equal(five.weights, one.weights)
+        for c1, c5 in zip(one.clusters, five.clusters, strict=True):
+            np.testing.assert_array_equal(c5.coeffs, c1.coeffs)
+            np.testing.assert_array_equal(c5.variances, c1.variances)
+            np.testing.assert_array_equal(c5.logistic.coef, c1.logistic.coef)
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_more_design_columns_than_grid_points_rejected(self, K):
+        # curves on one grid stack to a design of the rank of the grid's own
+        # (m, d) design: at d > m every Gram is singular, however many
+        # curves there are (2K curves here hold 4K >= 3 points)
+        g = grid_of(0.0, 1.0)
+        values = np.random.default_rng(44).normal(size=(2 * K, 2))
+        cfg = EmConfig(n_clusters=K, degree=2, n_restarts=1)
+        with pytest.raises(ValueError, match="3 design columns on 2 grid points"):
+            fit_regression_mixture(values, vandermonde(g, 2), cfg)
+        with pytest.raises(ValueError, match="3 design columns on 2 grid points"):
+            em_fit(values, g, cfg)
 
     def test_recovers_separated_constants(self):
         rng = np.random.default_rng(37)

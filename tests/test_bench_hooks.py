@@ -107,3 +107,15 @@ def test_regression_mixture_is_not_counted_as_mixrhlp():
     assert value["baselines.em_iterations"] > 0
     assert value["mixrhlp.e_steps"] == 0
     assert value["mixrhlp.restarts"] == 0
+
+
+def test_single_regression_is_one_em_map_per_class():
+    # FLDA is the one-cluster regression mixture: fit_regression_mixture's
+    # span times it, and each class fit takes one start and one EM map,
+    # none of them MixRHLP's
+    per_layer = _traced_metrics(("flda-pr",))
+    value = {name: entry["value"] for name, entry in per_layer.items()}
+    assert value["baselines.fit_s"] > 0
+    assert value["baselines.em_iterations"] == 2  # the piecewise data's classes
+    assert value["mixrhlp.e_steps"] == 0
+    assert value["mixrhlp.restarts"] == 0

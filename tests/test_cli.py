@@ -200,6 +200,34 @@ class TestGenerate:
         assert capsys.readouterr().err.splitlines() == [f"regimix: data error: {message}"]
         assert not any((tmp_path / "o").iterdir())
 
+    def test_sharp_sigmoid_generates_without_warning(self, tmp_path, small_spec):
+        # far before a sharp boundary the sigmoid's exp overflows, and its
+        # inf gives the right 0 step: a valid spec, so stderr stays empty.
+        # A fresh process shows the warnings that pytest would capture.
+        import subprocess
+        import sys
+
+        with open(small_spec, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["classes"][0][0]["sharpness"] = 1e4
+        spec = tmp_path / "sharp_spec.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        out.mkdir()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-c",
+             "import sys; from regimix.cli import main; sys.exit(main())",
+             "generate", "--spec-json", str(spec), "--out", str(out)],
+            capture_output=True, cwd=tmp_path, env=env, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert (out / "curves.csv").exists()
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run("generate", "--benchmark", "nonsense", "--out", "x")
@@ -221,6 +249,24 @@ class TestFit:
             trace = per_class["loglik_trace"]
             assert all(b - a >= -1e-8 for a, b in zip(trace, trace[1:]))
         assert report["config"]["tol"] == 1e-6  # stopping-rule default
+
+    @pytest.mark.parametrize("variant", ["flda-pr", "flda-sr"])
+    def test_single_regression_report_has_every_class(self, tmp_path, dataset_dir, variant):
+        # a single regression is the one-cluster regression mixture: each
+        # class gets a record, of one start that meets tol after one map
+        report_path = tmp_path / "report.json"
+        code = run(
+            "fit", "--data", dataset_dir, "--variant", variant, "--p", "1",
+            "--spline-knots", "3", "--n-restarts", "4",
+            "--out", str(tmp_path / "m.json"), "--report", str(report_path),
+        )
+        assert code == 0
+        per_class = json.loads(report_path.read_text())["per_class"]
+        assert len(per_class) == 2
+        for record in per_class:
+            assert record["converged"] is True
+            assert record["iterations"] == 1 and record["restarts_tried"] == 1
+            assert [r["stop_reason"] for r in record["restarts"]] == ["tol"]
 
     def test_rerun_byte_identical(self, tmp_path, dataset_dir):
         args = (

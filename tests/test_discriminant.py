@@ -24,7 +24,7 @@ from regimix.discriminant import (
 )
 from regimix.errors import DataError
 from regimix.logistic import LogisticWeights
-from regimix.mixrhlp import MixRhlpParams, RhlpParams, mean_curves
+from regimix.mixrhlp import FitReport, MixRhlpParams, RhlpParams, mean_curves
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -96,9 +96,14 @@ class TestTrain:
             data, TrainConfig(variant="fmda-prm", degree=0, n_clusters=2,
                               n_restarts=1, max_iter=10)
         )
-        assert all(rep is not None for rep in reports)
+        assert all(isinstance(rep, FitReport) for rep in reports)
+        # a single regression is the one-cluster regression mixture: one
+        # start, confirmed by one EM map that gains less than tol
         _, reports = train_detailed(data, TrainConfig(variant="flda-pr", degree=0))
-        assert all(rep is None for rep in reports)
+        assert all(isinstance(rep, FitReport) for rep in reports)
+        for rep in reports:
+            assert rep.restarts_tried == 1
+            assert rep.stop_reason == "tol" and rep.iterations == 1
 
 
 class TestClassify:

@@ -624,7 +624,7 @@ class TestEmFit:
             em_fit(values, g, EmConfig(n_regimes=5, n_restarts=1))
         with pytest.raises(ValueError, match="regimes on 4 grid points"):
             em_fit(values, g, EmConfig(n_clusters=2, n_regimes=(2, 5), n_restarts=1))
-        with pytest.raises(ValueError, match="degree 4 needs at least 5 grid points"):
+        with pytest.raises(ValueError, match="5 design columns on 4 grid points"):
             em_fit(values, g, EmConfig(degree=4, n_restarts=1))
         # the segment initialization, which the starved-cluster rescue of the
         # public m_step also runs, gives every regime a grid point or refuses
