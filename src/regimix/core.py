@@ -229,6 +229,19 @@ def bspline_basis(grid: TimeGrid, order: int, interior_knots: int) -> DesignMatr
         values[:, 1:] += w * (x[:, None] - left)
     mat = np.zeros((m, n_basis))
     np.put_along_axis(mat, span[:, None] - degree + np.arange(order), values, axis=1)
+    # Schoenberg-Whitney: the columns are independent if and only if each
+    # function j can be given its own grid point where it is non-zero, in
+    # increasing order; the supports move right with j, so the earliest
+    # free point is always the best choice
+    row = -1
+    for j in range(n_basis):
+        free = np.flatnonzero(mat[row + 1 :, j])
+        if free.size == 0:
+            raise ValueError(
+                f"singular spline basis: function {j + 1} of {n_basis} is zero on every "
+                "grid point not taken by an earlier one"
+            )
+        row += 1 + int(free[0])
     return DesignMatrix(mat, basis, grid)
 
 

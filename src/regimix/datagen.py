@@ -12,7 +12,9 @@ heterogeneous class.
 
 Every curve is generated from its own counter-based stream indexed by
 (seed, curve index), so output is bit-identical per (spec, seed) and
-independent of generation order.
+independent of generation order. The streams of all curves are drawn in
+one ``rng.uniforms`` call, and the noise and means are built as whole
+arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .core import (
     check_structure,
 )
 from .errors import DataError
-from .rng import box_muller, child_rng
+from .rng import uniforms
 
 #: The most values, curves x points, that a spec may generate: 10 million,
 #: 80 MB as floats and about 200 MB as CSV text.
@@ -48,7 +50,7 @@ def _check_size(n_curves: int, n_points: int) -> None:
         )
 
 
-#: Bounds the size of a ``box_muller`` draw: the largest is
+#: Bounds the size of a Box-Muller draw (``_noise``): the largest is
 #: sqrt(-2 ln 2**-53) = 8.5716, from the largest uniform below 1.
 _MAX_DRAW = 8.58
 
@@ -183,28 +185,38 @@ def default_piecewise_spec() -> PiecewiseSpec:
     return PiecewiseSpec(class_profiles=(class1, class2))
 
 
+def _noise(draws: np.ndarray, m: int, noise_sd: float) -> np.ndarray:
+    """``noise_sd`` times standard normals, one row per curve, made in place
+    from the last 2m columns of the stream table ``draws`` by the Box-Muller
+    transform of ``rng.uniforms``. Returns the view of the first m of those
+    columns; the last m are left spent."""
+    u1, u2 = draws[:, -2 * m : -m], draws[:, -m:]
+    np.negative(u1, out=u1)
+    np.log1p(u1, out=u1)
+    np.multiply(u1, -2.0, out=u1)
+    np.sqrt(u1, out=u1)
+    np.multiply(u2, 2.0 * np.pi, out=u2)
+    np.cos(u2, out=u2)
+    np.multiply(u1, u2, out=u1)
+    np.multiply(u1, noise_sd, out=u1)
+    return u1
+
+
 def gen_piecewise(spec: PiecewiseSpec, seed: int) -> LabeledCurveSet:
     """Curves drawn around each sub-class mean with i.i.d. Gaussian noise.
 
-    Curves appear class by class, sub-class by sub-class, in spec order.
+    Curves appear class by class, sub-class by sub-class, in spec order;
+    curve i draws its noise from stream (seed, i).
     """
     lo, hi = spec.span
     grid = TimeGrid(np.linspace(lo, hi, spec.n_points))
-    t = grid.points
-    values = []
-    labels = []
-    curve_index = 0
-    for class_idx, sub_profiles in enumerate(spec.class_profiles, start=1):
-        for profile in sub_profiles:
-            mean = profile.mean(t)
-            for _ in range(spec.curves_per_subclass):
-                noise = box_muller(child_rng(seed, curve_index), spec.n_points)
-                values.append(mean + spec.noise_sd * noise)
-                labels.append(class_idx)
-                curve_index += 1
-    return LabeledCurveSet(
-        np.array(values), np.array(labels), grid, len(spec.class_profiles)
-    )
+    per = spec.curves_per_subclass
+    means = [p.mean(grid.points) for sub in spec.class_profiles for p in sub]
+    values = np.repeat(means, per, axis=0)
+    values += _noise(uniforms(seed, len(values), 2 * spec.n_points), spec.n_points, spec.noise_sd)
+    n_classes = len(spec.class_profiles)
+    labels = np.repeat(np.arange(1, n_classes + 1), [per * len(sub) for sub in spec.class_profiles])
+    return LabeledCurveSet(values, labels, grid, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +274,26 @@ def waveform_base(which: int, t) -> np.ndarray | float:
 _WAVEFORM_PAIRS = {1: (1, 2), 2: (1, 3), 3: (2, 3)}
 
 
+def _waveform_values(spec: WaveformSpec, t: np.ndarray, seed: int) -> np.ndarray:
+    """The (3 * curves_per_class, m) values: curve i reads stream (seed, i),
+    a mixing draw u and then its noise pairs, and is
+    u * base_a + (1 - u) * base_b + noise. The stream table dies on return,
+    before ``LabeledCurveSet`` copies the values."""
+    per, m = spec.curves_per_class, t.size
+    draws = uniforms(seed, 3 * per, 1 + 2 * m)
+    noise = _noise(draws, m, spec.noise_sd)
+    u, spent = draws[:, :1], draws[:, 1 + m :]
+    values = np.empty((3 * per, m))
+    for k, orig_class in enumerate((1, 2, 3)):
+        rows = slice(k * per, (k + 1) * per)
+        a, b = _WAVEFORM_PAIRS[orig_class]
+        np.multiply(u[rows], waveform_base(a, t), out=values[rows])
+        np.multiply(1.0 - u[rows], waveform_base(b, t), out=spent[rows])
+        values[rows] += spent[rows]
+    values += noise
+    return values
+
+
 def gen_waveform(spec: WaveformSpec, seed: int) -> LabeledCurveSet:
     """Waveform curves: per curve, one uniform mixing draw plus i.i.d. noise.
 
@@ -271,24 +303,13 @@ def gen_waveform(spec: WaveformSpec, seed: int) -> LabeledCurveSet:
     """
     lo, hi = WAVEFORM_SPAN
     grid = TimeGrid(np.arange(lo, hi + WAVEFORM_PERIOD / 2, WAVEFORM_PERIOD))
-    t = grid.points
-    m = len(grid)
-    values = []
-    labels = []
-    curve_index = 0
-    for orig_class in (1, 2, 3):
-        a, b = _WAVEFORM_PAIRS[orig_class]
-        base_a, base_b = waveform_base(a, t), waveform_base(b, t)
-        label = orig_class if not spec.merge else (1 if orig_class in (1, 2) else 2)
-        for _ in range(spec.curves_per_class):
-            rng = child_rng(seed, curve_index)
-            u = rng.random()
-            noise = box_muller(rng, m)
-            values.append(u * base_a + (1.0 - u) * base_b + spec.noise_sd * noise)
-            labels.append(label)
-            curve_index += 1
-    n_classes = 2 if spec.merge else 3
-    return LabeledCurveSet(np.array(values), np.array(labels), grid, n_classes)
+    labels = (1, 1, 2) if spec.merge else (1, 2, 3)
+    return LabeledCurveSet(
+        _waveform_values(spec, grid.points, seed),
+        np.repeat(labels, spec.curves_per_class),
+        grid,
+        max(labels),
+    )
 
 
 def waveform_subclass_origin(spec: WaveformSpec) -> np.ndarray:

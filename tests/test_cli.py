@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from regimix.cli import _COMMAND_SETTINGS, main
-from regimix.core import read_curveset, vandermonde
+from regimix.core import LabeledCurveSet, TimeGrid, read_curveset, vandermonde, write_curveset
 from regimix.discriminant import classify_set, model_from_json
 from regimix.mixrhlp import mean_curves
 
@@ -375,6 +375,25 @@ class TestFit:
         assert capsys.readouterr().err.splitlines() == [
             f"regimix: data error: {curves}:3: could not convert string to float: {token!r}"
         ]
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("knots, message", [
+        (17, "over-parameterized spline basis: 21 functions for 20 points"),
+        (6, "singular spline basis: function 5 of 10 is zero on every grid point "
+            "not taken by an earlier one"),
+    ], ids=["over-parameterized", "gap-in-grid"])
+    def test_spline_basis_that_the_grid_cannot_support(self, tmp_path, capsys, knots, message):
+        # on a grid with a gap the middle cubic B-splines vanish at every
+        # point: 10 columns of rank 8
+        points = np.concatenate([np.linspace(0.0, 0.05, 10), np.linspace(0.95, 1.0, 10)])
+        values = np.random.default_rng(0).normal(size=(6, points.size))
+        data = LabeledCurveSet(values, np.array([1, 1, 1, 2, 2, 2]), TimeGrid(points), 2)
+        write_curveset(data, str(tmp_path / "grid.csv"), str(tmp_path / "curves.csv"))
+        capsys.readouterr()
+        code = run("fit", "--data", str(tmp_path), "--variant", "flda-sr",
+                   "--spline-knots", str(knots), "--out", str(tmp_path / "m.json"))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"regimix: configuration error: {message}"]
         assert not (tmp_path / "m.json").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, dataset_dir):

@@ -124,8 +124,13 @@ class TestBsplineBasis:
         np.testing.assert_allclose(mat, expected, atol=1e-12)
 
     def test_bit_identical_to_scipy(self):
-        """scipy's design matrix is the reference: same knots, same bits."""
+        """scipy's design matrix is the reference: same knots, same bits.
+
+        A design whose columns cannot all be independent on its grid, by
+        a maximum matching of scipy's non-zero pattern, is rejected."""
         interpolate = pytest.importorskip("scipy.interpolate")
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
         rng = np.random.default_rng(12)
         cases = [
             (np.linspace(0.0, 1.0, 200), 4, 10),  # piecewise benchmark grid
@@ -135,11 +140,12 @@ class TestBsplineBasis:
         ]
         cases += [(np.linspace(-3.0, 5.0, 25), order, 0) for order in range(1, 6)]
         cases += [(np.linspace(0.0, 1.0, 30), order, 5) for order in range(1, 6)]
-        for _ in range(20):
+        for _ in range(40):
             m = int(rng.integers(6, 60))
             points = np.unique(rng.uniform(-1e3, 1e3, m))
             order = int(rng.integers(1, 6))
             cases.append((points, order, int(rng.integers(0, points.size - order + 1))))
+        singular = 0
         for points, order, interior in cases:
             t0, t1 = points[0], points[-1]
             knots = np.concatenate([
@@ -148,8 +154,25 @@ class TestBsplineBasis:
                 np.full(order, t1),
             ])
             expected = interpolate.BSpline.design_matrix(points, knots, order - 1).toarray()
+            pattern = sparse.csr_matrix(expected.T != 0)
+            match = csgraph.maximum_bipartite_matching(pattern, perm_type="column")
+            if np.any(match < 0):
+                singular += 1
+                with pytest.raises(ValueError, match="singular spline basis"):
+                    bspline_basis(TimeGrid(points), order, interior)
+                continue
             mat = bspline_basis(TimeGrid(points), order, interior).matrix
             np.testing.assert_array_equal(mat, expected, err_msg=f"{order=} {interior=}")
+        # both kinds occur, and as many grids are compared as the 34 before
+        # the check (the 14 fixed ones and 20 random ones)
+        assert singular > 0 and len(cases) - singular >= 34
+
+    def test_singular_on_its_grid_rejected(self):
+        # 10 columns but rank 8: no grid point lies inside the supports of
+        # the middle functions (Schoenberg-Whitney fails)
+        points = np.concatenate([np.linspace(0.0, 0.05, 10), np.linspace(0.95, 1.0, 10)])
+        with pytest.raises(ValueError, match="function 5 of 10 is zero on every grid point"):
+            bspline_basis(TimeGrid(points), order=4, interior_knots=6)
 
     def test_over_parameterized_rejected(self):
         with pytest.raises(ValueError):

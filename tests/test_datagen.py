@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from json_mutations import mutations
+from regimix.cli import main
 from regimix.datagen import (
     MAX_VALUES,
     PiecewiseSpec,
@@ -18,6 +20,7 @@ from regimix.datagen import (
     waveform_subclass_origin,
 )
 from regimix.errors import DataError
+from regimix.rng import child_rng, uniforms
 
 
 class TestRegimeProfile:
@@ -228,3 +231,78 @@ class TestSpecFiles:
         assert spec_from_json(json.dumps({**doc, key: count})).to_dict()[key] == count
         with pytest.raises(DataError, match=f"exceed the limit of {MAX_VALUES} values"):
             spec_from_json(json.dumps({**doc, key: count + 1}))
+
+
+_SIGMOID = {
+    "benchmark": "piecewise",
+    "classes": [
+        [{"levels": [0.0, 3.0, 1.0], "boundaries": [0.3, 0.7], "sharpness": 25.0},
+         {"levels": [1.0, -2.0], "boundaries": [0.45], "sharpness": 60.0}],
+        [{"levels": [2.0, 2.5], "boundaries": [0.5], "sharpness": 8.0}],
+    ],
+    "noise_sd": 0.5,
+    "curves_per_subclass": 7,
+    "n_points": 57,
+    "span": [-1.0, 2.0],
+}
+
+
+class TestBitIdentity:
+    """The bulk draw against the per-stream generator it reproduces, and
+    generated data against digests recorded from the per-curve
+    generators that the bulk draw replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**63 + 11])
+    def test_uniforms_are_the_child_streams(self, seed):
+        for n in (1, 257):
+            for size in (1, 43, 400):
+                expected = np.stack([child_rng(seed, i).random(size) for i in range(n)])
+                got = uniforms(seed, n, size)
+                assert got.shape == expected.shape and got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected, err_msg=f"{n=} {size=}")
+
+    CASES = {
+        "waveform-merged": lambda seed: gen_waveform(WaveformSpec(40), seed),
+        "waveform-unmerged": lambda seed: gen_waveform(WaveformSpec(40, merge=False), seed),
+        "waveform-noise-0.7": lambda seed: gen_waveform(WaveformSpec(40, noise_sd=0.7), seed),
+        "piecewise-default": lambda seed: gen_piecewise(default_piecewise_spec(), seed),
+        "piecewise-sigmoid": lambda seed: gen_piecewise(spec_from_json(json.dumps(_SIGMOID)), seed),
+    }
+    #: SHA-256 of values.tobytes() then labels.tobytes()
+    GOLDEN = {
+        ("waveform-merged", 0): "0383016ee0571a5e3b297b3657ce4024ebc776821ec9cc52ec288bd974be5d45",
+        ("waveform-merged", 1): "5794acc62d0fa44f1a0b6e8723f0df693faa2e1c96230222da5561e7fb1fc209",
+        ("waveform-merged", 2): "1146960703186d7e85add70b4b3e32d576ed70df1f805b56b764054f59457d90",
+        ("waveform-unmerged", 0): "d522f6b6baead6023674211be3de458ee0943d0035b8689d2d9adab53b5d14cb",
+        ("waveform-unmerged", 1): "1b76bca297aaebe212288aa2a546acc961f1c697912ecf9ca2219cbf12aa12cc",
+        ("waveform-unmerged", 2): "cb3a243c6002e062a111b378f100bd26aaff7cddb0457395b6322fda3694189c",
+        ("waveform-noise-0.7", 0): "c6a9e3020b02a4c6752e0228a37eab9cd944964cd783ab544f2957439c0ad140",
+        ("waveform-noise-0.7", 1): "d1c23192cc2673976a4de3126654c13087cb7802a89d4c347d9efa0fb35e864c",
+        ("waveform-noise-0.7", 2): "a136f212c884dd251c15bdc52fca374bf1b590e132cc9e8e28939c481ffafb45",
+        ("piecewise-default", 0): "cb936c98cbdd08069a3279bfdb4922b3795a5660d6811f6b43f9d21072b8789c",
+        ("piecewise-default", 1): "cfecb75864c2e705d1e351431f85e8bb8e96ff29e34f46eb6a8e3bf9807eceba",
+        ("piecewise-default", 2): "01ff85cf8cc1b7034adbbdc043b27aa71235203e2b2769a30cf54f3a05e61019",
+        ("piecewise-sigmoid", 0): "67bc99dcfe17ed11c9ed4da2fd9ab5d0bfc45c7527f908c46800505b9aabbad5",
+        ("piecewise-sigmoid", 1): "0a43f4748c7f3eaba01d2ab9f628ee5003faa1dfd1b6aace8e700f5351d40d81",
+        ("piecewise-sigmoid", 2): "8c0fa0b73db1adc3c5297d214bdcd8b8cdfb5f0df0b0ccddd4679405c0e3b315",
+    }
+
+    @pytest.mark.parametrize("case, seed", sorted(GOLDEN))
+    def test_generated_bytes(self, case, seed):
+        data = self.CASES[case](seed)
+        digest = hashlib.sha256(data.values.tobytes())
+        digest.update(data.labels.tobytes())
+        assert digest.hexdigest() == self.GOLDEN[case, seed]
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--benchmark", "waveform", "--no-merge", "--per-class", "30", "--noise-sd", "0.7",
+          "--seed", "7"], "c7565286cfe5ad6b806b53a87635960b029448bedf7a12d4cde7b4df91773bf3"),
+        (["--spec-json", "SPEC", "--seed", "3"],
+         "cfa43e2cafd7872b4b50179873944d41e0243a3a378751a4e4825511fa225241"),
+    ], ids=["waveform", "piecewise-spec-json"])
+    def test_generated_curves_file(self, tmp_path, argv, digest):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_SIGMOID))
+        argv = [str(spec) if a == "SPEC" else a for a in argv]
+        assert main(["generate", *argv, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "curves.csv").read_bytes()).hexdigest() == digest
