@@ -13,6 +13,7 @@ one-regime case serves the regression baselines.
 
 from __future__ import annotations
 
+import functools
 import os
 import reprlib
 from dataclasses import dataclass, field
@@ -175,6 +176,12 @@ class DesignMatrix:
     @property
     def n_cols(self) -> int:
         return int(self.matrix.shape[1])
+
+    @functools.cached_property
+    def pinv(self) -> np.ndarray:
+        """(d, m) pseudo-inverse, computed once per design: times a curve, it
+        gives the curve's least-squares coefficients, with no Gram formed."""
+        return _frozen_array(np.linalg.pinv(self.matrix))
 
 
 def vandermonde(grid: TimeGrid, degree: int) -> DesignMatrix:

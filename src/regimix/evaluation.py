@@ -98,18 +98,10 @@ def cv_error_rate(
     return float(np.mean(rates)), tuple(rates)
 
 
-def intra_class_inertia(
-    data: LabeledCurveSet, model: ClassifierModel, *, rule: str = "assigned"
-) -> float:
-    """Summed squared distance between curves and class mean curves.
-
-    ``rule="assigned"`` compares each curve with the mean curve of its
-    most responsible cluster (single-model variants have one mean curve
-    per class). ``rule="all-components"`` instead sums the distance to
-    every cluster mean, a diagnostic that over-counts by design.
-    """
-    if rule not in ("assigned", "all-components"):
-        raise ValueError(f"unknown inertia rule {rule!r}")
+def intra_class_inertia(data: LabeledCurveSet, model: ClassifierModel) -> float:
+    """Summed squared distance between curves and class mean curves: each
+    curve is compared with the mean curve of its most responsible cluster
+    (single-model variants have one mean curve per class)."""
     total = 0.0
     for g in range(1, data.n_classes + 1):
         values = data.class_values(g)
@@ -117,9 +109,6 @@ def intra_class_inertia(
         sq = np.sum(
             (values[:, None, :] - means[None, :, :]) ** 2, axis=2
         )  # (n_g, K)
-        if rule == "all-components":
-            total += float(sq.sum())
-            continue
         if means.shape[0] == 1:
             total += float(sq[:, 0].sum())
             continue

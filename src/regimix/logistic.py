@@ -90,29 +90,27 @@ def _scores(coef: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return coef[..., :1] + coef[..., 1:] * grid.points
 
 
-def _log_probs(coef: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _softmax(coef: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(G, R, m) log-probabilities and probabilities of a (G, R, 2) stack,
+    from one max-shifted softmax of the scores."""
     scores = _scores(coef, grid)
     scores -= scores.max(axis=1, keepdims=True)
-    scores -= np.log(np.exp(scores).sum(axis=1, keepdims=True))
-    return scores
-
-
-def _probs(coef: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    scores = _scores(coef, grid)
-    expd = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return expd / expd.sum(axis=1, keepdims=True)
+    expd = np.exp(scores)
+    sums = expd.sum(axis=1, keepdims=True)
+    scores -= np.log(sums)
+    return scores, np.divide(expd, sums, out=expd)
 
 
 def log_regime_probabilities(coef: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """(G, m, R) log-probabilities of the G processes of a (G, R, 2)
     coefficient array, max-shifted per row; the coefficients are not
     checked."""
-    return _log_probs(coef, grid).transpose(0, 2, 1)
+    return _softmax(coef, grid)[0].transpose(0, 2, 1)
 
 
 def regime_probabilities(weights: LogisticWeights, grid: TimeGrid) -> np.ndarray:
     """(m, R) probabilities of each regime at each grid point; rows sum to 1."""
-    return _probs(weights.coef[None], grid)[0].T
+    return _softmax(weights.coef[None], grid)[1][0].T
 
 
 class _Counts(NamedTuple):
@@ -156,18 +154,13 @@ class _Counts(NamedTuple):
 
 def _objective(coef: np.ndarray, grid: TimeGrid, prepared: _Counts):
     """(G,) values of Q and the (G, R, m) regime probabilities, from one
-    softmax: the log-probabilities of ``_log_probs`` and the
-    probabilities of ``_probs``, bit for bit."""
-    scores = _scores(coef, grid)
-    scores -= scores.max(axis=1, keepdims=True)
-    expd = np.exp(scores)
-    sums = expd.sum(axis=1, keepdims=True)
-    scores -= np.log(sums)
+    ``_softmax``."""
+    log_probs, probs = _softmax(coef, grid)
     # a zero count scores 0, whatever its log-probability (-inf included)
     terms = np.multiply(
-        prepared.counts, scores, out=np.zeros_like(scores), where=prepared.positive
+        prepared.counts, log_probs, out=np.zeros_like(log_probs), where=prepared.positive
     )
-    return terms.reshape(len(coef), -1).sum(axis=1), np.divide(expd, sums, out=expd)
+    return terms.reshape(len(coef), -1).sum(axis=1), probs
 
 
 def qw_value(coef: np.ndarray, grid: TimeGrid, soft_counts):
@@ -218,7 +211,7 @@ def qw_gradient_hessian(
         return np.zeros((G, 0)), np.zeros((G, 0, 0))
 
     counts, totals = prepared.counts, prepared.totals  # (G, R, m), (G, m)
-    probs = _probs(coef, grid) if prepared.probs is None else prepared.probs
+    probs = _softmax(coef, grid)[1] if prepared.probs is None else prepared.probs
     pi = probs[:, :-1]  # (G, R-1, m): the free regimes
     phi, outer, eye = _hessian_constants(grid.points.tobytes(), R - 1)
 

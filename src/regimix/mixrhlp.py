@@ -29,16 +29,19 @@ to one cluster's size and gives the same per-curve log-likelihoods, bit
 for bit. R=1 is a shape case of it: the density is one Gaussian product
 in closed form, with no buffer, and the responsibilities are all 1. The
 M-step fits each group as one stack too: one ``ridge_solve`` over the
-Grams of every regime with mass. It leaves the logistic processes of a
-group of more than one regime to the driver, which fits them by IRLS
-together with those of the other restarts (below).
+Grams of every regime with mass, or at R=1, where every point of a
+cluster carries the cluster's mass, the projection of each cluster's
+weighted mean curve through the design's pseudo-inverse, with no solve.
+It leaves the logistic processes of a group of more than one regime to
+the driver, which fits them by IRLS together with those of the other
+restarts (below).
 
 Each EM restart carries its iterate as one packed state of plain arrays,
 ``_EmState``: the (K,) mixing weights and, for each regime group, the
 (G, R, d) coefficients, (G, R) variances and (G, R, 2) logistic
 coefficients. The E-step reads it and the M-step returns a new one, so an
 iteration builds no ``RhlpParams``, ``LogisticWeights`` or
-``MixRhlpParams`` and checks none: ``em_fit`` packs each start, and
+``MixRhlpParams`` and checks none: ``_fit_restarts`` packs each start, and
 ``_em_once`` builds (and so checks) the parameters of each finished
 restart; the public ``e_step`` and ``m_step`` convert the same way. A NaN
 in an M-step result makes the next E-step's log-likelihoods NaN, which
@@ -60,16 +63,16 @@ memory: ``e_step`` builds checked ``Posteriors`` from fresh arrays, and
 ``m_step`` turns its ``Posteriors`` into the statistics EM uses.
 
 The regression mixtures of ``baselines`` are the R=1 case of the model
-and run its E-step, M-step and EM driver; only their random starts
-differ. One ascent loop, ``_ascend``, advances all restarts of a fit
-together, one iteration at a time, on one thread, and stacks the
-logistic problems that their M-steps hand back by regime count, so that
-one ``irls_fit`` call per count, and per round of M-steps, fits up to
-``n_restarts`` x K processes. Each stacked problem makes the decisions a
-fit of its own would make. After ``_SCREEN_AT`` iterations only the
-leading restart goes on, in SQUAREM cycles (``_squarem_cycles``), and the
-others wait as ``screened``; they go on by plain EM only if it stops
-without converging. ``_ascend`` says what each restart ends at, bit for
+and run its random starts, E-step, M-step and EM driver. One ascent
+loop, ``_ascend``, advances all restarts of a fit together, one
+iteration at a time, on one thread, and stacks the logistic problems
+that their M-steps hand back by regime count, so that one ``irls_fit``
+call per count, and per round of M-steps, fits up to ``n_restarts`` x K
+processes. Each stacked problem makes the decisions a fit of its own
+would make. After ``_SCREEN_AT`` iterations only the leading restart
+goes on, in SQUAREM cycles (``_squarem_cycles``), and the others wait as
+``screened``; they go on by plain EM only if it stops without
+converging. ``_ascend`` says what each restart ends at, bit for
 bit. ``_fit_restarts`` keeps the best of them.
 """
 
@@ -647,7 +650,8 @@ def _fit_clusters(
     """Weighted regime updates for a stack of G clusters that share one
     regime count, given their (3, G, R, m) statistics ``sums``, (G,) cluster
     ``totals`` and previous (G, R, d) ``coeffs`` and (G, R) ``variances``:
-    one regime solve over every regime with mass. The new coefficients and
+    one regime solve over every regime with mass, or at R=1 the projection
+    of each weighted mean curve, with no solve. The new coefficients and
     variances overwrite the given arrays."""
     T = design.matrix
     point_w, xw, x2w = sums
@@ -657,7 +661,10 @@ def _fit_clusters(
     fit = regime_mass > 1e-12 * np.maximum(totals, 1.0)[:, None]
     if fit.any():
         w = point_w[fit]  # (A, m)
-        beta = ridge_solve(T.T @ (w[:, :, None] * T), xw[fit] @ T)
+        if coeffs.shape[1] == 1:
+            beta = (xw[fit] / w) @ design.pinv.T
+        else:
+            beta = ridge_solve(T.T @ (w[:, :, None] * T), xw[fit] @ T)
         mean = beta @ T.T
         sse = np.sum(x2w[fit] - 2.0 * mean * xw[fit] + mean**2 * w, axis=1)
         coeffs[fit] = beta
@@ -800,8 +807,13 @@ def _segment_logistic(grid: TimeGrid, segments: list[np.ndarray]) -> LogisticWei
 def _init_cluster(
     values: np.ndarray, design: DesignMatrix, n_regimes: int, floor: float
 ) -> RhlpParams:
-    """Segment the time axis uniformly and fit one polynomial per segment."""
+    """Segment the time axis uniformly and fit one polynomial per segment;
+    one regime is fitted as the M-step fits it, by projecting the mean curve."""
     T = design.matrix
+    if n_regimes == 1:
+        coeffs = design.pinv @ values.mean(axis=0)
+        variance = max(float(np.mean((values - T @ coeffs) ** 2)), floor)
+        return RhlpParams(LogisticWeights.zeros(1), coeffs[None], [variance])
     if n_regimes > T.shape[0]:
         raise ValueError(f"cannot split {T.shape[0]} grid points into {n_regimes} regimes")
     segments = np.array_split(np.arange(T.shape[0]), n_regimes)
@@ -1045,26 +1057,29 @@ def _stabilised(e_step, m_step, plain, step_max: float, floor: float):
 
 
 def _fit_restarts(
-    e_step, m_step, finish, start, init, values, design, config: EmConfig, floor: float
+    e_step, m_step, finish, init, values, design, config: EmConfig
 ) -> tuple[MixRhlpParams, FitReport]:
     """Best of the EM restarts of either family: the run from the
     parameters ``init`` if given, else one per stream
-    ``child_rng(config.seed, r)``, from ``start(rng)``. A one-cluster fit
-    takes one start: every random start of it is the one partition of the
-    curves into one part, so its other restarts would repeat the first bit
-    for bit. ``_ascend`` runs the restarts in lockstep on ``e_step`` and
-    ``m_step``, which are ``_e_step_full`` and ``_m_step_impl`` under the
-    caller's names (the benchmark's tracer counts each family's calls
-    apart), and ``finish(state, trace, stop)`` gives the parameters of each
-    finished restart. The highest final loglik wins, ties to the smaller
-    index.
+    ``child_rng(config.seed, r)``, from ``initial_params`` with the regime
+    counts of ``config``. A one-cluster fit takes one start: every random
+    start of it is the one partition of the curves into one part, so its
+    other restarts would repeat the first bit for bit. ``_ascend`` runs the
+    restarts in lockstep on ``e_step`` and ``m_step``, which are
+    ``_e_step_full`` and ``_m_step_impl`` under the caller's names (the
+    benchmark's tracer counts each family's calls apart), with the
+    variances floored at ``variance_floor(values)``, and
+    ``finish(state, trace, stop)`` gives the parameters of each finished
+    restart. The highest final loglik wins, ties to the smaller index.
 
-    The shapes of both families are checked here, once: ``ValueError`` for
-    fewer curves than clusters, more design columns or regimes (those of
-    ``config``, or of ``init``) than grid points, which no Gram or
-    segmentation of curves on one grid can identify, or an ``init`` whose
-    coefficients do not fit the design.
+    The inputs of both families are checked here, once: ``ValueError`` for
+    values that are not finite, or so large that a sum of squares over
+    them could overflow; for fewer curves than clusters; for more design
+    columns or regimes (those of ``config``, or of ``init``) than grid
+    points, which no Gram or segmentation of curves on one grid can
+    identify; or for an ``init`` whose coefficients do not fit the design.
     """
+    values = np.atleast_2d(np.asarray(values, dtype=float))
     n, m = values.shape
     if n < config.n_clusters:
         raise ValueError(
@@ -1074,12 +1089,19 @@ def _fit_restarts(
     for count, what in ((design.n_cols, "design columns"), (max(regimes), "regimes")):
         if count > m:
             raise ValueError(f"unidentifiable model: {count} {what} on {m} grid points")
+    # a squared residual is at most (2 max|x|)^2; Python floats carry a NaN
+    # or overflow to inf without a warning
+    top = float(np.abs(values).max())
+    if not np.isfinite(4.0 * n * m * top * top):
+        raise ValueError("values must be finite, and small enough that their squares sum")
+    floor = variance_floor(values)
     if init is not None:
         _check_design(design, init)
         starts = [_pack(init)]
     else:
         n_starts = 1 if config.n_clusters == 1 else config.n_restarts
-        starts = [start(child_rng(config.seed, r)) for r in range(n_starts)]
+        starts = [_pack(initial_params(values, design, config.n_clusters, regimes,
+                                       child_rng(config.seed, r), floor)) for r in range(n_starts)]
     # the E-step's workspace, one (G, R, n, m) buffer per regime group of
     # more than one regime; the restarts share it, since their E-steps run
     # one at a time and each takes its statistics from the buffer at once
@@ -1128,9 +1150,10 @@ def em_fit(
     """Fit the cluster mixture by multi-restart EM.
 
     Runs ``config.n_restarts`` independent EM runs, in lockstep, from
-    random segment-based initializations (or a single run when ``init`` is
-    given) and returns the parameters of the restart with the highest
-    final log-likelihood, ties broken toward the smaller restart index.
+    random segment-based initializations (``initial_params``, the start
+    rule of both families), or a single run when ``init`` is given, and
+    returns the parameters of the restart with the highest final
+    log-likelihood, ties broken toward the smaller restart index.
     After ``_SCREEN_AT`` iterations only the leading live restart goes on,
     accelerated by SQUAREM, and so does the only restart of a fit with one
     restart or from ``init``, as in ``baselines.fit_regression_mixture``.
@@ -1140,26 +1163,20 @@ def em_fit(
     extrapolations the one that went on alone kept and rejected. A fit
     with ``max_iter`` of at most ``_SCREEN_AT`` is plain EM bit for bit.
     A one-cluster fit takes one start, whatever ``n_restarts`` says. Raises
-    ``ValueError`` for shapes the data cannot identify (see
-    ``_fit_restarts``): fewer curves than clusters, or more regimes, or
-    coefficients (degree + 1), than grid points.
+    ``ValueError`` for inputs it cannot fit (see ``_fit_restarts``): values
+    that are not finite or too large to square and sum, fewer curves than
+    clusters, or more regimes, or coefficients (degree + 1), than grid
+    points.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    design = vandermonde(grid, config.degree)
-    floor = variance_floor(values)
     return _fit_restarts(
         _e_step_full,
         _m_step_impl,
         # one _em_once call per restart, screened ones included
         lambda state, trace, stop: _em_once(state, trace, stop == "tol")[0],
-        lambda rng: _pack(
-            initial_params(values, design, config.n_clusters, config.regimes(), rng, floor)
-        ),
         init,
         values,
-        design,
+        vandermonde(grid, config.degree),
         config,
-        floor,
     )
 
 

@@ -133,3 +133,21 @@ def explicit_wls_variance(point_weights, values, design, beta):
             num += w * resid**2
             den += w
     return num / den
+
+
+def mp_projection_means(curve_weights, values, design, dps=50):
+    """(m,) fitted means of the least-squares fit of a design to curves
+    that each carry one weight at every point, at ``dps`` digits: the
+    normal equations of the weighted mean curve, solved in extended
+    precision from the same float inputs."""
+    with mp.workdps(dps):
+        n, m = values.shape
+        total = mp.fsum(mp.mpf(w) for w in curve_weights)
+        mean = [
+            mp.fsum(mp.mpf(curve_weights[i]) * mp.mpf(values[i, j]) for i in range(n)) / total
+            for j in range(m)
+        ]
+        T = mp.matrix([[mp.mpf(v) for v in row] for row in design])
+        beta = mp.lu_solve(T.T * T, T.T * mp.matrix(mean))
+        fitted = T * beta
+        return np.array([float(fitted[j]) for j in range(m)])

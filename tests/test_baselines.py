@@ -5,10 +5,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import explicit_wls_beta, mp_gauss, mp_rhlp_density
+from oracles import explicit_wls_beta, mp_gauss, mp_projection_means, mp_rhlp_density
 from regimix import baselines
 from regimix.baselines import fit_regression_mixture
-from regimix.core import Basis, Curve, TimeGrid, design_matrix, vandermonde
+from regimix.core import Basis, Curve, TimeGrid, bspline_basis, design_matrix, vandermonde
 from regimix.datagen import WaveformSpec, gen_waveform
 from regimix.logistic import LogisticWeights
 from regimix import mixrhlp
@@ -314,14 +314,14 @@ class TestFitRegressionMixture:
                 assert resp[i, k] == pytest.approx(float(dens[k] / total), rel=1e-9)
 
     @pytest.mark.parametrize("case", ["init", "screened-1", "screened-3"])
-    def test_single_regime_mixrhlp_matches_trace(self, monkeypatch, case):
+    def test_single_regime_mixrhlp_matches_trace(self, case):
         # a hidden-process model with one regime per cluster is a
-        # regression mixture, and both run the same E- and M-step: from one
-        # initialization they give the same traces, stops and parameters,
-        # bit for bit. In the waveform cases the fits run past
-        # ``_SCREEN_AT``, where the restart that goes on alone is
-        # extrapolated in the same coordinates in both families. Seeded
-        # restarts share the partition draw, and here the start too.
+        # regression mixture, and both run the same start rule, E- and
+        # M-step: from one initialization, or from the same seed, they give
+        # the same traces, stops and parameters, bit for bit. In the
+        # waveform cases the fits run past ``_SCREEN_AT``, where the
+        # restart that goes on alone is extrapolated in the same
+        # coordinates in both families.
         if case == "init":
             rng = np.random.default_rng(39)
             g = TimeGrid(np.linspace(0, 1, 15))
@@ -341,11 +341,6 @@ class TestFitRegressionMixture:
             design = vandermonde(g, 2)
             cfg = EmConfig(n_clusters=3, n_regimes=1, degree=2, max_iter=60, tol=1e-8,
                            seed=0, n_restarts=int(case[-1]))
-            monkeypatch.setattr(
-                mixrhlp, "initial_params",
-                lambda values, design, K, regimes, rng, floor: mixrhlp._unpack(
-                    baselines._mixture_start(values, design, K, floor, rng)),
-            )
         pm, rm = fit_regression_mixture(values, design, cfg, init=init)
         ph, rh = em_fit(values, g, cfg, init=init)
         assert rm == rh
@@ -457,13 +452,14 @@ class TestScreening:
         """Record the packed start (``_EmState``) of each restart; with
         ``first``, restart 0 starts there instead."""
         starts = []
-        real_start = baselines._mixture_start
+        real_init = mixrhlp.initial_params
 
-        def start_spy(*args):
-            starts.append(first if first is not None and not starts else real_start(*args))
-            return starts[-1]
+        def init_spy(*args):
+            starts.append(
+                first if first is not None and not starts else mixrhlp._pack(real_init(*args)))
+            return mixrhlp._unpack(starts[-1])
 
-        monkeypatch.setattr(baselines, "_mixture_start", start_spy)
+        monkeypatch.setattr(mixrhlp, "initial_params", init_spy)
         return starts
 
     def test_leader_equals_its_own_fit_and_the_others_are_screened(self, monkeypatch):
@@ -565,3 +561,75 @@ class TestScreening:
         assert plain.iterations > report.iterations
         assert plain.restarts[0].extrapolations_accepted == 0
         assert report.loglik_trace[:screen] == plain.loglik_trace[:screen]
+
+
+class TestOneRegimeMStep:
+    """At R=1 every point of a cluster carries the cluster's mass, so the
+    M-step and the start project a mean curve onto the design, through
+    its pseudo-inverse, with no Gram and no linear solve."""
+
+    @staticmethod
+    def _waveform_class():
+        # the class-1 training curves of a criterion-6 fold
+        data = gen_waveform(WaveformSpec(curves_per_class=500, merge=True), 0)
+        return data.values[data.labels == 1][:800], data.grid
+
+    @pytest.mark.parametrize("basis", ["degree-3", "degree-4", "bspline-12"])
+    def test_fitted_means_match_extended_precision(self, basis):
+        # the normal equations of the raw degree-4 Vandermonde on this grid
+        # have condition 7e10; the projection keeps the fitted means close
+        # to a 50-digit solve of the same float inputs
+        values, grid = self._waveform_class()
+        design = {
+            "degree-3": lambda: vandermonde(grid, 3),
+            "degree-4": lambda: vandermonde(grid, 4),
+            "bspline-12": lambda: bspline_basis(grid, 4, 8),
+        }[basis]()
+        weights = np.random.default_rng(44).uniform(size=len(values))
+        stats = mixrhlp._sufficient_stats(weights[:, None], ((0,),), [None], values)
+        d = design.n_cols
+        coeffs, _ = mixrhlp._fit_clusters(
+            stats.sums[0], stats.totals, design, np.zeros((1, 1, d)), np.ones((1, 1)), 1e-10
+        )
+        fitted = design.matrix @ coeffs[0, 0]
+        reference = mp_projection_means(weights, values, design.matrix)
+        error = np.max(np.abs(fitted - reference)) / np.max(np.abs(reference))
+        assert error <= 1e-11
+
+    @pytest.mark.parametrize("family", ["regression", "mixrhlp"])
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_no_linear_solve(self, monkeypatch, family, K):
+        # neither the starts, the M-steps, the SQUAREM cycles nor the
+        # rescue of a one-regime fit solves a system; a two-regime fit,
+        # counted the same way, does
+        data = gen_waveform(WaveformSpec(40), 0)
+        values, grid = data.values[data.labels == 1], data.grid
+        real_solve = mixrhlp.ridge_solve
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return real_solve(*args)
+
+        monkeypatch.setattr(mixrhlp, "ridge_solve", counted)
+        cfg = EmConfig(n_clusters=K, n_regimes=1, degree=2, max_iter=60, tol=1e-8,
+                       n_restarts=3, seed=0)
+        if family == "regression":
+            _, report = fit_regression_mixture(values, vandermonde(grid, 2), cfg)
+        else:
+            _, report = em_fit(values, grid, cfg)
+        assert report.iterations > 0
+        assert calls == []
+        em_fit(values, grid, dataclasses.replace(cfg, n_regimes=2, max_iter=2))
+        assert calls
+
+    def test_single_regression_meets_tol_after_one_map(self):
+        # the start and the M-step both project the mean curve, so the one
+        # EM map that confirms the start gains less than tol, even at the
+        # degree whose normal equations lose digits
+        data = gen_waveform(WaveformSpec(curves_per_class=500, merge=True), 0)
+        design = vandermonde(data.grid, 4)
+        for g in (1, 2):
+            _, report = single_regression(data.values[data.labels == g], design)
+            assert report.stop_reason == "tol"
+            assert report.iterations == 1

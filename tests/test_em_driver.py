@@ -7,7 +7,10 @@ more coefficients than points, each call either raises ``ValueError`` or
 returns a finite fit whose log-likelihood trace never falls.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,3 +85,21 @@ def test_regression_mixture_fit_is_finite_and_monotone_or_rejected(shape):
     for c in params.clusters:
         arrays += [c.coeffs, c.variances]
     _check_fit(arrays, report)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "huge"])
+@pytest.mark.parametrize("family", ["mixrhlp", "regression"])
+def test_values_that_cannot_be_fitted_rejected_before_any_warning(family, bad):
+    # the values are checked once, where both families enter the driver,
+    # before any arithmetic on them can warn or fail inside the fit
+    grid = TimeGrid(np.linspace(0.0, 1.0, 6))
+    values = np.random.default_rng(45).normal(size=(8, 6))
+    values[3, 2] = bad
+    cfg = EmConfig(n_clusters=2, n_regimes=2, degree=1, max_iter=10, n_restarts=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="values"):
+            if family == "mixrhlp":
+                em_fit(values, grid, cfg)
+            else:
+                fit_regression_mixture(values, vandermonde(grid, 1), cfg)

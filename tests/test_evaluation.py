@@ -114,25 +114,6 @@ class TestIntraClassInertia:
             intra_class_inertia(data, flda), rel=1e-9
         )
 
-    def test_all_components_rule_over_counts(self):
-        rng = np.random.default_rng(79)
-        data = balanced_dataset(rng, per_class=6, sep=4.0)
-        model = train(
-            data,
-            TrainConfig(variant="fmda-prm", degree=0, n_clusters=2, n_restarts=1,
-                        max_iter=10),
-        )
-        assigned = intra_class_inertia(data, model, rule="assigned")
-        literal = intra_class_inertia(data, model, rule="all-components")
-        assert literal > assigned
-
-    def test_unknown_rule_rejected(self):
-        rng = np.random.default_rng(80)
-        data = balanced_dataset(rng)
-        model = train(data, TrainConfig(variant="flda-pr", degree=0))
-        with pytest.raises(ValueError):
-            intra_class_inertia(data, model, rule="bogus")
-
 
 class TestNestedModelInertia:
     def test_more_clusters_never_increase_nearest_mean_inertia(self):
